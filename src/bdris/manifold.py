@@ -8,6 +8,8 @@ enters only through an explicitly passed ``numpy.random.Generator``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,6 +71,19 @@ class TangentDirection:
             raise InvalidInput(f"direction is not tangent: skew defect {defect:.3e}")
 
 
+class BlockGather(NamedTuple):
+    """Index stacks of the blocks of one size k.
+
+    ``m[rows, cols]`` gathers the G blocks into a (G, k, k) stack, and
+    ``out[rows, cols] = stack`` scatters one back; ``block_ids`` are the
+    blocks' positions in ``BlockStructure.block_indices()``.
+    """
+
+    block_ids: np.ndarray  # (G,)
+    rows: np.ndarray  # (G, k, 1)
+    cols: np.ndarray  # (G, 1, k)
+
+
 @dataclass(frozen=True)
 class BlockStructure:
     """Partition of N ports into groups, optionally through a permutation.
@@ -104,16 +119,41 @@ class BlockStructure:
             start += size
         return out
 
+    @cached_property
+    def gather(self) -> tuple[BlockGather, ...]:
+        """One ``BlockGather`` per distinct block size, smallest size first."""
+        order = np.asarray(self.permutation if self.permutation is not None else range(self.dimension))
+        sizes = np.asarray(self.group_sizes)
+        starts = np.cumsum(sizes) - sizes
+        out = []
+        for k in sorted(set(self.group_sizes)):
+            ids = np.flatnonzero(sizes == k)
+            idx = order[starts[ids][:, None] + np.arange(k)]  # (G, k) port indices
+            out.append(BlockGather(ids, idx[:, :, None], idx[:, None, :]))
+        return tuple(out)
+
+    def map_blocks(self, fn, *matrices: np.ndarray) -> np.ndarray:
+        """Apply ``fn`` to the (G, k, k) block stacks of each size; zero elsewhere.
+
+        ``fn`` receives one stack per input matrix and returns a stack of the
+        same shape, which is scattered into the blocks of a zero matrix.
+        """
+        out = np.zeros_like(matrices[0])
+        for g in self.gather:
+            out[g.rows, g.cols] = fn(*(m[g.rows, g.cols] for m in matrices))
+        return out
+
 
 def polar_factor(matrix: np.ndarray) -> np.ndarray:
-    """Unitary polar factor UV† of a full-rank square matrix.
+    """Unitary polar factor UV† of a full-rank square matrix, or of each in a stack.
 
-    This is the Frobenius-nearest unitary; raises RankDeficient when any
-    singular value is at or below the rank threshold (non-unique factor).
+    This is the Frobenius-nearest unitary; accepts (..., k, k) stacks and
+    raises RankDeficient when any singular value of any matrix is at or
+    below the rank threshold (non-unique factor).
     """
     m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise DimensionMismatch(f"expected square matrices, got shape {m.shape}")
     u, s, vh = np.linalg.svd(m)
     if np.min(s) <= RANK_TOL:
         raise RankDeficient(f"smallest singular value {np.min(s):.3e} <= {RANK_TOL:.0e}")
@@ -126,7 +166,8 @@ def project_to_unitary(matrix: np.ndarray, tolerance: float = UNITARY_TOL) -> Un
 
 
 def skew_part(x: np.ndarray) -> np.ndarray:
-    return (x - x.conj().T) / 2.0
+    """Skew-Hermitian part (X - X†)/2 of a matrix or of each in a (..., k, k) stack."""
+    return (x - x.conj().swapaxes(-1, -2)) / 2.0
 
 
 def tangent_project(gradient: np.ndarray, at: UnitaryMatrix) -> TangentDirection:
@@ -176,8 +217,4 @@ def block_project(matrix: np.ndarray, structure: BlockStructure) -> UnitaryMatri
         raise DimensionMismatch(
             f"matrix shape {m.shape} does not fit structure of dimension {structure.dimension}"
         )
-    out = np.zeros_like(m)
-    for idx in structure.block_indices():
-        sel = np.ix_(idx, idx)
-        out[sel] = polar_factor(m[sel])
-    return UnitaryMatrix(out)
+    return UnitaryMatrix(structure.map_blocks(polar_factor, m))

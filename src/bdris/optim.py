@@ -86,40 +86,42 @@ def _inner(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.real(np.sum(np.conj(x) * y)))
 
 
+def _tangent(theta: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """theta * skew(theta† grad) for a matrix or a (G, k, k) stack of blocks."""
+    return theta @ skew_part(theta.conj().swapaxes(-1, -2) @ grad)
+
+
 class _Feasible:
-    """Projection / tangent machinery for one architecture at dimension N."""
+    """Projection / tangent machinery for one architecture at dimension N.
+
+    Block architectures work on the (G, k, k) block stacks of
+    ``BlockStructure.gather``, one batched call per block size; the
+    fully-connected set (``structure`` None) is the single N x N block.
+    """
 
     def __init__(self, arch: BdRisArchitecture, n: int):
         if arch.kind is ArchitectureKind.FULLY_CONNECTED:
-            self.blocks = None
+            self.structure = None
         elif arch.kind is ArchitectureKind.DIAGONAL:
-            self.blocks = BlockStructure((1,) * n).block_indices()
+            self.structure = BlockStructure((1,) * n)
         elif arch.kind is ArchitectureKind.GROUP_CONNECTED:
             if arch.structure.dimension != n:
                 raise DimensionMismatch("block structure does not fit the element count")
-            self.blocks = arch.structure.block_indices()
+            self.structure = arch.structure
         else:
             raise InvalidInput(f"no optimizer support for {arch.kind.value}")
         self.n = n
 
+    def _blockwise(self, fn, *matrices: np.ndarray) -> np.ndarray:
+        if self.structure is None:
+            return fn(*matrices)
+        return self.structure.map_blocks(fn, *matrices)
+
     def project(self, m: np.ndarray) -> np.ndarray:
-        if self.blocks is None:
-            return polar_factor(m)
-        out = np.zeros_like(m)
-        for idx in self.blocks:
-            sel = np.ix_(idx, idx)
-            out[sel] = polar_factor(m[sel])
-        return out
+        return self._blockwise(polar_factor, m)
 
     def tangent(self, grad: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        if self.blocks is None:
-            return theta @ skew_part(theta.conj().T @ grad)
-        out = np.zeros_like(grad)
-        for idx in self.blocks:
-            sel = np.ix_(idx, idx)
-            t = theta[sel]
-            out[sel] = t @ skew_part(t.conj().T @ grad[sel])
-        return out
+        return self._blockwise(_tangent, theta, grad)
 
     def random_point(self, rng: np.random.Generator) -> np.ndarray:
         # the polar factor of a complex Gaussian matrix is Haar distributed;
@@ -190,19 +192,32 @@ def _finish(theta, trace, start, iterations, converged) -> OptimizerResult:
     )
 
 
-def _procrustes_factor(block: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, bool]:
-    """SVD factor UV† maximizing Re tr(Theta† block) over unitaries.
+def _align_cross_term(reals, feas: _Feasible, rng: np.random.Generator) -> tuple[np.ndarray, bool]:
+    """Feasible matrix maximizing Re tr(Theta† C) for the direct-path cross term.
 
-    Zero singular directions do not affect the maximum, so partial rank
-    deficiency keeps the SVD factor; only a fully degenerate block falls
-    back to a Haar sample (second return flags the fallback).
+    C sums b a† C† over devices and snapshots; per block the maximizer is
+    the SVD factor UV†.  Zero singular directions do not affect the maximum,
+    so partial rank deficiency keeps the SVD factor; only a fully degenerate
+    block falls back to a Haar sample, drawn from ``rng`` in block order
+    (second return flags any fallback).
     """
-    u, s, vh = np.linalg.svd(block)
-    if float(np.max(s)) <= 1e-300:
-        n = block.shape[0]
-        z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
-        return polar_factor(z), True
-    return u @ vh, False
+    cross = np.zeros((feas.n, feas.n), dtype=complex)
+    for r in reals:
+        cross += r.ris_device.T @ np.conj(r.direct) @ r.bs_ris.conj().T
+    gather = (feas.structure or BlockStructure((feas.n,))).gather
+    factors, degenerate = [], []
+    for j, g in enumerate(gather):
+        u, s, vh = np.linalg.svd(cross[g.rows, g.cols])
+        factors.append(u @ vh)
+        degenerate += [(g.block_ids[i], j, i) for i in np.flatnonzero(np.max(s, axis=-1) <= 1e-300)]
+    for _, j, i in sorted(degenerate):
+        k = factors[j].shape[-1]
+        z = (rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))) / np.sqrt(2.0)
+        factors[j][i] = polar_factor(z)
+    theta = np.zeros_like(cross)
+    for g, f in zip(gather, factors):
+        theta[g.rows, g.cols] = f
+    return theta, bool(degenerate)
 
 
 def rzf_one_shot(
@@ -221,19 +236,7 @@ def rzf_one_shot(
     reals = _as_list(realizations)
     problem = _GainProblem(reals)
     feas = _Feasible(arch, problem.n)
-    cross = np.zeros((problem.n, problem.n), dtype=complex)
-    for r in reals:
-        cross += r.ris_device.T @ np.conj(r.direct) @ r.bs_ris.conj().T
-    rng = np.random.default_rng(cfg.seed)
-    fell_back = False
-    if feas.blocks is None:
-        theta, fell_back = _procrustes_factor(cross, rng)
-    else:
-        theta = np.zeros_like(cross)
-        for idx in feas.blocks:
-            sel = np.ix_(idx, idx)
-            theta[sel], flag = _procrustes_factor(cross[sel], rng)
-            fell_back = fell_back or flag
+    theta, fell_back = _align_cross_term(reals, feas, np.random.default_rng(cfg.seed))
     if fell_back:
         warnings.warn(
             "cross matrix is rank deficient; fell back to a random feasible point",
@@ -659,17 +662,7 @@ def fp_sum_rate(
         # warm start from the one-shot cross-term alignment: the alternation
         # is monotone from any start but random starts fall into noticeably
         # weaker fixed points at case-study SNR scales
-        rng = np.random.default_rng(cfg.seed)
-        cross = np.zeros((stack.n, stack.n), dtype=complex)
-        for r in reals:
-            cross += r.ris_device.T @ np.conj(r.direct) @ r.bs_ris.conj().T
-        if feas.blocks is None:
-            theta, _ = _procrustes_factor(cross, rng)
-        else:
-            theta = np.zeros_like(cross)
-            for idx in feas.blocks:
-                sel = np.ix_(idx, idx)
-                theta[sel], _ = _procrustes_factor(cross[sel], rng)
+        theta, _ = _align_cross_term(reals, feas, np.random.default_rng(cfg.seed))
     else:
         theta = feas.project(np.asarray(initial_theta, dtype=complex))
     if iterate_callback:

@@ -20,6 +20,7 @@ from bdris.channel import (
     random_waypoint_step,
     realization_csv_rows,
     sample_fading,
+    write_realization_csv,
 )
 from bdris.errors import BelowReferenceDistance, InvalidInput
 from bdris.seeding import derive_seed, derived_rng
@@ -224,6 +225,19 @@ class TestCsvExport:
         backbone = [r for r in rows if r.startswith("bs_ris")]
         assert len(backbone) == n * m
         assert all(r.split(",")[1] == "-1" for r in backbone)
+
+    def test_write_matches_rows_with_lf_endings(self, tmp_path):
+        geometry = NetworkGeometry()
+        devices = initial_devices(2, geometry.device_area, (0.5, 2.0), np.random.default_rng(3))
+        real = generate_realization(
+            geometry, devices, PathLossModel(), FadingModel(), 3, np.random.default_rng(4),
+            num_bs_antennas=2,
+        )
+        path = tmp_path / "realization.csv"
+        write_realization_csv(real, path)
+        data = path.read_bytes()
+        assert data == ("\n".join(realization_csv_rows(real)) + "\n").encode("utf-8")
+        assert b"\r" not in data
 
 
 class TestSeedDerivation:

@@ -13,9 +13,28 @@ from bdris.manifold import (
     project_to_unitary,
     random_unitary,
     retract,
+    skew_part,
     tangent_project,
     unitarity_defect,
 )
+
+# diagonal, equal groups, unequal groups, and unequal groups through a permutation
+STRUCTURES = [
+    BlockStructure((1,) * 8),
+    BlockStructure((4, 4)),
+    BlockStructure((2, 1, 3, 2)),
+    BlockStructure((2, 1, 3, 2), permutation=(7, 0, 5, 2, 4, 1, 6, 3)),
+]
+STRUCTURE_IDS = ["diag", "equal", "unequal", "permuted"]
+
+
+def per_block_project(m, structure):
+    """Reference block projection: one np.ix_ gather and polar factor per block."""
+    out = np.zeros_like(m)
+    for idx in structure.block_indices():
+        sel = np.ix_(idx, idx)
+        out[sel] = polar_factor(m[sel])
+    return out
 
 
 def haar_batch(n, count, rng):
@@ -69,6 +88,36 @@ class TestProjectToUnitary:
     def test_non_square_rejected(self):
         with pytest.raises(DimensionMismatch):
             polar_factor(np.ones((2, 3)))
+        with pytest.raises(DimensionMismatch):
+            polar_factor(np.ones((4, 2, 3)))
+        with pytest.raises(DimensionMismatch):
+            polar_factor(np.ones(3))
+
+    def test_stack_matches_per_slice(self):
+        rng = np.random.default_rng(13)
+        for k in (1, 3):
+            stack = rng.standard_normal((5, k, k)) + 1j * rng.standard_normal((5, k, k))
+            out = polar_factor(stack)
+            assert out.shape == stack.shape
+            for g in range(5):
+                assert np.array_equal(out[g], polar_factor(stack[g]))
+
+    def test_stack_with_one_singular_slice_rejected(self):
+        rng = np.random.default_rng(17)
+        stack = rng.standard_normal((4, 2, 2)) + 1j * rng.standard_normal((4, 2, 2))
+        stack[2] = [[1.0, 2.0], [2.0, 4.0]]
+        with pytest.raises(RankDeficient):
+            polar_factor(stack)
+
+
+class TestSkewPart:
+    def test_stack_matches_per_slice(self):
+        rng = np.random.default_rng(19)
+        stack = rng.standard_normal((6, 3, 3)) + 1j * rng.standard_normal((6, 3, 3))
+        out = skew_part(stack)
+        for g in range(6):
+            assert np.array_equal(out[g], skew_part(stack[g]))
+            assert np.array_equal(out[g], -out[g].conj().T)
 
 
 class TestTangentProject:
@@ -199,6 +248,40 @@ class TestBlockProject:
         for i, j in [(0, 1), (0, 3), (2, 1), (2, 3), (1, 0), (1, 2), (3, 0), (3, 2)]:
             assert out[i, j] == 0
         assert unitarity_defect(out) <= 1e-10
+
+    @pytest.mark.parametrize("structure", STRUCTURES, ids=STRUCTURE_IDS)
+    def test_equals_per_block_reference(self, structure):
+        rng = np.random.default_rng(53)
+        n = structure.dimension
+        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        assert np.array_equal(block_project(m, structure).entries, per_block_project(m, structure))
+
+    @pytest.mark.parametrize("structure", STRUCTURES, ids=STRUCTURE_IDS)
+    def test_gather_visits_every_block_once(self, structure):
+        n = structure.dimension
+        covered = np.zeros((n, n), dtype=int)
+        seen = []
+        for g in structure.gather:
+            k = g.rows.shape[1]
+            assert g.rows.shape == (len(g.block_ids), k, 1) and g.cols.shape == (len(g.block_ids), 1, k)
+            for block_id, rows in zip(g.block_ids, g.rows[:, :, 0]):
+                assert np.array_equal(rows, structure.block_indices()[block_id])
+            np.add.at(covered, (g.rows, g.cols), 1)
+            seen += list(g.block_ids)
+        assert sorted(seen) == list(range(len(structure.group_sizes)))
+        expected = np.zeros((n, n), dtype=int)
+        for idx in structure.block_indices():
+            expected[np.ix_(idx, idx)] = 1
+        assert np.array_equal(covered, expected)
+
+    def test_single_singular_block_rejected(self):
+        rng = np.random.default_rng(59)
+        structure = STRUCTURES[3]
+        m = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        idx = structure.block_indices()[2]  # the 3 x 3 block
+        m[idx[0], idx] = m[idx[1], idx]
+        with pytest.raises(RankDeficient):
+            block_project(m, structure)
 
     def test_structure_validation(self):
         with pytest.raises(InvalidInput):

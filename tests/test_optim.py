@@ -1,11 +1,15 @@
 """Optimizer correctness: gradients, oracles, monotonicity, determinism."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+from bdris import optim
 from bdris.architectures import BdRisArchitecture, validate
 from bdris.channel import ChannelRealization, ScenarioConfig, scenario_realizations
-from bdris.errors import DimensionMismatch, InvalidInput, RankDeficientWarning
+from bdris.errors import DimensionMismatch, InvalidInput, RankDeficient, RankDeficientWarning
+from bdris.manifold import BlockStructure, polar_factor, skew_part
 from bdris.optim import (
     OptimizerConfig,
     ao_manifold,
@@ -20,6 +24,19 @@ from bdris.optim import (
 
 FULL = BdRisArchitecture.fully_connected()
 DIAG = BdRisArchitecture.diagonal()
+# diagonal, equal groups, unequal groups, and unequal groups through a permutation
+BLOCK_ARCHS = [
+    DIAG,
+    BdRisArchitecture.group_connected(BlockStructure((4, 4))),
+    BdRisArchitecture.group_connected(BlockStructure((2, 1, 3, 2))),
+    BdRisArchitecture.group_connected(BlockStructure((2, 1, 3, 2), permutation=(7, 0, 5, 2, 4, 1, 6, 3))),
+]
+BLOCK_IDS = ["diag", "equal", "unequal", "permuted"]
+
+
+def block_indices(arch, n):
+    structure = BlockStructure((1,) * n) if arch is DIAG else arch.structure
+    return structure.block_indices()
 
 
 def random_complex(rng, *shape):
@@ -409,3 +426,101 @@ class TestGroupConnected:
         for arch in (paired, hybrid):
             with pytest.raises(InvalidInput):
                 ao_manifold(reals, arch, OptimizerConfig(seed=1, max_iterations=2))
+
+
+class TestBatchedFeasibleSet:
+    """The batched block layer equals a per-block np.ix_ loop bit for bit."""
+
+    N = 8
+
+    def per_block(self, arch, fn, *matrices):
+        out = np.zeros_like(matrices[0])
+        for idx in block_indices(arch, self.N):
+            sel = np.ix_(idx, idx)
+            out[sel] = fn(*(m[sel] for m in matrices))
+        return out
+
+    @pytest.mark.parametrize("arch", BLOCK_ARCHS, ids=BLOCK_IDS)
+    def test_project_tangent_random_point(self, arch):
+        rng = np.random.default_rng(60)
+        feas = optim._Feasible(arch, self.N)
+        m = random_complex(rng, self.N, self.N)
+        grad = random_complex(rng, self.N, self.N)
+        theta = feas.project(m)
+        assert np.array_equal(theta, self.per_block(arch, polar_factor, m))
+        assert np.array_equal(
+            feas.tangent(grad, theta),
+            self.per_block(arch, lambda t, g: t @ skew_part(t.conj().T @ g), theta, grad),
+        )
+        point = feas.random_point(np.random.default_rng(61))
+        z_rng = np.random.default_rng(61)
+        z = (z_rng.standard_normal((self.N, self.N)) + 1j * z_rng.standard_normal((self.N, self.N))) / np.sqrt(2.0)
+        assert np.array_equal(point, self.per_block(arch, polar_factor, z))
+
+    def test_single_singular_block_rejected(self):
+        rng = np.random.default_rng(62)
+        feas = optim._Feasible(BLOCK_ARCHS[3], self.N)
+        m = random_complex(rng, self.N, self.N)
+        idx = block_indices(BLOCK_ARCHS[3], self.N)[0]
+        m[np.ix_(idx, idx)] = 0.0
+        with pytest.raises(RankDeficient):
+            feas.project(m)
+
+    @pytest.mark.parametrize("arch", BLOCK_ARCHS, ids=BLOCK_IDS)
+    def test_degenerate_blocks_draw_haar_in_block_order(self, arch):
+        """Warm start: SVD factor per block, a Haar draw for each all-zero block."""
+        rng = np.random.default_rng(63)
+        reals = unit_instance(rng, n=self.N)
+        silent = block_indices(arch, self.N)[:2]  # sizes 2 then 1 on the unequal surfaces
+        for r in reals:
+            for idx in silent:
+                r.ris_device[:, idx] = 0.0
+        cross = sum(r.ris_device.T @ np.conj(r.direct) @ r.bs_ris.conj().T for r in reals)
+        draws = np.random.default_rng(64)
+        expected = np.zeros((self.N, self.N), dtype=complex)
+        for idx in block_indices(arch, self.N):
+            sel = np.ix_(idx, idx)
+            u, s, vh = np.linalg.svd(cross[sel])
+            if np.max(s) <= 1e-300:
+                k = len(idx)
+                z = (draws.standard_normal((k, k)) + 1j * draws.standard_normal((k, k))) / np.sqrt(2.0)
+                expected[sel] = polar_factor(z)
+            else:
+                expected[sel] = u @ vh
+        with pytest.warns(RankDeficientWarning):
+            result = rzf_one_shot(reals, arch, OptimizerConfig(seed=64))
+        assert np.array_equal(result.theta, expected)
+        starts = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # only rzf_one_shot warns about the fallback
+            fp_sum_rate(reals, arch, OptimizerConfig(seed=64, max_iterations=1), iterate_callback=starts.append)
+        assert np.array_equal(starts[0], expected)
+
+
+class TestQnmMemoryTransport:
+    @pytest.mark.parametrize(
+        "arch",
+        [DIAG, BdRisArchitecture.group_connected(BlockStructure((2, 2, 2, 2))), FULL],
+        ids=["diag", "groups", "full"],
+    )
+    def test_full_memory_is_transported_every_iteration(self, arch, monkeypatch):
+        """Each iteration with a full memory re-projects all of it: >= 2 * memory tangents."""
+        memory = 3
+        calls = [0]
+        tangent = optim._Feasible.tangent
+
+        def counting(self, grad, theta):
+            calls[0] += 1
+            return tangent(self, grad, theta)
+
+        monkeypatch.setattr(optim._Feasible, "tangent", counting)
+        marks = []
+        reals = unit_instance(np.random.default_rng(65), l=2, m=2, n=8, snapshots=2)
+        cfg = OptimizerConfig(seed=66, max_iterations=12, lbfgs_memory=memory, objective_tolerance=1e-12)
+        result = qnm_manifold(reals, arch, cfg, iterate_callback=lambda _: marks.append(calls[0]))
+        assert result.iterations >= memory + 4
+        # callback i + 1 fires inside iteration i; the gap to the next one spans
+        # iteration i's transport and the start of iteration i + 1
+        per_iteration = np.diff(marks)[memory + 1 :]
+        assert per_iteration.size >= 2
+        assert np.all(per_iteration >= 2 * memory)
