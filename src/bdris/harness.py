@@ -20,22 +20,15 @@ from __future__ import annotations
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .channel import (
-    FadingModel,
-    NetworkGeometry,
-    PathLossModel,
-    Rectangle,
-    ScenarioConfig,
-    sample_fading,
-)
+from .channel import ScenarioConfig, sample_fading
 from .errors import ConfigError, InvalidInput
-from .optim import BENCHMARK_COLUMNS, OptimizerConfig, benchmark
+from .optim import ALGORITHMS, BENCHMARK_COLUMNS, OptimizerConfig, benchmark
 from .qml import (
     TRACE_COLUMNS,
     confusion_csv_rows,
@@ -50,7 +43,7 @@ from .qml import (
 from .seeding import derive_seed, derived_rng
 
 EXPERIMENTS = ("power-comparison", "beamforming-bench", "qml-beam")
-ALGORITHM_NAMES = ("rzf", "fp", "ao", "qnm")
+ALGORITHM_NAMES = tuple(ALGORITHMS)
 
 
 @dataclass(frozen=True)
@@ -85,9 +78,13 @@ class ExperimentConfig:
             raise ConfigError("trials must be >= 1")
         if self.experiment != "qml-beam" and not self.element_counts:
             raise ConfigError("element_counts must be non-empty")
+        if any(n < 1 for n in self.element_counts):
+            raise ConfigError("element_counts must be >= 1")
         bad = [a for a in self.algorithms if a not in ALGORITHM_NAMES]
         if bad:
             raise ConfigError(f"unknown algorithms: {','.join(bad)}")
+        if self.experiment == "beamforming-bench" and not self.algorithms:
+            raise ConfigError("algorithms must be non-empty")
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must fit in 64 bits")
 
@@ -112,11 +109,11 @@ def _parse_str_list(text: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
-# (section, key) -> (parser, pretty printer)
-def _fmt_float(v: float) -> str:
-    return f"{v:.17g}"
+def _fmt_value(v) -> str:
+    return f"{v:.17g}" if isinstance(v, float) else str(v)
 
 
+# top-level key -> (parser, pretty printer)
 _TOP_KEYS = {
     "experiment": (str.strip, str),
     "seed": (int, str),
@@ -127,62 +124,51 @@ _TOP_KEYS = {
     "output_dir": (str.strip, str),
 }
 
-_CHANNEL_KEYS = {
-    "reference_loss_db": float,
-    "reference_distance_m": float,
-    "exponent_device_bs": float,
-    "exponent_device_ris": float,
-    "exponent_bs_ris": float,
-    "bs_ris_rician_k_db": float,
-    "device_links_rician_k_db": float,
-    "los_probability": float,
-    "num_devices": int,
-    "num_bs_antennas": int,
-    "noise_power_dbm": float,
-    "tx_snr_db": float,
-    "speed_min_mps": float,
-    "speed_max_mps": float,
-    "dt_s": float,
-    "snapshots": int,
-    "steps_per_snapshot": int,
-    "bs_x": float,
-    "bs_y": float,
-    "bs_z": float,
-    "ris_x": float,
-    "ris_y": float,
-    "ris_z": float,
-    "bs_ris_distance_m": float,
-    "carrier_hz": float,
-    "area_x_min": float,
-    "area_x_max": float,
-    "area_y_min": float,
-    "area_y_max": float,
+# [channel] key -> attribute path inside ScenarioConfig; an int step indexes
+# a position vector.  The order is the order of config.resolved.
+_CHANNEL_PATHS = {
+    "reference_loss_db": ("pathloss", "reference_loss_db"),
+    "reference_distance_m": ("pathloss", "reference_distance_m"),
+    "exponent_device_bs": ("pathloss", "exponent_device_bs"),
+    "exponent_device_ris": ("pathloss", "exponent_device_ris"),
+    "exponent_bs_ris": ("pathloss", "exponent_bs_ris"),
+    "bs_ris_rician_k_db": ("fading", "bs_ris_rician_k_db"),
+    "device_links_rician_k_db": ("fading", "device_links_rician_k_db"),
+    "los_probability": ("fading", "los_probability"),
+    "num_devices": ("num_devices",),
+    "num_bs_antennas": ("num_bs_antennas",),
+    "noise_power_dbm": ("noise_power_dbm",),
+    "tx_snr_db": ("tx_snr_db",),
+    "speed_min_mps": ("speed_min_mps",),
+    "speed_max_mps": ("speed_max_mps",),
+    "dt_s": ("dt_s",),
+    "snapshots": ("snapshots",),
+    "steps_per_snapshot": ("steps_per_snapshot",),
+    "bs_x": ("geometry", "bs_position", 0),
+    "bs_y": ("geometry", "bs_position", 1),
+    "bs_z": ("geometry", "bs_position", 2),
+    "ris_x": ("geometry", "ris_position", 0),
+    "ris_y": ("geometry", "ris_position", 1),
+    "ris_z": ("geometry", "ris_position", 2),
+    "bs_ris_distance_m": ("geometry", "bs_ris_distance_m"),
+    "carrier_hz": ("geometry", "carrier_hz"),
+    "area_x_min": ("geometry", "device_area", "x_min"),
+    "area_x_max": ("geometry", "device_area", "x_max"),
+    "area_y_min": ("geometry", "device_area", "y_min"),
+    "area_y_max": ("geometry", "device_area", "y_max"),
 }
 
-_OPTIMIZER_KEYS = {
-    "max_iterations": int,
-    "objective_tolerance": float,
-    "armijo_c": float,
-    "backtrack_factor": float,
-    "initial_step": float,
-    "lbfgs_memory": int,
-    "fp_inner_theta_steps": int,
-    "stationarity_tolerance": float,
-    "max_backtracks": int,
+# section -> (ExperimentConfig field, its type, {key: attribute path}); the
+# [optimizer] and [qml] keys are the dataclass fields (the seed is top-level).
+_SECTIONS = {
+    "channel": ("scenario", ScenarioConfig, _CHANNEL_PATHS),
+    "optimizer": (
+        "optimizer",
+        OptimizerConfig,
+        {f.name: (f.name,) for f in fields(OptimizerConfig) if f.name != "seed"},
+    ),
+    "qml": ("qml", QmlSettings, {f.name: (f.name,) for f in fields(QmlSettings)}),
 }
-
-_QML_KEYS = {
-    "num_qubits": int,
-    "num_layers": int,
-    "num_beams": int,
-    "num_samples": int,
-    "noise_sigma": float,
-    "epochs": int,
-    "learning_rate": float,
-    "feature_dim": int,
-}
-
-_SECTIONS = {"channel": _CHANNEL_KEYS, "optimizer": _OPTIMIZER_KEYS, "qml": _QML_KEYS}
 
 # experiment-specific defaults materialized during resolution
 _EXPERIMENT_DEFAULTS = {
@@ -192,61 +178,45 @@ _EXPERIMENT_DEFAULTS = {
 }
 
 
-def _scenario_from_channel(values: dict) -> ScenarioConfig:
-    base = ScenarioConfig()
-    geometry = NetworkGeometry(
-        bs_position=np.array([
-            values.get("bs_x", base.geometry.bs_position[0]),
-            values.get("bs_y", base.geometry.bs_position[1]),
-            values.get("bs_z", base.geometry.bs_position[2]),
-        ]),
-        ris_position=np.array([
-            values.get("ris_x", base.geometry.ris_position[0]),
-            values.get("ris_y", base.geometry.ris_position[1]),
-            values.get("ris_z", base.geometry.ris_position[2]),
-        ]),
-        device_area=Rectangle(
-            values.get("area_x_min", base.geometry.device_area.x_min),
-            values.get("area_x_max", base.geometry.device_area.x_max),
-            values.get("area_y_min", base.geometry.device_area.y_min),
-            values.get("area_y_max", base.geometry.device_area.y_max),
-        ),
-        bs_ris_distance_m=values.get("bs_ris_distance_m", base.geometry.bs_ris_distance_m),
-        carrier_hz=values.get("carrier_hz", base.geometry.carrier_hz),
-    )
-    pathloss = PathLossModel(
-        reference_loss_db=values.get("reference_loss_db", base.pathloss.reference_loss_db),
-        reference_distance_m=values.get("reference_distance_m", base.pathloss.reference_distance_m),
-        exponent_device_bs=values.get("exponent_device_bs", base.pathloss.exponent_device_bs),
-        exponent_device_ris=values.get("exponent_device_ris", base.pathloss.exponent_device_ris),
-        exponent_bs_ris=values.get("exponent_bs_ris", base.pathloss.exponent_bs_ris),
-    )
-    fading = FadingModel(
-        bs_ris_rician_k_db=values.get("bs_ris_rician_k_db", base.fading.bs_ris_rician_k_db),
-        device_links_rician_k_db=values.get("device_links_rician_k_db", base.fading.device_links_rician_k_db),
-        los_probability=values.get("los_probability", base.fading.los_probability),
-    )
-    return ScenarioConfig(
-        geometry=geometry,
-        pathloss=pathloss,
-        fading=fading,
-        num_devices=values.get("num_devices", base.num_devices),
-        num_bs_antennas=values.get("num_bs_antennas", base.num_bs_antennas),
-        noise_power_dbm=values.get("noise_power_dbm", base.noise_power_dbm),
-        tx_snr_db=values.get("tx_snr_db", base.tx_snr_db),
-        speed_min_mps=values.get("speed_min_mps", base.speed_min_mps),
-        speed_max_mps=values.get("speed_max_mps", base.speed_max_mps),
-        dt_s=values.get("dt_s", base.dt_s),
-        snapshots=values.get("snapshots", base.snapshots),
-        steps_per_snapshot=values.get("steps_per_snapshot", base.steps_per_snapshot),
-    )
+def _get(obj, path: tuple):
+    for step in path:
+        obj = obj[step] if isinstance(step, int) else getattr(obj, step)
+    return obj
+
+
+def _override(obj, overrides: dict):
+    """``obj`` with ``{path: value}`` applied; each object on a path is rebuilt once.
+
+    Nested objects are rebuilt before their parent and in field order, so
+    values that are only valid together (a moved BS and its new BS-RIS
+    distance) are checked together, and the fault reported first does not
+    depend on the order of the keys in the config.
+    """
+    if () in overrides:
+        return overrides[()]
+    children: dict = {}
+    for (step, *rest), value in overrides.items():
+        children.setdefault(step, {})[tuple(rest)] = value
+    if isinstance(obj, np.ndarray):
+        out = obj.copy()
+        for index, sub in children.items():
+            out[index] = _override(out[index], sub)
+        return out
+    changes = {
+        f.name: _override(getattr(obj, f.name), children[f.name])
+        for f in fields(obj)
+        if f.name in children
+    }
+    return replace(obj, **changes)
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
     """Parse and fully validate a config; unknown keys are errors."""
     errors: list[str] = []
     top: dict = {}
-    sections: dict[str, dict] = {"channel": {}, "optimizer": {}, "qml": {}}
+    # fresh per parse, so that no two configs share a position array
+    defaults = {name: cls() for name, (_, cls, _) in _SECTIONS.items()}
+    overrides: dict[str, dict] = {name: {} for name in _SECTIONS}
     current: str | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -271,10 +241,11 @@ def parse_config_text(text: str) -> ExperimentConfig:
                 continue
             parser, _ = _TOP_KEYS[key]
         else:
-            if key not in _SECTIONS[current]:
+            paths = _SECTIONS[current][2]
+            if key not in paths:
                 errors.append(f"line {lineno}: unknown key '{key}' in [{current}]")
                 continue
-            parser = _SECTIONS[current][key]
+            parser = int if isinstance(_get(defaults[current], paths[key]), int) else float
         try:
             parsed = parser(value)
         except ValueError as exc:
@@ -283,26 +254,18 @@ def parse_config_text(text: str) -> ExperimentConfig:
         if current is None:
             top[key] = parsed
         else:
-            sections[current][key] = parsed
+            overrides[current][paths[key]] = parsed
     if "experiment" not in top:
         errors.append("experiment missing")
     if errors:
         raise ConfigError("; ".join(errors))
-    experiment = top["experiment"]
-    defaults = _EXPERIMENT_DEFAULTS.get(experiment, {})
     try:
-        return ExperimentConfig(
-            experiment=experiment,
-            seed=top.get("seed", 0),
-            trials=top.get("trials", defaults.get("trials", 200)),
-            element_counts=top.get("element_counts", defaults.get("element_counts", ())),
-            algorithms=top.get("algorithms", ALGORITHM_NAMES),
-            include_random_baseline=top.get("include_random_baseline", False),
-            scenario=_scenario_from_channel(sections["channel"]),
-            optimizer=OptimizerConfig(**sections["optimizer"]),
-            qml=QmlSettings(**sections["qml"]),
-            output_dir=top.get("output_dir", "results"),
-        )
+        sections = {
+            field_name: _override(defaults[name], overrides[name])
+            for name, (field_name, _, _) in _SECTIONS.items()
+        }
+        settings = {**_EXPERIMENT_DEFAULTS.get(top["experiment"], {}), **top}
+        return ExperimentConfig(**settings, **sections)
     except (InvalidInput, ConfigError) as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -314,60 +277,11 @@ def validate_config(path) -> ExperimentConfig:
 
 def resolved_config_text(cfg: ExperimentConfig) -> str:
     """Every setting made explicit, in a stable order."""
-    lines = [
-        f"experiment = {cfg.experiment}",
-        f"seed = {cfg.seed}",
-        f"trials = {cfg.trials}",
-        f"element_counts = {','.join(str(n) for n in cfg.element_counts)}",
-        f"algorithms = {','.join(cfg.algorithms)}",
-        f"include_random_baseline = {'true' if cfg.include_random_baseline else 'false'}",
-        f"output_dir = {cfg.output_dir}",
-        "",
-        "[channel]",
-    ]
-    s = cfg.scenario
-    channel_values = {
-        "reference_loss_db": s.pathloss.reference_loss_db,
-        "reference_distance_m": s.pathloss.reference_distance_m,
-        "exponent_device_bs": s.pathloss.exponent_device_bs,
-        "exponent_device_ris": s.pathloss.exponent_device_ris,
-        "exponent_bs_ris": s.pathloss.exponent_bs_ris,
-        "bs_ris_rician_k_db": s.fading.bs_ris_rician_k_db,
-        "device_links_rician_k_db": s.fading.device_links_rician_k_db,
-        "los_probability": s.fading.los_probability,
-        "num_devices": s.num_devices,
-        "num_bs_antennas": s.num_bs_antennas,
-        "noise_power_dbm": s.noise_power_dbm,
-        "tx_snr_db": s.tx_snr_db,
-        "speed_min_mps": s.speed_min_mps,
-        "speed_max_mps": s.speed_max_mps,
-        "dt_s": s.dt_s,
-        "snapshots": s.snapshots,
-        "steps_per_snapshot": s.steps_per_snapshot,
-        "bs_x": s.geometry.bs_position[0],
-        "bs_y": s.geometry.bs_position[1],
-        "bs_z": s.geometry.bs_position[2],
-        "ris_x": s.geometry.ris_position[0],
-        "ris_y": s.geometry.ris_position[1],
-        "ris_z": s.geometry.ris_position[2],
-        "bs_ris_distance_m": s.geometry.bs_ris_distance_m,
-        "carrier_hz": s.geometry.carrier_hz,
-        "area_x_min": s.geometry.device_area.x_min,
-        "area_x_max": s.geometry.device_area.x_max,
-        "area_y_min": s.geometry.device_area.y_min,
-        "area_y_max": s.geometry.device_area.y_max,
-    }
-    for key in _CHANNEL_KEYS:
-        value = channel_values[key]
-        lines.append(f"{key} = {_fmt_float(value) if isinstance(value, float) else value}")
-    lines += ["", "[optimizer]"]
-    for key in _OPTIMIZER_KEYS:
-        value = getattr(cfg.optimizer, key)
-        lines.append(f"{key} = {_fmt_float(value) if isinstance(value, float) else value}")
-    lines += ["", "[qml]"]
-    for key in _QML_KEYS:
-        value = getattr(cfg.qml, key)
-        lines.append(f"{key} = {_fmt_float(value) if isinstance(value, float) else value}")
+    lines = [f"{key} = {fmt(getattr(cfg, key))}" for key, (_, fmt) in _TOP_KEYS.items()]
+    for name, (field_name, _, paths) in _SECTIONS.items():
+        section = getattr(cfg, field_name)
+        lines += ["", f"[{name}]"]
+        lines += [f"{key} = {_fmt_value(_get(section, path))}" for key, path in paths.items()]
     return "\n".join(lines) + "\n"
 
 
@@ -498,7 +412,13 @@ def run_beamforming_bench(cfg: ExperimentConfig, threads: int = 1, no_timing: bo
         for n in cfg.element_counts
         for t in range(cfg.trials)
     ]
-    return {"results": lines, "plotspec": plot, "summary": summary, "child_seeds": child_seeds}
+    return {
+        "results": lines,
+        "plotspec": plot,
+        "summary": summary,
+        "child_seeds": child_seeds,
+        "rows": table,
+    }
 
 
 def run_qml_beam(cfg: ExperimentConfig) -> dict:
@@ -608,11 +528,9 @@ def run(
     elif cfg.experiment == "beamforming-bench":
         outputs = run_beamforming_bench(cfg, threads, no_timing)
         if strict:
-            body = outputs["results"][1:]
-            converged_col = len(outputs["results"][0].split(",")) - 1
-            stragglers = [line for line in body if line.split(",")[converged_col] == "false"]
+            stragglers = sum(not row["converged"] for row in outputs["rows"])
             if stragglers:
-                raise RuntimeError(f"{len(stragglers)} optimizer runs did not converge")
+                raise RuntimeError(f"{stragglers} optimizer runs did not converge")
     else:
         outputs = run_qml_beam(cfg)
     written = []

@@ -1,10 +1,15 @@
 """Experiment runner: config grammar, determinism, schemas, CLI behavior."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 
+from bdris.channel import ScenarioConfig
 from bdris.cli import main as cli_main
 from bdris.errors import ConfigError
 from bdris.harness import (
+    _SECTIONS,
     ExperimentConfig,
     parse_config_text,
     resolved_config_text,
@@ -91,6 +96,94 @@ class TestConfigGrammar:
         path = tmp_path / "exp.cfg"
         path.write_text(POWER_CFG)
         assert validate_config(path).trials == 20
+
+
+def _walk(obj, path):
+    for step in path:
+        obj = obj[step] if isinstance(step, int) else getattr(obj, step)
+    return obj
+
+
+def _leaf_paths(obj, prefix=()):
+    """Every scalar inside a nested dataclass; position vectors by index."""
+    if dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from _leaf_paths(getattr(obj, f.name), prefix + (f.name,))
+    elif isinstance(obj, np.ndarray):
+        for i in range(obj.size):
+            yield prefix + (i,)
+    else:
+        yield prefix
+
+
+SECTION_KEYS = [
+    (section, key, path)
+    for section, (_, _, paths) in _SECTIONS.items()
+    for key, path in paths.items()
+]
+
+
+class TestConfigKeys:
+    """Every key is declared once and round-trips through config.resolved."""
+
+    @staticmethod
+    def _override_lines(section, key, path):
+        """A valid config text that sets ``key`` away from its default."""
+        attr, cls, _ = _SECTIONS[section]
+        default = _walk(cls(), path)
+        value = default + 1 if isinstance(default, int) else float(default) + 0.25
+        lines = [f"{key} = {value!r}"]
+        # a moved BS or RIS is only valid together with its new distance
+        if path[:2] in (("geometry", "bs_position"), ("geometry", "ris_position")):
+            geometry = ScenarioConfig().geometry
+            positions = {"bs_position": geometry.bs_position, "ris_position": geometry.ris_position}
+            positions[path[1]][path[2]] = value
+            distance = float(np.linalg.norm(positions["bs_position"] - positions["ris_position"]))
+            lines.append(f"bs_ris_distance_m = {distance!r}")
+        elif key == "bs_ris_distance_m":
+            lines.append(f"ris_x = {value!r}")
+        return attr, value, "\n".join(lines)
+
+    @pytest.mark.parametrize(
+        "section,key,path", SECTION_KEYS, ids=[f"{s}.{k}" for s, k, _ in SECTION_KEYS]
+    )
+    def test_key_lands_and_resolves(self, section, key, path):
+        attr, value, lines = self._override_lines(section, key, path)
+        cfg = parse_config_text(f"experiment = beamforming-bench\n[{section}]\n{lines}\n")
+        landed, default = _walk(getattr(cfg, attr), path), _walk(_SECTIONS[section][1](), path)
+        assert landed == value and landed != default and type(landed) is type(default)
+        text = resolved_config_text(cfg)
+        shown = f"{value:.17g}" if isinstance(value, float) else str(value)
+        assert f"\n{key} = {shown}\n" in text
+        assert resolved_config_text(parse_config_text(text)) == text
+
+    def test_channel_keys_cover_scenario_once(self):
+        paths = list(_SECTIONS["channel"][2].values())
+        assert sorted(paths, key=str) == sorted(_leaf_paths(ScenarioConfig()), key=str)
+
+    def test_resolved_lists_every_key_in_table_order(self):
+        text = resolved_config_text(parse_config_text("experiment = qml-beam\n"))
+        keys = [line.split(" = ")[0] for line in text.splitlines() if " = " in line]
+        top = [f.name for f in dataclasses.fields(ExperimentConfig)
+               if f.name not in ("scenario", "optimizer", "qml")]
+        assert keys[: len(top)] == top
+        assert keys[len(top):] == [key for _, key, _ in SECTION_KEYS]
+
+    def test_moved_bs_with_matching_distance_parses(self):
+        cfg = parse_config_text(
+            "experiment = power-comparison\n[channel]\nbs_x = 50\nbs_ris_distance_m = 50\n"
+        )
+        assert cfg.scenario.geometry.bs_position[0] == 50.0
+        assert cfg.scenario.geometry.bs_ris_distance_m == 50.0
+
+    def test_moved_bs_alone_names_the_distance(self):
+        with pytest.raises(ConfigError, match="BS-RIS distance"):
+            parse_config_text("experiment = power-comparison\n[channel]\nbs_x = 50\n")
+
+    def test_configs_share_no_position_array(self):
+        a = parse_config_text("experiment = qml-beam\n")
+        b = parse_config_text("experiment = qml-beam\n")
+        assert a.scenario.geometry.bs_position is not b.scenario.geometry.bs_position
 
 
 class TestPowerComparison:
@@ -235,6 +328,24 @@ class TestExperimentConfigValidation:
     def test_qml_needs_no_element_counts(self):
         cfg = ExperimentConfig(experiment="qml-beam", element_counts=())
         assert cfg.experiment == "qml-beam"
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("experiment = power-comparison\nelement_counts = 0,4\n", "element_counts must be >= 1"),
+            ("experiment = beamforming-bench\nelement_counts = -2\n", "element_counts must be >= 1"),
+            ("experiment = beamforming-bench\nalgorithms =\n", "algorithms must be non-empty"),
+        ],
+        ids=["zero-count", "negative-count", "no-algorithms"],
+    )
+    def test_degenerate_sweep_is_config_fault(self, tmp_path, capsys, text, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config_text(text)
+        path = tmp_path / "exp.cfg"
+        path.write_text(text)
+        assert cli_main(["run", "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith("error: config:")
+        assert not (tmp_path / "o").exists()
 
 
 class TestThreadWarnings:
