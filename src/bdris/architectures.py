@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelRealization
+from .channel import ChannelRealization, ChannelStack
 from .errors import DimensionMismatch, InvalidInput, ZeroChannel
 from .manifold import BlockStructure, UnitaryMatrix, unitarity_defect
 
@@ -183,29 +183,19 @@ def effective_channel(a_l: np.ndarray, b_l: np.ndarray, bs_ris: np.ndarray, thet
     return a + c.conj().T @ t.conj().T @ b
 
 
-def effective_channel_matrix(realization: ChannelRealization, theta) -> np.ndarray:
-    """All devices at once: row l is the effective channel of device l."""
+def effective_channel_matrix(channels: ChannelRealization | ChannelStack, theta) -> np.ndarray:
+    """Effective channels as rows: (L, M) for a realization, (P, L, M) for a stack of P."""
     t = np.asarray(theta, dtype=complex)
-    n = realization.num_elements
+    n = channels.num_elements
     if t.shape != (n, n):
         raise DimensionMismatch(f"theta shape {t.shape} != ({n}, {n})")
-    return realization.direct + realization.ris_device @ t.conj() @ realization.bs_ris.conj()
+    return channels.direct + channels.ris_device @ np.conj(t) @ np.conj(channels.bs_ris)
 
 
 def channel_gain_objective(theta, realizations) -> float:
     """Total squared effective-channel norm over devices and location snapshots."""
-    if isinstance(realizations, ChannelRealization):
-        realizations = [realizations]
-    if not realizations:
-        raise InvalidInput("need at least one realization")
-    shape = (realizations[0].num_elements, realizations[0].num_bs_antennas)
-    total = 0.0
-    for real in realizations:
-        if (real.num_elements, real.num_bs_antennas) != shape:
-            raise DimensionMismatch("realizations disagree on (N, M)")
-        h = effective_channel_matrix(real, theta)
-        total += float(np.sum(np.abs(h) ** 2))
-    return total
+    h = effective_channel_matrix(ChannelStack(realizations), theta)
+    return float(np.sum(np.abs(h) ** 2))
 
 
 def optimal_diagonal_single_tag(b: np.ndarray, c: np.ndarray) -> tuple[UnitaryMatrix, float]:

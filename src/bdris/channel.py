@@ -10,11 +10,12 @@ device-BS / device-RIS / BS-RIS links, -80 dBm noise, 18 dB transmit SNR,
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import BelowReferenceDistance, InvalidInput
+from .errors import BelowReferenceDistance, DimensionMismatch, InvalidInput
 
 
 @dataclass(frozen=True)
@@ -160,6 +161,34 @@ class ChannelRealization:
     @property
     def num_elements(self) -> int:
         return self.ris_device.shape[1]
+
+
+class ChannelStack:
+    """One realization or a non-empty sequence of them, stacked to (P, ...) arrays.
+
+    Every snapshot must agree on the device, element and antenna counts
+    (L, N, M) and on the transmit SNR; the transposed copies serve gradients.
+    """
+
+    def __init__(self, realizations: ChannelRealization | Sequence[ChannelRealization]):
+        realizations = [realizations] if isinstance(realizations, ChannelRealization) else list(realizations)
+        if not realizations:
+            raise InvalidInput("need at least one channel realization")
+        first = realizations[0]
+        shape = (first.direct.shape, first.num_elements)
+        if any((r.direct.shape, r.num_elements) != shape for r in realizations):
+            raise DimensionMismatch("realizations disagree on (L, N, M)")
+        if any(r.tx_snr_db != first.tx_snr_db for r in realizations):
+            raise InvalidInput("realizations disagree on tx_snr_db")
+        self.direct = np.stack([r.direct for r in realizations])          # (P, L, M)
+        self.ris_device = np.stack([r.ris_device for r in realizations])  # (P, L, N)
+        self.bs_ris = np.stack([r.bs_ris for r in realizations])          # (P, N, M)
+        self.ris_device_t = self.ris_device.transpose(0, 2, 1).copy()     # (P, N, L)
+        self.bs_ris_dag = np.conj(self.bs_ris).transpose(0, 2, 1).copy()  # (P, M, N)
+        self.count = len(realizations)
+        self.num_devices = first.num_devices
+        self.num_elements = first.num_elements
+        self.tx_snr_db = first.tx_snr_db
 
 
 def path_loss_db(distance_m: float, exponent: float, model: PathLossModel = PathLossModel()) -> float:
@@ -348,6 +377,13 @@ class ScenarioConfig:
             raise InvalidInput("snapshot counts must be positive")
         if not 0.0 <= self.speed_min_mps <= self.speed_max_mps:
             raise InvalidInput("speed range must satisfy 0 <= min <= max")
+        area, reference = self.geometry.device_area, self.pathloss.reference_distance_m
+        for name, site in (("BS", self.geometry.bs_position), ("RIS", self.geometry.ris_position)):
+            nearest = np.clip(site[:2], (area.x_min, area.y_min), (area.x_max, area.y_max))
+            gap = math.hypot(*(site[:2] - nearest), site[2])
+            if gap < reference:
+                raise InvalidInput(f"device area comes within {gap:.3f} m of the {name}, inside "
+                                   f"the {reference:.3f} m path-loss reference distance")
 
 
 def scenario_realizations(

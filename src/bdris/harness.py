@@ -30,6 +30,7 @@ from .channel import ScenarioConfig, sample_fading
 from .errors import ConfigError, InvalidInput
 from .optim import ALGORITHMS, BENCHMARK_COLUMNS, OptimizerConfig, benchmark
 from .qml import (
+    MAX_QUBITS,
     TRACE_COLUMNS,
     confusion_csv_rows,
     confusion_matrix,
@@ -55,7 +56,19 @@ class QmlSettings:
     noise_sigma: float = 0.01
     epochs: int = 200
     learning_rate: float = 8.0
-    feature_dim: int = 2
+
+    def __post_init__(self):
+        if not 1 <= self.num_qubits <= MAX_QUBITS:
+            raise InvalidInput(f"num_qubits must be in [1, {MAX_QUBITS}]")
+        if min(self.num_layers, self.num_beams, self.epochs) < 1:
+            raise InvalidInput("num_layers, num_beams and epochs must be >= 1")
+        # one sample per beam, and an 80/20 split that leaves a validation sample
+        if self.num_samples < max(self.num_beams, 3):
+            raise InvalidInput("num_samples must be >= num_beams and >= 3")
+        if not self.learning_rate > 0:
+            raise InvalidInput("learning_rate must be positive")
+        if not self.noise_sigma >= 0:
+            raise InvalidInput("noise_sigma must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -80,6 +93,10 @@ class ExperimentConfig:
             raise ConfigError("element_counts must be non-empty")
         if any(n < 1 for n in self.element_counts):
             raise ConfigError("element_counts must be >= 1")
+        for name in ("element_counts", "algorithms"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise ConfigError(f"{name} must not repeat an entry")
         bad = [a for a in self.algorithms if a not in ALGORITHM_NAMES]
         if bad:
             raise ConfigError(f"unknown algorithms: {','.join(bad)}")
@@ -427,7 +444,7 @@ def run_qml_beam(cfg: ExperimentConfig) -> dict:
         q.num_samples, q.num_beams, q.noise_sigma, derived_rng(cfg.seed, "qml-beam", "dataset")
     )
     model = init_hybrid_model(
-        q.num_qubits, q.num_layers, q.feature_dim, q.num_beams,
+        q.num_qubits, q.num_layers, dataset.features.shape[1], q.num_beams,
         derived_rng(cfg.seed, "qml-beam", "model"),
     )
     trained, trace = train_hybrid(

@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .architectures import ArchitectureKind, BdRisArchitecture, effective_channel_matrix
-from .channel import ChannelRealization, ScenarioConfig, scenario_realizations
+from .channel import ChannelRealization, ChannelStack, ScenarioConfig, scenario_realizations
 from .errors import DimensionMismatch, InvalidInput, RankDeficient, RankDeficientWarning
 from .manifold import BlockStructure, polar_factor, skew_part
 from .seeding import derive_seed, derived_rng
@@ -66,19 +66,6 @@ class OptimizerResult:
     wall_time_s: float
     iterations: int
     converged: bool
-
-
-def _as_list(realizations) -> list[ChannelRealization]:
-    if isinstance(realizations, ChannelRealization):
-        return [realizations]
-    reals = list(realizations)
-    if not reals:
-        raise InvalidInput("need at least one channel realization")
-    shape = (reals[0].num_elements, reals[0].num_bs_antennas)
-    for r in reals:
-        if (r.num_elements, r.num_bs_antennas) != shape:
-            raise DimensionMismatch("realizations disagree on (N, M)")
-    return reals
 
 
 def _inner(x: np.ndarray, y: np.ndarray) -> float:
@@ -130,40 +117,18 @@ class _Feasible:
         return self.project(z)
 
 
-class _Stacked:
-    """Realization list flattened to (P, ...) arrays for batched linear algebra."""
-
-    def __init__(self, realizations):
-        reals = _as_list(realizations)
-        self.direct = np.stack([r.direct for r in reals])          # (P, L, M)
-        self.ris_device = np.stack([r.ris_device for r in reals])  # (P, L, N)
-        self.bs_ris = np.stack([r.bs_ris for r in reals])          # (P, N, M)
-        self.bs_ris_conj = np.conj(self.bs_ris)
-        self.ris_device_t = self.ris_device.transpose(0, 2, 1).copy()
-        self.bs_ris_dag = self.bs_ris_conj.transpose(0, 2, 1).copy()
-        self.count = len(reals)
-        self.num_devices = reals[0].num_devices
-        self.n = reals[0].num_elements
-        self.tx_snr_db = reals[0].tx_snr_db
-
-    def effective(self, theta: np.ndarray) -> np.ndarray:
-        """Effective channel rows for all snapshots: (P, L, M)."""
-        return self.direct + (self.ris_device @ np.conj(theta)) @ self.bs_ris_conj
-
-
 class _GainProblem:
     """Channel-gain objective summed over devices and snapshots, plus gradient."""
 
     def __init__(self, realizations):
-        self.stack = _Stacked(realizations)
-        self.n = self.stack.n
+        self.stack = ChannelStack(realizations)
 
     def value(self, theta: np.ndarray) -> float:
-        h = self.stack.effective(theta)
+        h = effective_channel_matrix(self.stack, theta)
         return float(np.sum(np.abs(h) ** 2))
 
     def value_and_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
-        h = self.stack.effective(theta)
+        h = effective_channel_matrix(self.stack, theta)
         grad = np.sum(self.stack.ris_device_t @ np.conj(h) @ self.stack.bs_ris_dag, axis=0)
         return float(np.sum(np.abs(h) ** 2)), grad
 
@@ -175,11 +140,7 @@ def euclidean_gradient(theta: np.ndarray, realizations) -> np.ndarray:
     df = 2 Re tr(G† dTheta); the manifold ascent direction is the tangent
     projection of G.
     """
-    theta = np.asarray(theta, dtype=complex)
-    problem = _GainProblem(realizations)
-    if theta.shape != (problem.n, problem.n):
-        raise DimensionMismatch(f"theta shape {theta.shape} != ({problem.n}, {problem.n})")
-    return problem.value_and_grad(theta)[1]
+    return _GainProblem(realizations).value_and_grad(theta)[1]
 
 
 def _finish(theta, trace, start, iterations, converged) -> OptimizerResult:
@@ -192,7 +153,7 @@ def _finish(theta, trace, start, iterations, converged) -> OptimizerResult:
     )
 
 
-def _align_cross_term(reals, feas: _Feasible, rng: np.random.Generator) -> tuple[np.ndarray, bool]:
+def _align_cross_term(stack: ChannelStack, feas: _Feasible, rng: np.random.Generator) -> tuple[np.ndarray, bool]:
     """Feasible matrix maximizing Re tr(Theta† C) for the direct-path cross term.
 
     C sums b a† C† over devices and snapshots; per block the maximizer is
@@ -201,9 +162,7 @@ def _align_cross_term(reals, feas: _Feasible, rng: np.random.Generator) -> tuple
     block falls back to a Haar sample, drawn from ``rng`` in block order
     (second return flags any fallback).
     """
-    cross = np.zeros((feas.n, feas.n), dtype=complex)
-    for r in reals:
-        cross += r.ris_device.T @ np.conj(r.direct) @ r.bs_ris.conj().T
+    cross = np.sum(stack.ris_device_t @ np.conj(stack.direct) @ stack.bs_ris_dag, axis=0)
     gather = (feas.structure or BlockStructure((feas.n,))).gather
     factors, degenerate = [], []
     for j, g in enumerate(gather):
@@ -233,10 +192,9 @@ def rzf_one_shot(
     the cross matrix is degenerate (no direct paths at all).
     """
     start = time.perf_counter()
-    reals = _as_list(realizations)
-    problem = _GainProblem(reals)
-    feas = _Feasible(arch, problem.n)
-    theta, fell_back = _align_cross_term(reals, feas, np.random.default_rng(cfg.seed))
+    problem = _GainProblem(realizations)
+    feas = _Feasible(arch, problem.stack.num_elements)
+    theta, fell_back = _align_cross_term(problem.stack, feas, np.random.default_rng(cfg.seed))
     if fell_back:
         warnings.warn(
             "cross matrix is rank deficient; fell back to a random feasible point",
@@ -288,7 +246,7 @@ def ao_manifold(
     """
     start = time.perf_counter()
     problem = _GainProblem(realizations)
-    feas = _Feasible(arch, problem.n)
+    feas = _Feasible(arch, problem.stack.num_elements)
     if initial_theta is None:
         theta = feas.random_point(np.random.default_rng(cfg.seed))
     else:
@@ -315,7 +273,7 @@ def ao_manifold(
             step = ss / denom if denom > 0 else (2.0 * step if step else None)
         if step is None:
             step = cfg.initial_step / max(gnorm, 1e-300)
-        step = min(step, 2.0 * np.sqrt(problem.n) / gnorm)
+        step = min(step, 2.0 * np.sqrt(feas.n) / gnorm)
         slope = 2.0 * gnorm * gnorm  # df/ds along the unnormalized gradient
         theta_new, f_new, s = _armijo_search(
             feas, problem.value, theta, riem, slope, f, step, cfg
@@ -374,7 +332,7 @@ def qnm_manifold(
     """
     start = time.perf_counter()
     problem = _GainProblem(realizations)
-    feas = _Feasible(arch, problem.n)
+    feas = _Feasible(arch, problem.stack.num_elements)
     if initial_theta is None:
         theta = feas.random_point(np.random.default_rng(cfg.seed))
     else:
@@ -387,7 +345,7 @@ def qnm_manifold(
     converged = False
     iterations = 0
     fallback_step = cfg.initial_step
-    step_cap = 2.0 * np.sqrt(problem.n)
+    step_cap = 2.0 * np.sqrt(feas.n)
     flat_streak = 0
     for iterations in range(1, cfg.max_iterations + 1):
         riem = feas.tangent(grad, theta)
@@ -450,20 +408,12 @@ def qnm_manifold(
     return _finish(theta, trace, start, iterations, converged)
 
 
-def _rzf_precoder(h_matrix: np.ndarray, rho: float) -> np.ndarray:
-    """Regularized zero-forcing precoder, one column per device, unit total power."""
-    h_cols = h_matrix.T  # (M, L): column l is the channel of device l
-    l = h_cols.shape[1]
-    gram = h_cols.conj().T @ h_cols + (l / rho) * np.eye(l)
-    w = h_cols @ np.linalg.inv(gram)
-    norm = np.linalg.norm(w)
-    if norm == 0.0:
-        return w
-    return w / norm
-
-
 def _rzf_precoder_batch(h_stack: np.ndarray, rho: float) -> np.ndarray:
-    """RZF precoders for all snapshots at once: (P, M, L)."""
+    """Regularized zero-forcing precoders, unit total power per snapshot: (P, M, L).
+
+    Column l of each precoder serves device l; ``h_stack`` holds the
+    effective channels as rows, (P, L, M).
+    """
     h_cols = h_stack.transpose(0, 2, 1)  # (P, M, L)
     l = h_cols.shape[2]
     gram = h_cols.conj().transpose(0, 2, 1) @ h_cols + (l / rho) * np.eye(l)
@@ -472,9 +422,9 @@ def _rzf_precoder_batch(h_stack: np.ndarray, rho: float) -> np.ndarray:
     return np.divide(w, norms, out=np.zeros_like(w), where=norms > 0)
 
 
-def _cross_products(stack: "_Stacked", theta, w_stack) -> np.ndarray:
+def _cross_products(stack: ChannelStack, theta, w_stack) -> np.ndarray:
     """(P, L, L) matrices of h_l† w_j per snapshot."""
-    return np.conj(stack.effective(theta)) @ w_stack
+    return np.conj(effective_channel_matrix(stack, theta)) @ w_stack
 
 
 def _rates_from_cross(cross: np.ndarray, rho: float) -> float:
@@ -486,29 +436,22 @@ def _rates_from_cross(cross: np.ndarray, rho: float) -> float:
     return float(np.mean(per_snapshot))
 
 
-def _rates_given_precoders(stack: "_Stacked", theta, w_stack, rho) -> float:
-    """Mean sum rate over snapshots with the precoders held fixed."""
-    return _rates_from_cross(_cross_products(stack, theta, w_stack), rho)
+def mean_sum_rate(theta, realizations, tx_snr_db: float | None = None) -> float:
+    """Snapshot-averaged downlink sum rate in bits/s/Hz, one RZF precoder per snapshot.
+
+    SINR_l = rho |h_l† w_l|^2 / (rho sum_{j != l} |h_l† w_j|^2 + 1) with rho
+    the linear transmit SNR (the snapshots' own unless ``tx_snr_db`` is
+    given) and each precoder normalized to unit total power.
+    """
+    stack = ChannelStack(realizations)
+    rho = 10.0 ** ((stack.tx_snr_db if tx_snr_db is None else tx_snr_db) / 10.0)
+    h = effective_channel_matrix(stack, theta)
+    return _rates_from_cross(np.conj(h) @ _rzf_precoder_batch(h, rho), rho)
 
 
 def sum_rate(theta: np.ndarray, realization: ChannelRealization, tx_snr_db: float | None = None) -> float:
-    """Downlink sum rate in bits/s/Hz under a freshly computed RZF precoder.
-
-    SINR_l = rho |h_l† w_l|^2 / (rho sum_{j != l} |h_l† w_j|^2 + 1) with rho
-    the linear transmit SNR and the precoder normalized to unit total power.
-    """
-    snr_db = realization.tx_snr_db if tx_snr_db is None else tx_snr_db
-    rho = 10.0 ** (snr_db / 10.0)
-    h = effective_channel_matrix(realization, theta)
-    w = _rzf_precoder(h, rho)
-    cross = (np.conj(h) @ w)[None, :, :]
-    return _rates_from_cross(cross, rho)
-
-
-def mean_sum_rate(theta, realizations, tx_snr_db: float | None = None) -> float:
-    """Snapshot-averaged sum rate, each snapshot with its own RZF precoder."""
-    reals = _as_list(realizations)
-    return float(np.mean([sum_rate(theta, r, tx_snr_db) for r in reals]))
+    """Downlink sum rate of one snapshot; see ``mean_sum_rate``."""
+    return mean_sum_rate(theta, realization, tx_snr_db)
 
 
 class _SumRateSurrogate:
@@ -519,7 +462,7 @@ class _SumRateSurrogate:
     else, which is what makes the outer trace monotone.
     """
 
-    def __init__(self, stack: _Stacked, rho: float):
+    def __init__(self, stack: ChannelStack, rho: float):
         self.stack = stack
         self.rho = rho
         self.sqrt_rho = float(np.sqrt(rho))
@@ -654,35 +597,34 @@ def fp_sum_rate(
     do not lower the rate, so the recorded outer trace is non-decreasing.
     """
     start = time.perf_counter()
-    reals = _as_list(realizations)
-    stack = _Stacked(reals)
+    stack = ChannelStack(realizations)
     rho = 10.0 ** (stack.tx_snr_db / 10.0)
-    feas = _Feasible(arch, stack.n)
+    feas = _Feasible(arch, stack.num_elements)
     if initial_theta is None:
         # warm start from the one-shot cross-term alignment: the alternation
         # is monotone from any start but random starts fall into noticeably
         # weaker fixed points at case-study SNR scales
-        theta, _ = _align_cross_term(reals, feas, np.random.default_rng(cfg.seed))
+        theta, _ = _align_cross_term(stack, feas, np.random.default_rng(cfg.seed))
     else:
         theta = feas.project(np.asarray(initial_theta, dtype=complex))
     if iterate_callback:
         iterate_callback(theta)
     surrogate = _SumRateSurrogate(stack, rho)
-    precoders = _rzf_precoder_batch(stack.effective(theta), rho)
-    rate = _rates_given_precoders(stack, theta, precoders, rho)
+    precoders = _rzf_precoder_batch(effective_channel_matrix(stack, theta), rho)
+    rate = _rates_from_cross(_cross_products(stack, theta, precoders), rho)
     trace = [rate]
     converged = False
     iterations = 0
     for iterations in range(1, cfg.max_iterations + 1):
         rate_at_start = rate
-        fresh = _rzf_precoder_batch(stack.effective(theta), rho)
-        fresh_rate = _rates_given_precoders(stack, theta, fresh, rho)
+        fresh = _rzf_precoder_batch(effective_channel_matrix(stack, theta), rho)
+        fresh_rate = _rates_from_cross(_cross_products(stack, theta, fresh), rho)
         if fresh_rate >= rate:
             precoders, rate = fresh, fresh_rate
         surrogate.refresh(theta, precoders)
         g_start = surrogate.value(theta, precoders)
         candidate, _ = _surrogate_inner_update(surrogate, precoders, theta, feas, g_start, cfg)
-        cand_rate = _rates_given_precoders(stack, candidate, precoders, rho)
+        cand_rate = _rates_from_cross(_cross_products(stack, candidate, precoders), rho)
         if cand_rate >= rate:
             theta = candidate
             rate = cand_rate

@@ -15,7 +15,7 @@ from bdris.architectures import (
     optimal_fully_connected_single_tag,
     validate,
 )
-from bdris.channel import ChannelRealization
+from bdris.channel import ChannelRealization, ChannelStack
 from bdris.errors import DimensionMismatch, InvalidInput, ZeroChannel
 from bdris.manifold import BlockStructure, block_project, random_unitary
 
@@ -150,6 +150,21 @@ class TestEffectiveChannel:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             effective_channel(np.ones(2), np.ones(3), np.ones((4, 2)), np.eye(4))
+
+    @pytest.mark.parametrize("n", [1, 4, 16])
+    def test_stack_form_equals_each_realization_exactly(self, n):
+        rng = np.random.default_rng(20 + n)
+        reals = [make_realization(rng, l=3, m=2, n=n) for _ in range(4)]
+        theta = random_complex(rng, n, n)
+        stacked = effective_channel_matrix(ChannelStack(reals), theta)
+        assert stacked.shape == (4, 3, 2)
+        for p, real in enumerate(reals):
+            assert np.array_equal(stacked[p], effective_channel_matrix(real, theta))
+
+    def test_stack_theta_shape_checked(self):
+        stack = ChannelStack([make_realization(np.random.default_rng(23))])
+        with pytest.raises(DimensionMismatch, match="theta shape"):
+            effective_channel_matrix(stack, np.eye(3))
 
 
 class TestGainObjective:

@@ -7,11 +7,13 @@ import pytest
 
 from bdris.channel import (
     ChannelRealization,
+    ChannelStack,
     Device,
     FadingModel,
     NetworkGeometry,
     PathLossModel,
     Rectangle,
+    ScenarioConfig,
     generate_realization,
     initial_devices,
     mobility_snapshots,
@@ -22,7 +24,7 @@ from bdris.channel import (
     sample_fading,
     write_realization_csv,
 )
-from bdris.errors import BelowReferenceDistance, InvalidInput
+from bdris.errors import BelowReferenceDistance, DimensionMismatch, InvalidInput
 from bdris.seeding import derive_seed, derived_rng
 
 
@@ -154,6 +156,85 @@ class TestGenerateRealization:
             ChannelRealization(
                 direct=np.full((1, 2), np.nan), ris_device=np.zeros((1, 3)), bs_ris=np.zeros((3, 2))
             )
+
+
+def random_realization(rng, l=2, m=3, n=4, tx_snr_db=18.0):
+    def draw(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    return ChannelRealization(draw(l, m), draw(l, n), draw(n, m), tx_snr_db=tx_snr_db)
+
+
+class TestChannelStack:
+    def test_stacks_snapshots_in_order(self):
+        rng = np.random.default_rng(30)
+        reals = [random_realization(rng) for _ in range(3)]
+        stack = ChannelStack(reals)
+        assert (stack.count, stack.num_devices, stack.num_elements) == (3, 2, 4)
+        assert stack.tx_snr_db == 18.0
+        for p, real in enumerate(reals):
+            assert np.array_equal(stack.direct[p], real.direct)
+            assert np.array_equal(stack.ris_device[p], real.ris_device)
+            assert np.array_equal(stack.bs_ris[p], real.bs_ris)
+            assert np.array_equal(stack.ris_device_t[p], real.ris_device.T)
+            assert np.array_equal(stack.bs_ris_dag[p], real.bs_ris.conj().T)
+
+    def test_single_realization_is_one_snapshot(self):
+        real = random_realization(np.random.default_rng(31))
+        stack = ChannelStack(real)
+        assert stack.count == 1 and stack.direct.shape == (1, 2, 3)
+
+    def test_empty_rejected(self):
+        with pytest.raises(InvalidInput):
+            ChannelStack([])
+
+    @pytest.mark.parametrize("shape", [(3, 3, 4), (2, 2, 4), (2, 3, 5)], ids=["L", "M", "N"])
+    def test_mixed_shapes_rejected(self, shape):
+        rng = np.random.default_rng(32)
+        l, m, n = shape
+        with pytest.raises(DimensionMismatch):
+            ChannelStack([random_realization(rng), random_realization(rng, l=l, m=m, n=n)])
+
+    def test_mixed_snr_rejected(self):
+        rng = np.random.default_rng(33)
+        with pytest.raises(InvalidInput, match="tx_snr_db"):
+            ChannelStack([random_realization(rng), random_realization(rng, tx_snr_db=10.0)])
+
+
+class TestScenarioClearance:
+    """No point of the device area may lie inside the path-loss reference distance."""
+
+    @staticmethod
+    def scenario(ris, area):
+        ris = np.asarray(ris, dtype=float)
+        geometry = NetworkGeometry(
+            ris_position=ris, device_area=area, bs_ris_distance_m=float(np.linalg.norm(ris))
+        )
+        return ScenarioConfig(geometry=geometry)
+
+    def test_defaults_keep_clear(self):
+        ScenarioConfig()
+
+    def test_ris_inside_area_rejected(self):
+        with pytest.raises(InvalidInput, match="RIS"):
+            self.scenario([120.0, 0.0, 0.0], Rectangle(107.5, 132.5, -12.5, 12.5))
+
+    def test_area_around_bs_rejected(self):
+        with pytest.raises(InvalidInput, match="BS"):
+            self.scenario([100.0, 0.0, 0.0], Rectangle(-5.0, 20.0, -12.5, 12.5))
+
+    def test_height_counts_toward_clearance(self):
+        area = Rectangle(107.5, 132.5, -12.5, 12.5)
+        with pytest.raises(InvalidInput, match="reference distance"):
+            self.scenario([110.0, 0.0, 0.5], area)
+        self.scenario([110.0, 0.0, 1.0], area)  # exactly at the reference distance
+
+    def test_corner_distance_is_euclidean(self):
+        # nearest area point is the corner (107.5, 0.5); both axis gaps are below 1 m
+        area = Rectangle(107.5, 132.5, 0.5, 12.5)
+        with pytest.raises(InvalidInput):
+            self.scenario([106.8, -0.2, 0.0], area)  # 0.99 m from the corner
+        self.scenario([106.7, -0.3, 0.0], area)  # 1.13 m from the corner
 
 
 class TestRandomWaypoint:

@@ -316,6 +316,10 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: runtime:")
 
 
+# the RIS moved into the device area
+NEAR_RIS = "[channel]\nris_x = 120\nbs_ris_distance_m = 120\n"
+
+
 class TestExperimentConfigValidation:
     def test_trials_positive(self):
         with pytest.raises(ConfigError):
@@ -335,8 +339,14 @@ class TestExperimentConfigValidation:
             ("experiment = power-comparison\nelement_counts = 0,4\n", "element_counts must be >= 1"),
             ("experiment = beamforming-bench\nelement_counts = -2\n", "element_counts must be >= 1"),
             ("experiment = beamforming-bench\nalgorithms =\n", "algorithms must be non-empty"),
+            ("experiment = power-comparison\nelement_counts = 4,4\n", "element_counts must not repeat"),
+            ("experiment = beamforming-bench\nelement_counts = 8,16,8\n", "element_counts must not repeat"),
+            ("experiment = beamforming-bench\nalgorithms = ao,ao\n", "algorithms must not repeat"),
+            (f"experiment = power-comparison\n{NEAR_RIS}", "within 0.000 m of the RIS"),
+            (f"experiment = beamforming-bench\n{NEAR_RIS}", "within 0.000 m of the RIS"),
         ],
-        ids=["zero-count", "negative-count", "no-algorithms"],
+        ids=["zero-count", "negative-count", "no-algorithms", "repeated-count", "repeated-count-bench",
+             "repeated-algorithm", "devices-at-ris-power", "devices-at-ris-bench"],
     )
     def test_degenerate_sweep_is_config_fault(self, tmp_path, capsys, text, message):
         with pytest.raises(ConfigError, match=message):
@@ -346,6 +356,48 @@ class TestExperimentConfigValidation:
         assert cli_main(["run", "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err.startswith("error: config:")
         assert not (tmp_path / "o").exists()
+
+
+class TestQmlSettingsValidation:
+    @pytest.mark.parametrize(
+        "lines,message",
+        [
+            ("num_qubits = 13", r"num_qubits must be in \[1, 12\]"),
+            ("num_qubits = 0", r"num_qubits must be in \[1, 12\]"),
+            ("num_layers = 0", "num_layers, num_beams and epochs must be >= 1"),
+            ("num_beams = 0", "num_layers, num_beams and epochs must be >= 1"),
+            ("epochs = 0", "num_layers, num_beams and epochs must be >= 1"),
+            ("num_samples = 2\nnum_beams = 1", "num_samples must be >= num_beams and >= 3"),
+            ("num_samples = 5\nnum_beams = 6", "num_samples must be >= num_beams and >= 3"),
+            ("learning_rate = 0", "learning_rate must be positive"),
+            ("learning_rate = -1", "learning_rate must be positive"),
+            ("noise_sigma = -0.1", "noise_sigma must be >= 0"),
+            ("feature_dim = 2", "unknown key 'feature_dim'"),
+        ],
+        ids=["qubits-over-cap", "no-qubits", "no-layers", "no-beams", "no-epochs", "two-samples",
+             "fewer-samples-than-beams", "zero-rate", "negative-rate", "negative-noise", "feature-dim"],
+    )
+    def test_fault_is_config_error(self, tmp_path, capsys, lines, message):
+        text = f"experiment = qml-beam\n[qml]\n{lines}\n"
+        with pytest.raises(ConfigError, match=message):
+            parse_config_text(text)
+        path = tmp_path / "exp.cfg"
+        path.write_text(text)
+        assert cli_main(["run", "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith("error: config:")
+
+    def test_smallest_valid_settings_run(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_text(
+            "experiment = qml-beam\n[qml]\nnum_qubits = 1\nnum_layers = 1\nnum_beams = 3\n"
+            "num_samples = 3\nepochs = 1\nnoise_sigma = 0\nlearning_rate = 0.5\n"
+        )
+        assert cli_main(["run", "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 0
+        rows = (tmp_path / "o" / "results.csv").read_text().splitlines()
+        assert [row.split(",")[1] for row in rows[1:]] == ["train", "val"]
+
+    def test_twelve_qubits_parse(self):
+        assert parse_config_text("experiment = qml-beam\n[qml]\nnum_qubits = 12\n").qml.num_qubits == 12
 
 
 class TestThreadWarnings:

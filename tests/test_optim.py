@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from bdris import optim
-from bdris.architectures import BdRisArchitecture, validate
+from bdris.architectures import BdRisArchitecture, channel_gain_objective, validate
 from bdris.channel import ChannelRealization, ScenarioConfig, scenario_realizations
 from bdris.errors import DimensionMismatch, InvalidInput, RankDeficient, RankDeficientWarning
 from bdris.manifold import BlockStructure, polar_factor, skew_part
@@ -317,6 +317,78 @@ class TestSumRate:
         )
         theta = np.eye(3)
         assert sum_rate(theta, real) == pytest.approx(sum_rate(theta, flipped), rel=1e-12)
+
+    @staticmethod
+    def reference_rate(theta, real, rho):
+        """RZF sum rate of one snapshot, written out device by device."""
+        h = real.direct + real.ris_device @ np.conj(theta) @ np.conj(real.bs_ris)  # rows h_l
+        l = h.shape[0]
+        w = h.T @ np.linalg.inv(np.conj(h) @ h.T + (l / rho) * np.eye(l))
+        w = w / np.linalg.norm(w)
+        total = 0.0
+        for k in range(l):
+            gains = np.abs(np.conj(h[k]) @ w) ** 2
+            total += np.log2(1.0 + rho * gains[k] / (rho * (np.sum(gains) - gains[k]) + 1.0))
+        return total
+
+    @pytest.mark.parametrize("snr_db", [-10.0, 18.0, 40.0])
+    def test_mean_matches_per_snapshot_reference(self, snr_db):
+        rng = np.random.default_rng(26)
+        reals = [
+            ChannelRealization(r.direct, r.ris_device, r.bs_ris, tx_snr_db=snr_db)
+            for r in unit_instance(rng, l=3, m=4, n=5, snapshots=4)
+        ]
+        theta = random_complex(rng, 5, 5)
+        rho = 10.0 ** (snr_db / 10.0)
+        expected = np.mean([self.reference_rate(theta, r, rho) for r in reals])
+        assert mean_sum_rate(theta, reals) == pytest.approx(expected, rel=1e-13)
+
+    def test_single_snapshot_is_mean_of_one(self):
+        rng = np.random.default_rng(27)
+        real = unit_instance(rng, l=3, m=4, n=5)[0]
+        theta = random_complex(rng, 5, 5)
+        assert sum_rate(theta, real) == mean_sum_rate(theta, [real])
+        assert sum_rate(theta, real, tx_snr_db=5.0) == mean_sum_rate(theta, [real], tx_snr_db=5.0)
+
+    def test_snr_override(self):
+        rng = np.random.default_rng(28)
+        real = unit_instance(rng, l=3, m=4, n=5)[0]
+        at_5db = ChannelRealization(real.direct, real.ris_device, real.bs_ris, tx_snr_db=5.0)
+        theta = random_complex(rng, 5, 5)
+        assert sum_rate(theta, real, tx_snr_db=5.0) == sum_rate(theta, at_5db)
+        assert sum_rate(theta, real, tx_snr_db=5.0) != sum_rate(theta, real)
+
+
+def mixed_instance(kind):
+    """Two snapshots that disagree on the device count or on the transmit SNR."""
+    rng = np.random.default_rng(29)
+    first = unit_instance(rng, l=2, m=2, n=4, snapshots=1)[0]
+    if kind == "devices":
+        return [first, unit_instance(rng, l=3, m=2, n=4, snapshots=1)[0]]
+    return [first, ChannelRealization(first.direct, first.ris_device, first.bs_ris, tx_snr_db=10.0)]
+
+
+MIXED_CALLS = {
+    "gain": lambda reals: channel_gain_objective(np.eye(4), reals),
+    "mean_sum_rate": lambda reals: mean_sum_rate(np.eye(4), reals),
+    "gradient": lambda reals: euclidean_gradient(np.eye(4), reals),
+    **{name: (lambda reals, fn=fn: fn(reals, FULL, OptimizerConfig(max_iterations=2)))
+       for name, fn in optim.ALGORITHMS.items()},
+}
+
+
+class TestMixedSnapshots:
+    """Every stacked computation rejects snapshots that do not stack."""
+
+    @pytest.mark.parametrize("call", MIXED_CALLS)
+    def test_mixed_device_counts(self, call):
+        with pytest.raises(DimensionMismatch, match=r"\(L, N, M\)"):
+            MIXED_CALLS[call](mixed_instance("devices"))
+
+    @pytest.mark.parametrize("call", MIXED_CALLS)
+    def test_mixed_snr(self, call):
+        with pytest.raises(InvalidInput, match="tx_snr_db"):
+            MIXED_CALLS[call](mixed_instance("snr"))
 
 
 class TestFpSumRate:
