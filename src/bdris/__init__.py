@@ -27,16 +27,7 @@ from .channel import (
     sample_fading,
     scenario_realizations,
 )
-from .manifold import (
-    BlockStructure,
-    TangentDirection,
-    UnitaryMatrix,
-    block_project,
-    project_to_unitary,
-    random_unitary,
-    retract,
-    tangent_project,
-)
+from .manifold import BlockStructure, UnitaryMatrix, project_to_unitary, random_unitary
 from .optim import (
     OptimizerConfig,
     OptimizerResult,

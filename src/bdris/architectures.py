@@ -52,6 +52,22 @@ class BdRisArchitecture:
                 raise InvalidInput("pairing must be a bijection of range(N)")
             object.__setattr__(self, "pairing", perm)
 
+    def unitary_blocks(self, n: int) -> BlockStructure | None:
+        """The blocks that must be unitary at dimension n; None is one full N x N block.
+
+        Only the diagonal, group- and fully-connected circuits are block
+        unitary; the others raise InvalidInput.
+        """
+        if self.kind is ArchitectureKind.DIAGONAL:
+            return BlockStructure((1,) * n)
+        if self.kind is ArchitectureKind.GROUP_CONNECTED:
+            if self.structure.dimension != n:
+                raise DimensionMismatch("block structure does not fit the matrix dimension")
+            return self.structure
+        if self.kind is ArchitectureKind.FULLY_CONNECTED:
+            return None
+        raise InvalidInput(f"{self.kind.value} is not a block-unitary architecture")
+
     @staticmethod
     def diagonal() -> "BdRisArchitecture":
         return BdRisArchitecture(ArchitectureKind.DIAGONAL)
@@ -120,22 +136,14 @@ class ValidationReport:
 
 def _support_mask(arch: BdRisArchitecture, n: int) -> np.ndarray:
     mask = np.zeros((n, n), dtype=bool)
-    if arch.kind is ArchitectureKind.DIAGONAL:
-        np.fill_diagonal(mask, True)
-    elif arch.kind is ArchitectureKind.GROUP_CONNECTED:
-        if arch.structure.dimension != n:
-            raise DimensionMismatch("block structure does not fit the matrix dimension")
-        for idx in arch.structure.block_indices():
-            mask[np.ix_(idx, idx)] = True
-    elif arch.kind is ArchitectureKind.FULLY_CONNECTED:
-        mask[:, :] = True
-    elif arch.kind is ArchitectureKind.NON_DIAGONAL_PAIRED:
+    if arch.kind is ArchitectureKind.NON_DIAGONAL_PAIRED:
         if len(arch.pairing) != n:
             raise DimensionMismatch("pairing does not fit the matrix dimension")
-        for col, row in enumerate(arch.pairing):
-            mask[row, col] = True
-    else:
-        raise InvalidInput(f"no structural validator for {arch.kind.value}")
+        mask[list(arch.pairing), range(n)] = True
+        return mask
+    structure = arch.unitary_blocks(n) or BlockStructure((n,))
+    for g in structure.gather:
+        mask[g.rows, g.cols] = True
     return mask
 
 

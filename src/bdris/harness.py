@@ -26,8 +26,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .channel import ScenarioConfig, sample_fading
+from .channel import ScenarioConfig, path_loss_linear, sample_fading
 from .errors import ConfigError, InvalidInput
+from .manifold import random_unitary
 from .optim import ALGORITHMS, BENCHMARK_COLUMNS, OptimizerConfig, benchmark
 from .qml import (
     MAX_QUBITS,
@@ -318,10 +319,8 @@ def _power_comparison_trial(cfg: ExperimentConfig, trial: int) -> list[tuple]:
     position = s.geometry.device_area.sample(rng)
     point = np.array([position[0], position[1], 0.0])
     d_ris = float(np.linalg.norm(point - s.geometry.ris_position))
-    gain_tag = 10.0 ** ((s.pathloss.reference_loss_db - 10.0 * s.pathloss.exponent_device_ris
-                         * np.log10(d_ris / s.pathloss.reference_distance_m)) / 10.0)
-    gain_src = 10.0 ** ((s.pathloss.reference_loss_db - 10.0 * s.pathloss.exponent_bs_ris
-                         * np.log10(s.geometry.bs_ris_distance_m / s.pathloss.reference_distance_m)) / 10.0)
+    gain_tag = path_loss_linear(d_ris, s.pathloss.exponent_device_ris, s.pathloss)
+    gain_src = path_loss_linear(s.geometry.bs_ris_distance_m, s.pathloss.exponent_bs_ris, s.pathloss)
     los = rng.uniform() < s.fading.los_probability
     k_db = s.fading.device_links_rician_k_db if los else -np.inf
     b_full = np.sqrt(gain_tag) * sample_fading(1, n_max, k_db, rng)[0]
@@ -339,8 +338,6 @@ def _power_comparison_trial(cfg: ExperimentConfig, trial: int) -> list[tuple]:
         if cfg.include_random_baseline:
             phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n))
             amp_rd = abs(np.vdot(b, phases * c))
-            from .manifold import random_unitary
-
             amp_rf = abs(np.vdot(b, random_unitary(n, rng).entries @ c))
             rows.append((n, "diagonal_random", trial, tx_power_dbm + 20.0 * np.log10(amp_rd)))
             rows.append((n, "fully_connected_random", trial, tx_power_dbm + 20.0 * np.log10(amp_rf)))

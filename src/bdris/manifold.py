@@ -1,8 +1,9 @@
 """Linear algebra over unitary and block-unitary matrices.
 
-Projections, tangent spaces, retractions and Haar sampling used by every
-matrix-design routine in the package.  All functions are pure; randomness
-enters only through an explicitly passed ``numpy.random.Generator``.
+The polar factor, the skew-Hermitian part, block structures and Haar
+sampling that every matrix-design routine in the package builds on.  All
+functions are pure; randomness enters only through an explicitly passed
+``numpy.random.Generator``.
 """
 
 from __future__ import annotations
@@ -49,26 +50,6 @@ class UnitaryMatrix:
     @property
     def dimension(self) -> int:
         return self.entries.shape[0]
-
-
-@dataclass(frozen=True)
-class TangentDirection:
-    """A direction T at a unitary base point, with base†T skew-Hermitian."""
-
-    entries: np.ndarray
-    base_point: UnitaryMatrix
-
-    def __post_init__(self):
-        t = np.asarray(self.entries, dtype=complex)
-        object.__setattr__(self, "entries", t)
-        if t.shape != self.base_point.entries.shape:
-            raise DimensionMismatch(
-                f"tangent shape {t.shape} != base shape {self.base_point.entries.shape}"
-            )
-        x = self.base_point.entries.conj().T @ t
-        defect = float(np.max(np.abs(x + x.conj().T)))
-        if defect > 1e-10:
-            raise InvalidInput(f"direction is not tangent: skew defect {defect:.3e}")
 
 
 class BlockGather(NamedTuple):
@@ -170,51 +151,13 @@ def skew_part(x: np.ndarray) -> np.ndarray:
     return (x - x.conj().swapaxes(-1, -2)) / 2.0
 
 
-def tangent_project(gradient: np.ndarray, at: UnitaryMatrix) -> TangentDirection:
-    """Orthogonal projection of an ambient matrix onto the tangent space at ``at``.
-
-    T = base * skew(base† G).
-    """
-    g = np.asarray(gradient, dtype=complex)
-    base = at.entries
-    if g.shape != base.shape:
-        raise DimensionMismatch(f"gradient shape {g.shape} != base shape {base.shape}")
-    t = base @ skew_part(base.conj().T @ g)
-    return TangentDirection(t, at)
-
-
-def retract(at: UnitaryMatrix, direction: TangentDirection, step: float) -> UnitaryMatrix:
-    """Move ``step`` along a tangent direction and re-project (polar retraction)."""
-    if direction.base_point.entries.shape != at.entries.shape:
-        raise DimensionMismatch("direction was built at a different dimension")
-    if not np.isfinite(step):
-        raise InvalidInput("step must be finite")
-    if step == 0.0:
-        return at
-    return project_to_unitary(at.entries + step * direction.entries, at.tolerance)
-
-
 def random_unitary(n: int, rng: np.random.Generator) -> UnitaryMatrix:
-    """Haar-distributed unitary.
+    """Haar-distributed unitary: the polar factor of a standard complex Gaussian matrix.
 
-    QR of a standard complex Gaussian matrix, with each column of Q rescaled
-    by the phase of the matching R diagonal entry; the rescaling removes the
-    non-Haar bias of the raw QR factor.
+    The Gaussian law is invariant under left multiplication by a unitary V,
+    and polar(VZ) = V polar(Z), so the factor's law is too.
     """
     if n < 1:
         raise InvalidInput("n must be >= 1")
     z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    q = q * (d / np.abs(d))
-    return UnitaryMatrix(q)
-
-
-def block_project(matrix: np.ndarray, structure: BlockStructure) -> UnitaryMatrix:
-    """Zero everything outside the (permuted) diagonal blocks, polar-project each block."""
-    m = np.asarray(matrix, dtype=complex)
-    if m.shape != (structure.dimension, structure.dimension):
-        raise DimensionMismatch(
-            f"matrix shape {m.shape} does not fit structure of dimension {structure.dimension}"
-        )
-    return UnitaryMatrix(structure.map_blocks(polar_factor, m))
+    return UnitaryMatrix(polar_factor(z))

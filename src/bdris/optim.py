@@ -28,10 +28,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .architectures import ArchitectureKind, BdRisArchitecture, effective_channel_matrix
+from .architectures import BdRisArchitecture, effective_channel_matrix
 from .channel import ChannelRealization, ChannelStack, ScenarioConfig, scenario_realizations
-from .errors import DimensionMismatch, InvalidInput, RankDeficient, RankDeficientWarning
-from .manifold import BlockStructure, polar_factor, skew_part
+from .errors import InvalidInput, RankDeficient, RankDeficientWarning
+from .manifold import BlockStructure, polar_factor, random_unitary, skew_part
 from .seeding import derive_seed, derived_rng
 
 LOG2 = float(np.log(2.0))
@@ -87,16 +87,7 @@ class _Feasible:
     """
 
     def __init__(self, arch: BdRisArchitecture, n: int):
-        if arch.kind is ArchitectureKind.FULLY_CONNECTED:
-            self.structure = None
-        elif arch.kind is ArchitectureKind.DIAGONAL:
-            self.structure = BlockStructure((1,) * n)
-        elif arch.kind is ArchitectureKind.GROUP_CONNECTED:
-            if arch.structure.dimension != n:
-                raise DimensionMismatch("block structure does not fit the element count")
-            self.structure = arch.structure
-        else:
-            raise InvalidInput(f"no optimizer support for {arch.kind.value}")
+        self.structure = arch.unitary_blocks(n)
         self.n = n
 
     def _blockwise(self, fn, *matrices: np.ndarray) -> np.ndarray:
@@ -170,9 +161,7 @@ def _align_cross_term(stack: ChannelStack, feas: _Feasible, rng: np.random.Gener
         factors.append(u @ vh)
         degenerate += [(g.block_ids[i], j, i) for i in np.flatnonzero(np.max(s, axis=-1) <= 1e-300)]
     for _, j, i in sorted(degenerate):
-        k = factors[j].shape[-1]
-        z = (rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))) / np.sqrt(2.0)
-        factors[j][i] = polar_factor(z)
+        factors[j][i] = random_unitary(factors[j].shape[-1], rng).entries
     theta = np.zeros_like(cross)
     for g, f in zip(gather, factors):
         theta[g.rows, g.cols] = f

@@ -209,6 +209,23 @@ def circuit_outputs(params: CircuitParams, x: np.ndarray) -> np.ndarray:
     return _forward_batch(params.angles, np.asarray(x, float).reshape(1, -1), params.num_qubits)[0]
 
 
+def _shift_grad(angles: np.ndarray, x: np.ndarray, dl_dz: np.ndarray, num_qubits: int) -> np.ndarray:
+    """Sum over the rows of ``x`` and ``dl_dz`` of dl_dz . dz/dtheta, for every angle.
+
+    dz/dtheta comes from the parameter-shift rule; see ``parameter_shift_grad``.
+    """
+    grad = np.zeros_like(angles)
+    for l in range(angles.shape[0]):
+        for k in range(num_qubits):
+            plus = angles.copy()
+            plus[l, k] += np.pi / 2.0
+            minus = angles.copy()
+            minus[l, k] -= np.pi / 2.0
+            dz = (_forward_batch(plus, x, num_qubits) - _forward_batch(minus, x, num_qubits)) / 2.0
+            grad[l, k] = float(np.sum(dl_dz * dz))
+    return grad
+
+
 def parameter_shift_grad(params: CircuitParams, x: np.ndarray, loss_grad_z) -> np.ndarray:
     """Gradient of a loss over all angles by the exact parameter-shift rule.
 
@@ -221,19 +238,7 @@ def parameter_shift_grad(params: CircuitParams, x: np.ndarray, loss_grad_z) -> n
     dl_dz = np.asarray(loss_grad_z(z), dtype=float).reshape(-1)
     if dl_dz.shape[0] != params.num_qubits:
         raise DimensionMismatch("loss gradient length must equal the qubit count")
-    grad = np.zeros_like(params.angles)
-    for l in range(params.num_layers):
-        for k in range(params.num_qubits):
-            plus = params.angles.copy()
-            plus[l, k] += np.pi / 2.0
-            minus = params.angles.copy()
-            minus[l, k] -= np.pi / 2.0
-            dz = (
-                _forward_batch(plus, x, params.num_qubits)[0]
-                - _forward_batch(minus, x, params.num_qubits)[0]
-            ) / 2.0
-            grad[l, k] = float(dl_dz @ dz)
-    return grad
+    return _shift_grad(params.angles, x, dl_dz[None, :], params.num_qubits)
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +267,9 @@ def confusion_matrix(predictions, labels, num_beams: int) -> np.ndarray:
     labels = np.asarray(labels, dtype=int)
     if predictions.shape != labels.shape:
         raise LengthMismatch("predictions and labels differ in length")
-    if labels.size and (labels.max() >= num_beams or predictions.max() >= num_beams):
-        raise InvalidInput("indices must be below num_beams")
+    if labels.size and (min(labels.min(), predictions.min()) < 0
+                        or max(labels.max(), predictions.max()) >= num_beams):
+        raise InvalidInput("indices must lie in [0, num_beams)")
     counts = np.zeros((num_beams, num_beams), dtype=int)
     np.add.at(counts, (labels, predictions), 1)
     return counts
@@ -345,7 +351,6 @@ def train_hybrid(
     x_train, y_train = dataset.features[train_idx], dataset.labels[train_idx]
     x_val, y_val = dataset.features[val_idx], dataset.labels[val_idx]
     q = model.circuit.num_qubits
-    layers = model.circuit.num_layers
     angles = model.circuit.angles.copy()
     weights = model.head_weights.copy()
     bias = model.head_bias.copy()
@@ -363,16 +368,7 @@ def train_hybrid(
         dlogits /= n_train
         grad_w = dlogits.T @ joint
         grad_b = dlogits.sum(axis=0)
-        dz = dlogits @ weights[:, :q]  # (n, q)
-        grad_angles = np.zeros_like(angles)
-        for l in range(layers):
-            for k in range(q):
-                plus = angles.copy()
-                plus[l, k] += np.pi / 2.0
-                minus = angles.copy()
-                minus[l, k] -= np.pi / 2.0
-                dz_dtheta = (_forward_batch(plus, x_train, q) - _forward_batch(minus, x_train, q)) / 2.0
-                grad_angles[l, k] = float(np.sum(dz * dz_dtheta))
+        grad_angles = _shift_grad(angles, x_train, dlogits @ weights[:, :q], q)
         weights -= learning_rate * grad_w
         bias -= learning_rate * grad_b
         angles -= learning_rate * grad_angles

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from bdris import optim
 from bdris.architectures import (
     ArchitectureKind,
     BdRisArchitecture,
@@ -13,11 +14,12 @@ from bdris.architectures import (
     hybrid_split,
     optimal_diagonal_single_tag,
     optimal_fully_connected_single_tag,
+    _support_mask,
     validate,
 )
 from bdris.channel import ChannelRealization, ChannelStack
 from bdris.errors import DimensionMismatch, InvalidInput, ZeroChannel
-from bdris.manifold import BlockStructure, block_project, random_unitary
+from bdris.manifold import BlockStructure, random_unitary
 
 
 def random_complex(rng, *shape):
@@ -46,8 +48,9 @@ class TestValidate:
     def test_block_project_output_valid_for_matching_group(self):
         rng = np.random.default_rng(1)
         structure = BlockStructure((2, 2))
-        theta = block_project(random_complex(rng, 4, 4), structure).entries
-        assert validate(theta, BdRisArchitecture.group_connected(structure)).valid
+        arch = BdRisArchitecture.group_connected(structure)
+        theta = optim._Feasible(arch, 4).project(random_complex(rng, 4, 4))
+        assert validate(theta, arch).valid
 
     def test_haar_unitary_valid_fully_connected(self):
         u = random_unitary(6, np.random.default_rng(2)).entries
@@ -88,6 +91,56 @@ class TestValidate:
     def test_non_square_rejected(self):
         with pytest.raises(DimensionMismatch):
             validate(np.ones((2, 3)), BdRisArchitecture.fully_connected())
+
+
+# diagonal, equal groups, unequal groups, and unequal groups through a permutation
+STRUCTURES = [
+    BlockStructure((1,) * 8),
+    BlockStructure((4, 4)),
+    BlockStructure((2, 1, 3, 2)),
+    BlockStructure((2, 1, 3, 2), permutation=(7, 0, 5, 2, 4, 1, 6, 3)),
+]
+STRUCTURE_IDS = ["diag", "equal", "unequal", "permuted"]
+
+
+class TestUnitaryBlocks:
+    def test_mapping_per_kind(self):
+        structure = BlockStructure((2, 1, 3, 2), permutation=(7, 0, 5, 2, 4, 1, 6, 3))
+        assert BdRisArchitecture.diagonal().unitary_blocks(5) == BlockStructure((1,) * 5)
+        assert BdRisArchitecture.group_connected(structure).unitary_blocks(8) is structure
+        assert BdRisArchitecture.fully_connected().unitary_blocks(8) is None
+
+    def test_misfit_structure_rejected(self):
+        arch = BdRisArchitecture.group_connected(BlockStructure((2, 2)))
+        for n in (3, 5):
+            with pytest.raises(DimensionMismatch):
+                arch.unitary_blocks(n)
+
+    @pytest.mark.parametrize(
+        "arch",
+        [
+            BdRisArchitecture.non_diagonal_paired((1, 0, 3, 2)),
+            BdRisArchitecture.hybrid(),
+            BdRisArchitecture(ArchitectureKind.TREE_CONNECTED),
+            BdRisArchitecture(ArchitectureKind.FOREST_CONNECTED),
+        ],
+        ids=["paired", "hybrid", "tree", "forest"],
+    )
+    def test_non_block_kinds_rejected(self, arch):
+        with pytest.raises(InvalidInput):
+            arch.unitary_blocks(4)
+
+    @pytest.mark.parametrize("structure", STRUCTURES, ids=STRUCTURE_IDS)
+    def test_support_mask_equals_per_block_reference(self, structure):
+        """validate's zero pattern equals one np.ix_ fill per block."""
+        expected = np.zeros((8, 8), dtype=bool)
+        for idx in structure.block_indices():
+            expected[np.ix_(idx, idx)] = True
+        arch = BdRisArchitecture.group_connected(structure)
+        assert np.array_equal(_support_mask(arch, 8), expected)
+        if structure.group_sizes == (1,) * 8:
+            assert np.array_equal(_support_mask(BdRisArchitecture.diagonal(), 8), expected)
+        assert np.all(_support_mask(BdRisArchitecture.fully_connected(), 8))
 
 
 class TestHybrid:

@@ -1,20 +1,22 @@
-"""Unitary-manifold machinery: projections, tangents, retraction, Haar sampling."""
+"""Unitary-manifold machinery: projections, tangents, retraction, Haar sampling.
+
+The feasible set the optimizers run, ``optim._Feasible``, is checked here on
+the fully-connected surface and on every block structure below.
+"""
 
 import numpy as np
 import pytest
 
+from bdris import optim
+from bdris.architectures import BdRisArchitecture, _support_mask, validate
 from bdris.errors import DimensionMismatch, InvalidInput, RankDeficient
 from bdris.manifold import (
     BlockStructure,
-    TangentDirection,
     UnitaryMatrix,
-    block_project,
     polar_factor,
     project_to_unitary,
     random_unitary,
-    retract,
     skew_part,
-    tangent_project,
     unitarity_defect,
 )
 
@@ -26,6 +28,19 @@ STRUCTURES = [
     BlockStructure((2, 1, 3, 2), permutation=(7, 0, 5, 2, 4, 1, 6, 3)),
 ]
 STRUCTURE_IDS = ["diag", "equal", "unequal", "permuted"]
+N = 8
+FULL = BdRisArchitecture.fully_connected()
+ARCHS = [FULL, BdRisArchitecture.diagonal()] + [BdRisArchitecture.group_connected(s) for s in STRUCTURES[1:]]
+FEASIBLE = [optim._Feasible(arch, N) for arch in ARCHS]
+
+
+def random_complex(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def block_project(m, structure):
+    """The optimizers' projection onto a group-connected surface of this structure."""
+    return optim._Feasible(BdRisArchitecture.group_connected(structure), structure.dimension).project(m)
 
 
 def per_block_project(m, structure):
@@ -121,66 +136,81 @@ class TestSkewPart:
 
 
 class TestTangentProject:
+    """``_Feasible.tangent``: theta * skew(theta† G), per block."""
+
     def test_base_point_maps_to_zero(self):
         rng = np.random.default_rng(5)
-        base = random_unitary(4, rng)
-        t = tangent_project(base.entries, base)
-        assert np.max(np.abs(t.entries)) <= 1e-12
+        for feas in FEASIBLE:
+            base = feas.random_point(rng)
+            assert np.max(np.abs(feas.tangent(base, base))) <= 1e-12
 
     def test_hand_evaluated_case(self):
-        base = UnitaryMatrix(np.eye(2))
         g = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-        t = tangent_project(g, base)
-        expected = np.array([[0.0, 0.5], [-0.5, 0.0]])
-        assert np.allclose(t.entries, expected, atol=1e-14)
+        t = optim._Feasible(FULL, 2).tangent(g, np.eye(2, dtype=complex))
+        assert np.allclose(t, [[0.0, 0.5], [-0.5, 0.0]], atol=1e-14)
+        # on a diagonal surface only the imaginary part of the diagonal survives
+        g = np.array([[1.0 + 2.0j, 5.0], [0.0, 3.0 - 1.0j]])
+        t = optim._Feasible(BdRisArchitecture.diagonal(), 2).tangent(g, np.eye(2, dtype=complex))
+        assert np.allclose(t, np.diag([2.0j, -1.0j]), atol=1e-14)
 
     def test_output_is_tangent(self):
         rng = np.random.default_rng(13)
-        for _ in range(20):
-            base = random_unitary(5, rng)
-            g = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-            t = tangent_project(g, base)
-            x = base.entries.conj().T @ t.entries
-            assert np.max(np.abs(x + x.conj().T)) <= 1e-12
+        for arch, feas in zip(ARCHS, FEASIBLE):
+            outside = ~_support_mask(arch, N)
+            for _ in range(20):
+                base = feas.random_point(rng)
+                t = feas.tangent(random_complex(rng, N, N), base)
+                x = base.conj().T @ t
+                assert np.max(np.abs(x + x.conj().T)) <= 1e-12
+                assert not np.any(t[outside])
 
     def test_idempotent_linear_map(self):
         rng = np.random.default_rng(17)
-        base = random_unitary(4, rng)
-        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        once = tangent_project(g, base)
-        twice = tangent_project(once.entries, base)
-        assert np.max(np.abs(twice.entries - once.entries)) <= 1e-12
+        for feas in FEASIBLE:
+            base = feas.random_point(rng)
+            once = feas.tangent(random_complex(rng, N, N), base)
+            twice = feas.tangent(once, base)
+            assert np.max(np.abs(twice - once)) <= 1e-12
 
     def test_dimension_mismatch(self):
-        base = UnitaryMatrix(np.eye(2))
         with pytest.raises(DimensionMismatch):
-            tangent_project(np.zeros((3, 3)), base)
+            optim._Feasible(BdRisArchitecture.group_connected(BlockStructure((1, 1))), 3)
 
 
 class TestRetract:
-    def test_zero_step_is_exact(self):
+    """The polar retraction the line search makes: ``feas.project(theta + s * direction)``."""
+
+    def test_zero_step_returns_base_point(self):
         rng = np.random.default_rng(19)
-        base = random_unitary(4, rng)
-        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        t = tangent_project(g, base)
-        out = retract(base, t, 0.0)
-        assert out.entries is base.entries
+        for feas in FEASIBLE:
+            base = feas.random_point(rng)
+            t = feas.tangent(random_complex(rng, N, N), base)
+            assert np.max(np.abs(feas.project(base + 0.0 * t) - base)) <= 1e-13
 
     def test_matches_exponential_map_to_first_order(self):
         t = 0.1
-        base = UnitaryMatrix(np.eye(2))
-        direction = TangentDirection(np.array([[0.0, t], [-t, 0.0]], dtype=complex), base)
-        out = retract(base, direction, 1.0)
+        direction = np.array([[0.0, t], [-t, 0.0]], dtype=complex)
+        out = optim._Feasible(FULL, 2).project(np.eye(2) + direction)
         exact = np.array([[np.cos(t), np.sin(t)], [-np.sin(t), np.cos(t)]])
-        assert np.linalg.norm(out.entries - exact) <= 1e-3
+        assert np.linalg.norm(out - exact) <= 1e-3
+        rng = np.random.default_rng(21)
+        for feas in FEASIBLE:
+            base = feas.random_point(rng)
+            t = feas.tangent(random_complex(rng, N, N), base)
+            t *= 0.1 / np.linalg.norm(t)
+            # exp map: base * expm(Omega), Omega = base† t skew-Hermitian, via H = -i Omega
+            lam, v = np.linalg.eigh(-1j * (base.conj().T @ t))
+            exact = base @ (v * np.exp(1j * lam)) @ v.conj().T
+            assert np.linalg.norm(feas.project(base + t) - exact) <= 1e-3
 
     def test_output_unitary(self):
         rng = np.random.default_rng(23)
-        for step in (0.01, 0.5, 3.0):
-            base = random_unitary(6, rng)
-            g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-            out = retract(base, tangent_project(g, base), step)
-            assert unitarity_defect(out.entries) <= 1e-10
+        for arch, feas in zip(ARCHS, FEASIBLE):
+            for step in (0.01, 0.5, 3.0):
+                base = feas.random_point(rng)
+                out = feas.project(base + step * feas.tangent(random_complex(rng, N, N), base))
+                assert unitarity_defect(out) <= 1e-10
+                assert validate(out, arch).valid
 
 
 class TestRandomUnitary:
@@ -212,26 +242,41 @@ class TestRandomUnitary:
         with pytest.raises(InvalidInput):
             random_unitary(0, np.random.default_rng(0))
 
+    def test_is_polar_factor_of_gaussian_draw(self):
+        for n in (1, 3, 16):
+            rng = np.random.default_rng(n)
+            z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
+            assert np.array_equal(random_unitary(n, np.random.default_rng(n)).entries, polar_factor(z))
+
+    def test_fourth_moment_matches_qr_reference(self):
+        """E|u_ij|^4 = 2 / (n (n + 1)) under Haar; every unitary has E|u_ij|^2 = 1/n."""
+        rng = np.random.default_rng(37)
+        n = 3
+        entries = np.array([random_unitary(n, rng).entries for _ in range(2000)])
+        reference = haar_batch(n, 2000, rng)
+        for sample in (entries, reference):
+            assert abs(np.mean(np.abs(sample) ** 4) - 2.0 / (n * (n + 1))) <= 0.01
+
 
 class TestBlockProject:
     def test_singleton_groups_give_phases(self):
         rng = np.random.default_rng(37)
         m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         structure = BlockStructure((1, 1, 1, 1))
-        out = block_project(m, structure).entries
+        out = block_project(m, structure)
         expected = np.diag(np.diag(m) / np.abs(np.diag(m)))
         assert np.allclose(out, expected, atol=1e-12)
 
     def test_single_group_matches_full_projection(self):
         rng = np.random.default_rng(41)
         m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        out = block_project(m, BlockStructure((4,))).entries
+        out = block_project(m, BlockStructure((4,)))
         assert np.allclose(out, project_to_unitary(m).entries, atol=1e-13)
 
     def test_two_by_two_blocks(self):
         rng = np.random.default_rng(43)
         m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        out = block_project(m, BlockStructure((2, 2))).entries
+        out = block_project(m, BlockStructure((2, 2)))
         assert np.array_equal(out[:2, 2:], np.zeros((2, 2)))
         assert np.array_equal(out[2:, :2], np.zeros((2, 2)))
         for sel in (np.s_[:2, :2], np.s_[2:, 2:]):
@@ -243,7 +288,7 @@ class TestBlockProject:
         rng = np.random.default_rng(47)
         m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         structure = BlockStructure((2, 2), permutation=(0, 2, 1, 3))
-        out = block_project(m, structure).entries
+        out = block_project(m, structure)
         # groups {0,2} and {1,3}: everything across them must vanish
         for i, j in [(0, 1), (0, 3), (2, 1), (2, 3), (1, 0), (1, 2), (3, 0), (3, 2)]:
             assert out[i, j] == 0
@@ -254,7 +299,7 @@ class TestBlockProject:
         rng = np.random.default_rng(53)
         n = structure.dimension
         m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        assert np.array_equal(block_project(m, structure).entries, per_block_project(m, structure))
+        assert np.array_equal(block_project(m, structure), per_block_project(m, structure))
 
     @pytest.mark.parametrize("structure", STRUCTURES, ids=STRUCTURE_IDS)
     def test_gather_visits_every_block_once(self, structure):
@@ -289,7 +334,7 @@ class TestBlockProject:
         with pytest.raises(InvalidInput):
             BlockStructure((2, 2), permutation=(0, 1, 2, 2))
         with pytest.raises(DimensionMismatch):
-            block_project(np.eye(3), BlockStructure((2, 2)))
+            optim._Feasible(BdRisArchitecture.group_connected(BlockStructure((2, 2))), 3)
 
 
 class TestTypeInvariants:
@@ -297,7 +342,12 @@ class TestTypeInvariants:
         with pytest.raises(InvalidInput):
             UnitaryMatrix(np.ones((2, 2)))
 
-    def test_tangent_wrapper_rejects_non_tangent(self):
-        base = UnitaryMatrix(np.eye(2))
-        with pytest.raises(InvalidInput):
-            TangentDirection(np.eye(2), base)
+    def test_normal_direction_projects_to_zero(self):
+        """A direction base * H, H Hermitian on the blocks, is not tangent: it projects to 0."""
+        rng = np.random.default_rng(61)
+        for arch, feas in zip(ARCHS, FEASIBLE):
+            base = feas.random_point(rng)
+            a = random_complex(rng, N, N) * _support_mask(arch, N)
+            normal = base @ (a + a.conj().T)
+            assert np.max(np.abs(normal)) > 1.0
+            assert np.max(np.abs(feas.tangent(normal, base))) <= 1e-12

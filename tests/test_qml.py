@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from bdris.errors import DimensionMismatch, InvalidInput, LengthMismatch, TooLong, ZeroVector
+from bdris import qml
 from bdris.qml import (
     CircuitParams,
     HybridModel,
@@ -153,6 +154,19 @@ class TestParameterShift:
         rel = np.linalg.norm(analytic - fd) / max(np.linalg.norm(analytic), 1e-12)
         assert rel <= 1e-6
 
+    @pytest.mark.parametrize("q,layers", [(1, 1), (2, 3), (4, 2)])
+    def test_batched_shift_equals_sum_of_rows(self, q, layers):
+        """Training's batched gradient is the sum of the per-row oracle gradients."""
+        rng = np.random.default_rng(10 * q + layers)
+        angles = rng.uniform(-np.pi, np.pi, (layers, q))
+        x = rng.uniform(0.1, 1.0, (7, 2))
+        dl_dz = rng.standard_normal((7, q))
+        batched = qml._shift_grad(angles, x, dl_dz, q)
+        rows = sum(
+            parameter_shift_grad(CircuitParams(angles), x[i], lambda z, w=dl_dz[i]: w) for i in range(7)
+        )
+        assert np.linalg.norm(batched - rows) <= 1e-12 * np.linalg.norm(rows)
+
 
 class TestMetrics:
     def test_distance_accuracy_perfect(self):
@@ -192,6 +206,11 @@ class TestMetrics:
         for p, t in zip(preds, labels):
             slow[t, p] += 1
         assert np.array_equal(counts, slow)
+
+    def test_confusion_rejects_out_of_range_indices(self):
+        for preds, labels in (([-1, 0], [0, -2]), ([0, 1], [-1, 1]), ([0, 3], [0, 1]), ([0, 1], [3, 1])):
+            with pytest.raises(InvalidInput):
+                confusion_matrix(preds, labels, 3)
 
     def test_accuracy_equals_confusion_trace(self):
         rng = np.random.default_rng(6)

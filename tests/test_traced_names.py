@@ -9,9 +9,13 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bdris import optim
+from bdris.architectures import BdRisArchitecture
+from bdris.channel import ScenarioConfig, scenario_realizations
+from bdris.manifold import BlockStructure
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -35,3 +39,36 @@ def test_traced_attribute_resolves(module, attr):
 
 def test_traced_algorithms_resolve():
     assert set(tracing.ALGORITHM_NAMES) <= set(optim.ALGORITHMS)
+
+
+@pytest.mark.parametrize(
+    "arch",
+    [
+        BdRisArchitecture.diagonal(),
+        BdRisArchitecture.group_connected(BlockStructure((2, 1, 3, 2))),
+        BdRisArchitecture.fully_connected(),
+    ],
+    ids=["diag", "groups", "full"],
+)
+@pytest.mark.parametrize("name", ["ao", "qnm", "fp"])
+def test_feasible_set_calls_through_optim_namespace(name, arch, monkeypatch):
+    """The tracer counts retractions and tangent projections by rebinding these two names.
+
+    If the feasible set stopped looking them up in ``bdris.optim``, the
+    per-layer counters would silently read zero.  FP makes no tangent
+    projection.
+    """
+    calls = {"polar_factor": 0, "skew_part": 0}
+    for attr in calls:
+        original = getattr(optim, attr)
+
+        def counting(*args, _attr=attr, _original=original):
+            calls[_attr] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(optim, attr, counting)
+    reals = scenario_realizations(ScenarioConfig(), 8, np.random.default_rng(3))
+    optim.ALGORITHMS[name](reals, arch, optim.OptimizerConfig(seed=4, max_iterations=5))
+    assert calls["polar_factor"] > 0
+    if name != "fp":
+        assert calls["skew_part"] > 0
