@@ -105,6 +105,8 @@ class HybridMatrices:
         t = np.asarray(self.transmit, dtype=complex)
         if r.ndim != 2 or r.shape[0] != r.shape[1] or r.shape != t.shape:
             raise DimensionMismatch("hybrid matrices must be square and equally sized")
+        if not (np.all(np.isfinite(r)) and np.all(np.isfinite(t))):
+            raise InvalidInput("hybrid matrices have non-finite entries")
         object.__setattr__(self, "reflect", r)
         object.__setattr__(self, "transmit", t)
         defect = self.split_defect()
@@ -147,33 +149,44 @@ def _support_mask(arch: BdRisArchitecture, n: int) -> np.ndarray:
     return mask
 
 
+def _finite(m: np.ndarray, violations: list[str]) -> bool:
+    """Whether every entry is finite, else a violation: a NaN defect passes any tolerance test."""
+    bad = int(np.count_nonzero(~np.isfinite(m)))
+    if bad:
+        violations.append(f"{bad} non-finite entries")
+    return not bad
+
+
 def validate(theta, arch: BdRisArchitecture, tolerance: float = STRUCT_TOL) -> ValidationReport:
     """Check a matrix against an architecture's zero pattern and unitarity.
 
     The zero pattern is checked exactly; the unitarity of the connected part
-    within ``tolerance``.  Returns a report listing every violation instead
-    of raising.
+    within ``tolerance``.  A non-finite entry is a violation.  Returns a
+    report listing every violation instead of raising.
     """
     violations: list[str] = []
     if arch.kind is ArchitectureKind.HYBRID:
         if not isinstance(theta, HybridMatrices):
             return ValidationReport(("hybrid validation expects a HybridMatrices pair",))
-        defect = theta.split_defect()
-        if defect > tolerance:
-            violations.append(f"lossless-split defect {defect:.3e} > {tolerance:.1e}")
+        if _finite(np.stack([theta.reflect, theta.transmit]), violations):
+            defect = theta.split_defect()
+            if defect > tolerance:
+                violations.append(f"lossless-split defect {defect:.3e} > {tolerance:.1e}")
         return ValidationReport(tuple(violations))
 
     m = np.asarray(theta, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
+    finite = _finite(m, violations)
     mask = _support_mask(arch, m.shape[0])
     off = np.argwhere(~mask & (m != 0))
     if len(off):
         head = ", ".join(f"({i},{j})" for i, j in off[:5])
         violations.append(f"{len(off)} nonzero entries outside the support pattern: {head}")
-    defect = unitarity_defect(m)
-    if defect > tolerance:
-        violations.append(f"unitarity defect {defect:.3e} > {tolerance:.1e}")
+    if finite:
+        defect = unitarity_defect(m)
+        if defect > tolerance:
+            violations.append(f"unitarity defect {defect:.3e} > {tolerance:.1e}")
     return ValidationReport(tuple(violations))
 
 

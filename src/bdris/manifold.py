@@ -41,6 +41,8 @@ class UnitaryMatrix:
             raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
         if m.shape[0] < 1:
             raise InvalidInput("dimension must be >= 1")
+        if not np.all(np.isfinite(m)):
+            raise InvalidInput("matrix has non-finite entries")
         defect = unitarity_defect(m)
         if defect > self.tolerance:
             raise InvalidInput(

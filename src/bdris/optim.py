@@ -4,8 +4,8 @@ Four optimizers over the unitary (or block-unitary) feasible set:
 
 * ``rzf_one_shot`` -- one-shot Procrustes alignment of the direct-path cross
   term, the cheapest baseline.
-* ``ao_manifold`` -- Riemannian gradient ascent with Armijo backtracking and
-  polar retraction, maximizing total channel gain.
+* ``ao_manifold`` -- Riemannian gradient ascent with Barzilai-Borwein trial
+  steps, maximizing total channel gain.
 * ``qnm_manifold`` -- limited-memory quasi-Newton ascent; curvature pairs are
   carried between iterates by tangent projection, and the whole memory is
   re-transported every step, which is what makes it expensive at large N.
@@ -14,10 +14,12 @@ Four optimizers over the unitary (or block-unitary) feasible set:
   guarded precoder refreshes and projected conjugate-gradient maximization
   of the concave surrogate in the surface matrix.
 
+AO and QNM are two direction rules on one line-search loop (``_ascend``).
 RZF/AO/QNM maximize the channel-gain objective and are judged by the sum
 rate afterwards; FP maximizes the sum rate directly.  All optimizers keep
 every iterate feasible for the requested architecture and report a monotone
-objective trace.
+objective trace.  The line-search and stopping constants below are fixed;
+``OptimizerConfig`` holds what a run may set.
 """
 
 from __future__ import annotations
@@ -30,33 +32,31 @@ import numpy as np
 
 from .architectures import BdRisArchitecture, effective_channel_matrix
 from .channel import ChannelRealization, ChannelStack, ScenarioConfig, scenario_realizations
-from .errors import InvalidInput, RankDeficient, RankDeficientWarning
+from .errors import DimensionMismatch, InvalidInput, RankDeficient, RankDeficientWarning
 from .manifold import BlockStructure, polar_factor, random_unitary, skew_part
 from .seeding import derive_seed, derived_rng
 
 LOG2 = float(np.log(2.0))
+ARMIJO_C = 1e-4  # sufficient-increase fraction of the predicted gain
+BACKTRACK_FACTOR = 0.5  # largest shrink of a rejected Armijo step
+MAX_BACKTRACKS = 50  # rejected steps before the line search stalls
+INITIAL_STEP = 1.0  # first trial step, in units of 1 / |Riemannian gradient|
+STATIONARITY_TOLERANCE = 1e-4  # |Riemannian gradient| / |f| for `converged`
+FP_INNER_THETA_STEPS = 20  # conjugate-gradient steps per FP surrogate maximization
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     max_iterations: int = 500
     objective_tolerance: float = 1e-6  # relative change of the objective
-    armijo_c: float = 1e-4
-    backtrack_factor: float = 0.5
-    initial_step: float = 1.0
     lbfgs_memory: int = 10
-    fp_inner_theta_steps: int = 20
-    stationarity_tolerance: float = 1e-4
-    max_backtracks: int = 50
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.max_iterations, self.lbfgs_memory, self.fp_inner_theta_steps, self.max_backtracks) < 1:
+        if min(self.max_iterations, self.lbfgs_memory) < 1:
             raise InvalidInput("iteration counts must be positive")
-        if min(self.objective_tolerance, self.armijo_c, self.initial_step, self.stationarity_tolerance) <= 0:
-            raise InvalidInput("tolerances and the initial step must be positive")
-        if not 0.0 < self.backtrack_factor < 1.0:
-            raise InvalidInput("backtrack_factor must lie in (0, 1)")
+        if self.objective_tolerance <= 0:
+            raise InvalidInput("objective_tolerance must be positive")
 
 
 @dataclass
@@ -134,14 +134,27 @@ def euclidean_gradient(theta: np.ndarray, realizations) -> np.ndarray:
     return _GainProblem(realizations).value_and_grad(theta)[1]
 
 
-def _finish(theta, trace, start, iterations, converged) -> OptimizerResult:
-    return OptimizerResult(
-        theta=theta,
-        objective_trace=trace,
-        wall_time_s=time.perf_counter() - start,
-        iterations=iterations,
-        converged=converged,
-    )
+def _start(feas: _Feasible, cfg: OptimizerConfig, initial_theta, iterate_callback, warm=None) -> np.ndarray:
+    """First iterate, reported to ``iterate_callback``.
+
+    In order of preference: the projection of ``initial_theta`` (which must
+    be a finite N x N matrix), the point ``warm()`` returns, or a random
+    feasible point drawn from ``cfg.seed``.
+    """
+    if initial_theta is not None:
+        m = np.asarray(initial_theta, dtype=complex)
+        if m.shape != (feas.n, feas.n):
+            raise DimensionMismatch(f"initial_theta shape {m.shape} != ({feas.n}, {feas.n})")
+        if not np.all(np.isfinite(m)):
+            raise InvalidInput("initial_theta has non-finite entries")
+        theta = feas.project(m)
+    elif warm is not None:
+        theta = warm()
+    else:
+        theta = feas.random_point(np.random.default_rng(cfg.seed))
+    if iterate_callback:
+        iterate_callback(theta)
+    return theta
 
 
 def _align_cross_term(stack: ChannelStack, feas: _Feasible, rng: np.random.Generator) -> tuple[np.ndarray, bool]:
@@ -190,31 +203,167 @@ def rzf_one_shot(
             RankDeficientWarning,
             stacklevel=2,
         )
-    return _finish(theta, [problem.value(theta)], start, 1, True)
+    return OptimizerResult(theta, [problem.value(theta)], time.perf_counter() - start, 1, True)
 
 
-def _armijo_search(feas, value_fn, theta, direction, slope, f_current, step0, cfg):
+def _armijo_search(feas, value_fn, theta, direction, slope, f_current, step0):
     """Backtracking search for sufficient increase along a tangent direction.
 
     Failed steps shrink by parabolic interpolation through (0, f), f'(0) and
-    the rejected point, clamped into [0.1 s, backtrack_factor * s].  Returns
+    the rejected point, clamped into [0.1 s, BACKTRACK_FACTOR * s].  Returns
     (new_theta, new_value, accepted_step), or (None, None, None) when every
     backtrack fails (a stall).
     """
     s = step0
-    for _ in range(cfg.max_backtracks):
+    for _ in range(MAX_BACKTRACKS):
         try:
             candidate = feas.project(theta + s * direction)
         except RankDeficient:
-            s *= cfg.backtrack_factor
+            s *= BACKTRACK_FACTOR
             continue
         f_new = value_fn(candidate)
-        if f_new >= f_current + cfg.armijo_c * s * slope:
+        if f_new >= f_current + ARMIJO_C * s * slope:
             return candidate, f_new, s
         denom = 2.0 * (f_current + s * slope - f_new)
-        s_fit = s * s * slope / denom if denom > 0 else cfg.backtrack_factor * s
-        s = min(max(s_fit, 0.1 * s), cfg.backtrack_factor * s)
+        s_fit = s * s * slope / denom if denom > 0 else BACKTRACK_FACTOR * s
+        s = min(max(s_fit, 0.1 * s), BACKTRACK_FACTOR * s)
     return None, None, None
+
+
+class _BarzilaiBorwein:
+    """AO's rule: the Riemannian gradient, with the Barzilai-Borwein trial step.
+
+    The step comes from the curvature of the last accepted move (doubled
+    when that curvature is not positive) and is capped at 2 sqrt(N) / |g|.
+    """
+
+    def __init__(self, feas: _Feasible, cfg: OptimizerConfig):
+        self.cap = 2.0 * np.sqrt(feas.n)
+        self.step = None
+
+    def propose(self, riem, gnorm):
+        step = INITIAL_STEP / max(gnorm, 1e-300) if self.step is None else self.step
+        # slope: df/ds along the unnormalized gradient
+        return riem, 2.0 * gnorm * gnorm, min(step, self.cap / gnorm)
+
+    def accepted(self, theta, theta_new, riem, riem_new, direction, s):
+        delta_theta = theta_new - theta
+        denom = -_inner(delta_theta, riem_new - riem)
+        ss = _inner(delta_theta, delta_theta)
+        self.step = ss / denom if denom > 0 else (2.0 * s if s else None)
+
+
+class _LimitedMemoryBfgs:
+    """QNM's rule: a two-loop quasi-Newton direction, else steepest ascent.
+
+    Internally a textbook two-loop recursion on the negated objective, with
+    curvature pairs living in the tangent space.  After every accepted step
+    the whole memory is transported to the new tangent space by projection,
+    the extra per-iteration cost that dominates at large N.  Falls back to
+    the normalized gradient whenever the quasi-Newton direction fails the
+    ascent test.
+    """
+
+    def __init__(self, feas: _Feasible, cfg: OptimizerConfig):
+        self.feas = feas
+        self.size = cfg.lbfgs_memory
+        self.memory: list[tuple[np.ndarray, np.ndarray, float]] = []  # (s, y, 1 / <s, y>)
+        self.fallback_step = INITIAL_STEP
+        self.cap = 2.0 * np.sqrt(feas.n)
+        self.used_fallback = True
+
+    def _two_loop(self, gradient, scale):
+        q = gradient.copy()
+        alphas = []
+        for s, y, rho in reversed(self.memory):
+            a = rho * _inner(s, q)
+            alphas.append(a)
+            q -= a * y
+        q *= scale
+        for (s, y, rho), a in zip(self.memory, reversed(alphas)):
+            b = rho * _inner(y, q)
+            q += (a - b) * s
+        return q
+
+    def propose(self, riem, gnorm):
+        self.used_fallback = True
+        direction, step0 = riem / gnorm, self.fallback_step
+        if self.memory:
+            s_last, y_last, _ = self.memory[-1]
+            scale = _inner(s_last, y_last) / max(_inner(y_last, y_last), 1e-300)
+            candidate = -self._two_loop(-riem, scale)
+            if _inner(candidate, riem) > 0.0:  # ascent direction for f
+                direction, step0, self.used_fallback = candidate, 1.0, False
+        return direction, 2.0 * _inner(riem, direction), step0
+
+    def accepted(self, theta, theta_new, riem, riem_new, direction, s):
+        if self.used_fallback:
+            self.fallback_step = min(max(2.0 * s, 1e-12), self.cap)
+        # transport the memory into the new tangent space, refresh curvatures
+        tangent = self.feas.tangent
+        memory = []
+        for s_i, y_i, _ in self.memory:
+            s_t, y_t = tangent(s_i, theta_new), tangent(y_i, theta_new)
+            sy = _inner(s_t, y_t)
+            if sy > 1e-300:
+                memory.append((s_t, y_t, 1.0 / sy))
+        s_vec = tangent(s * direction, theta_new)
+        y_vec = tangent(riem, theta_new) - riem_new  # negated-objective gap
+        sy = _inner(s_vec, y_vec)
+        s_norm = float(np.sqrt(_inner(s_vec, s_vec)))
+        y_norm = float(np.sqrt(_inner(y_vec, y_vec)))
+        if sy > 1e-12 * s_norm * y_norm:
+            memory.append((s_vec, y_vec, 1.0 / sy))
+            if len(memory) > self.size:
+                memory.pop(0)
+        self.memory = memory
+
+
+def _ascend(realizations, arch, cfg, iterate_callback, initial_theta, rule) -> OptimizerResult:
+    """Riemannian line-search ascent on the channel-gain objective.
+
+    ``rule(feas, cfg)`` builds the direction rule: ``propose(riem, gnorm)``
+    returns (direction, slope, trial step) and ``accepted(...)`` updates the
+    rule after each step.  Every step is an Armijo backtracking search with
+    polar retraction, so the trace is monotone.  Stops at a numerically
+    stationary point, on a line-search stall, on a two-iteration objective
+    plateau, or at the iteration cap; ``converged`` reports whether the
+    final gradient passed the stationarity test.
+    """
+    start = time.perf_counter()
+    problem = _GainProblem(realizations)
+    feas = _Feasible(arch, problem.stack.num_elements)
+    rule = rule(feas, cfg)
+    theta = _start(feas, cfg, initial_theta, iterate_callback)
+    f, grad = problem.value_and_grad(theta)
+    riem = feas.tangent(grad, theta)
+    trace = [f]
+    converged = False
+    iterations = 0
+    flat_streak = 0  # a single small change may be a bad step, two in a row is a plateau
+    for iterations in range(1, cfg.max_iterations + 1):
+        gnorm = float(np.sqrt(_inner(riem, riem)))
+        if gnorm <= 1e-12 * max(abs(f), 1e-300):  # numerically stationary
+            converged = True
+            break
+        direction, slope, step0 = rule.propose(riem, gnorm)
+        theta_new, f_new, s = _armijo_search(feas, problem.value, theta, direction, slope, f, step0)
+        if theta_new is None:  # stall: the step is effectively zero
+            converged = gnorm <= STATIONARITY_TOLERANCE * max(abs(f), 1e-300)
+            break
+        if iterate_callback:
+            iterate_callback(theta_new)
+        rel_change = abs(f_new - f) / max(abs(f), 1e-300)
+        f, grad = problem.value_and_grad(theta_new)
+        trace.append(f)
+        riem_new = feas.tangent(grad, theta_new)
+        rule.accepted(theta, theta_new, riem, riem_new, direction, s)
+        theta, riem = theta_new, riem_new
+        flat_streak = flat_streak + 1 if rel_change < cfg.objective_tolerance else 0
+        if flat_streak >= 2:
+            converged = float(np.sqrt(_inner(riem, riem))) <= STATIONARITY_TOLERANCE * max(abs(f), 1e-300)
+            break
+    return OptimizerResult(theta, trace, time.perf_counter() - start, iterations, converged)
 
 
 def ao_manifold(
@@ -228,79 +377,10 @@ def ao_manifold(
 
     Steps along the Riemannian gradient with polar (per-block) retraction;
     the trial step uses the Barzilai-Borwein curvature estimate from the
-    last accepted move and an Armijo backtracking safeguard, so the trace is
-    monotone.  Stops on a two-iteration objective plateau, a line-search
-    stall, or the iteration cap; ``converged`` reports whether the final
-    gradient passed the stationarity test.
+    last accepted move.  The Armijo safeguard and the stopping rules are
+    ``_ascend``'s.
     """
-    start = time.perf_counter()
-    problem = _GainProblem(realizations)
-    feas = _Feasible(arch, problem.stack.num_elements)
-    if initial_theta is None:
-        theta = feas.random_point(np.random.default_rng(cfg.seed))
-    else:
-        theta = feas.project(np.asarray(initial_theta, dtype=complex))
-    if iterate_callback:
-        iterate_callback(theta)
-    f, grad = problem.value_and_grad(theta)
-    trace = [f]
-    converged = False
-    iterations = 0
-    prev_move = None  # (delta_theta, riem_old) of the last accepted step
-    step = None
-    flat_streak = 0  # a single small change may be a bad step, two in a row is a plateau
-    for iterations in range(1, cfg.max_iterations + 1):
-        riem = feas.tangent(grad, theta)
-        gnorm = float(np.sqrt(_inner(riem, riem)))
-        if gnorm <= 1e-12 * max(abs(f), 1e-300):  # numerically stationary
-            converged = True
-            break
-        if prev_move is not None:
-            delta_theta, riem_old = prev_move
-            denom = -_inner(delta_theta, riem - riem_old)
-            ss = _inner(delta_theta, delta_theta)
-            step = ss / denom if denom > 0 else (2.0 * step if step else None)
-        if step is None:
-            step = cfg.initial_step / max(gnorm, 1e-300)
-        step = min(step, 2.0 * np.sqrt(feas.n) / gnorm)
-        slope = 2.0 * gnorm * gnorm  # df/ds along the unnormalized gradient
-        theta_new, f_new, s = _armijo_search(
-            feas, problem.value, theta, riem, slope, f, step, cfg
-        )
-        if theta_new is None:  # stall: the step is effectively zero
-            converged = gnorm <= cfg.stationarity_tolerance * max(abs(f), 1e-300)
-            break
-        prev_move = (theta_new - theta, riem)
-        theta = theta_new
-        step = s
-        if iterate_callback:
-            iterate_callback(theta)
-        rel_change = abs(f_new - f) / max(abs(f), 1e-300)
-        f, grad = problem.value_and_grad(theta)
-        trace.append(f)
-        flat_streak = flat_streak + 1 if rel_change < cfg.objective_tolerance else 0
-        if flat_streak >= 2:
-            resid = feas.tangent(grad, theta)
-            converged = (
-                float(np.sqrt(_inner(resid, resid)))
-                <= cfg.stationarity_tolerance * max(abs(f), 1e-300)
-            )
-            break
-    return _finish(theta, trace, start, iterations, converged)
-
-
-def _two_loop(gradient, memory, scale):
-    q = gradient.copy()
-    alphas = []
-    for s, y, rho in reversed(memory):
-        a = rho * _inner(s, q)
-        alphas.append(a)
-        q -= a * y
-    q *= scale
-    for (s, y, rho), a in zip(memory, reversed(alphas)):
-        b = rho * _inner(y, q)
-        q += (a - b) * s
-    return q
+    return _ascend(realizations, arch, cfg, iterate_callback, initial_theta, _BarzilaiBorwein)
 
 
 def qnm_manifold(
@@ -312,89 +392,10 @@ def qnm_manifold(
 ) -> OptimizerResult:
     """Limited-memory quasi-Newton ascent on the channel-gain objective.
 
-    Internally a textbook two-loop recursion on the negated objective, with
-    curvature pairs living in the tangent space.  After every accepted step
-    the whole memory is transported to the new tangent space by projection,
-    the extra per-iteration cost that dominates at large N.  Falls back to
-    steepest ascent whenever the quasi-Newton direction fails the ascent
-    test; shares the Armijo safeguard and stopping rules with ``ao_manifold``.
+    Keeps up to ``cfg.lbfgs_memory`` curvature pairs (``_LimitedMemoryBfgs``);
+    the Armijo safeguard and the stopping rules are ``_ascend``'s, as for AO.
     """
-    start = time.perf_counter()
-    problem = _GainProblem(realizations)
-    feas = _Feasible(arch, problem.stack.num_elements)
-    if initial_theta is None:
-        theta = feas.random_point(np.random.default_rng(cfg.seed))
-    else:
-        theta = feas.project(np.asarray(initial_theta, dtype=complex))
-    if iterate_callback:
-        iterate_callback(theta)
-    f, grad = problem.value_and_grad(theta)
-    trace = [f]
-    memory: list[tuple[np.ndarray, np.ndarray, float]] = []
-    converged = False
-    iterations = 0
-    fallback_step = cfg.initial_step
-    step_cap = 2.0 * np.sqrt(feas.n)
-    flat_streak = 0
-    for iterations in range(1, cfg.max_iterations + 1):
-        riem = feas.tangent(grad, theta)
-        gnorm = float(np.sqrt(_inner(riem, riem)))
-        if gnorm <= 1e-12 * max(abs(f), 1e-300):  # numerically stationary
-            converged = True
-            break
-        used_fallback = True
-        direction = riem / gnorm
-        step0 = fallback_step
-        if memory:
-            s_last, y_last, _ = memory[-1]
-            scale = _inner(s_last, y_last) / max(_inner(y_last, y_last), 1e-300)
-            candidate = -_two_loop(-riem, memory, scale)
-            if _inner(candidate, riem) > 0.0:  # ascent direction for f
-                direction = candidate
-                step0 = 1.0
-                used_fallback = False
-        slope = 2.0 * _inner(riem, direction)
-        theta_new, f_new, s = _armijo_search(
-            feas, problem.value, theta, direction, slope, f, step0, cfg
-        )
-        if theta_new is None:
-            converged = gnorm <= cfg.stationarity_tolerance * max(abs(f), 1e-300)
-            break
-        if iterate_callback:
-            iterate_callback(theta_new)
-        rel_change = abs(f_new - f) / max(abs(f), 1e-300)
-        f, grad = problem.value_and_grad(theta_new)
-        trace.append(f)
-        if used_fallback:
-            fallback_step = min(max(2.0 * s, 1e-12), step_cap)
-        # transport the memory into the new tangent space, refresh curvatures
-        transported = []
-        for s_i, y_i, _ in memory:
-            s_t = feas.tangent(s_i, theta_new)
-            y_t = feas.tangent(y_i, theta_new)
-            sy = _inner(s_t, y_t)
-            if sy > 1e-300:
-                transported.append((s_t, y_t, 1.0 / sy))
-        memory = transported
-        riem_new = feas.tangent(grad, theta_new)
-        s_vec = feas.tangent(s * direction, theta_new)
-        y_vec = feas.tangent(riem, theta_new) - riem_new  # negated-objective gap
-        sy = _inner(s_vec, y_vec)
-        s_norm = float(np.sqrt(_inner(s_vec, s_vec)))
-        y_norm = float(np.sqrt(_inner(y_vec, y_vec)))
-        if sy > 1e-12 * s_norm * y_norm:
-            memory.append((s_vec, y_vec, 1.0 / sy))
-            if len(memory) > cfg.lbfgs_memory:
-                memory.pop(0)
-        theta = theta_new
-        flat_streak = flat_streak + 1 if rel_change < cfg.objective_tolerance else 0
-        if flat_streak >= 2:
-            converged = (
-                float(np.sqrt(_inner(riem_new, riem_new)))
-                <= cfg.stationarity_tolerance * max(abs(f), 1e-300)
-            )
-            break
-    return _finish(theta, trace, start, iterations, converged)
+    return _ascend(realizations, arch, cfg, iterate_callback, initial_theta, _LimitedMemoryBfgs)
 
 
 def _rzf_precoder_batch(h_stack: np.ndarray, rho: float) -> np.ndarray:
@@ -538,7 +539,7 @@ def _surrogate_cg(surrogate, w_stack, theta0, max_steps):
     return x
 
 
-def _surrogate_inner_update(surrogate, w_stack, theta, feas, g_start, cfg):
+def _surrogate_inner_update(surrogate, w_stack, theta, feas, g_start):
     """One feasible surrogate-ascent move: CG jump, projected, with damping.
 
     The projected full jump is tried first; if it regresses, the move toward
@@ -546,7 +547,7 @@ def _surrogate_inner_update(surrogate, w_stack, theta, feas, g_start, cfg):
     region on the manifold scale).  With no improving length left the point
     is a fixed point of this outer stage and ``theta`` returns unchanged.
     """
-    target = _surrogate_cg(surrogate, w_stack, theta, cfg.fp_inner_theta_steps)
+    target = _surrogate_cg(surrogate, w_stack, theta, FP_INNER_THETA_STEPS)
     if not np.all(np.isfinite(target.view(float))):
         return theta, g_start
     delta = target - theta
@@ -580,7 +581,7 @@ def fp_sum_rate(
     would lower the rate, (ii) recomputes the closed-form SINR and
     quadratic-transform auxiliaries, at which point the surrogate touches
     the true precoder-fixed sum rate, and (iii) maximizes the concave
-    quadratic surrogate: up to ``fp_inner_theta_steps`` conjugate-gradient
+    quadratic surrogate: up to ``FP_INNER_THETA_STEPS`` conjugate-gradient
     steps followed by one feasibility projection, retried at shorter step
     lengths when the projection regresses.  Moves are only adopted when they
     do not lower the rate, so the recorded outer trace is non-decreasing.
@@ -589,15 +590,13 @@ def fp_sum_rate(
     stack = ChannelStack(realizations)
     rho = 10.0 ** (stack.tx_snr_db / 10.0)
     feas = _Feasible(arch, stack.num_elements)
-    if initial_theta is None:
-        # warm start from the one-shot cross-term alignment: the alternation
-        # is monotone from any start but random starts fall into noticeably
-        # weaker fixed points at case-study SNR scales
-        theta, _ = _align_cross_term(stack, feas, np.random.default_rng(cfg.seed))
-    else:
-        theta = feas.project(np.asarray(initial_theta, dtype=complex))
-    if iterate_callback:
-        iterate_callback(theta)
+    # warm start from the one-shot cross-term alignment: the alternation
+    # is monotone from any start but random starts fall into noticeably
+    # weaker fixed points at case-study SNR scales
+    theta = _start(
+        feas, cfg, initial_theta, iterate_callback,
+        warm=lambda: _align_cross_term(stack, feas, np.random.default_rng(cfg.seed))[0],
+    )
     surrogate = _SumRateSurrogate(stack, rho)
     precoders = _rzf_precoder_batch(effective_channel_matrix(stack, theta), rho)
     rate = _rates_from_cross(_cross_products(stack, theta, precoders), rho)
@@ -612,7 +611,7 @@ def fp_sum_rate(
             precoders, rate = fresh, fresh_rate
         surrogate.refresh(theta, precoders)
         g_start = surrogate.value(theta, precoders)
-        candidate, _ = _surrogate_inner_update(surrogate, precoders, theta, feas, g_start, cfg)
+        candidate, _ = _surrogate_inner_update(surrogate, precoders, theta, feas, g_start)
         cand_rate = _rates_from_cross(_cross_products(stack, candidate, precoders), rho)
         if cand_rate >= rate:
             theta = candidate
@@ -625,7 +624,7 @@ def fp_sum_rate(
         if rel_change < cfg.objective_tolerance:
             converged = True
             break
-    return _finish(theta, trace, start, iterations, converged)
+    return OptimizerResult(theta, trace, time.perf_counter() - start, iterations, converged)
 
 
 ALGORITHMS = {

@@ -92,6 +92,16 @@ class TestValidate:
         with pytest.raises(DimensionMismatch):
             validate(np.ones((2, 3)), BdRisArchitecture.fully_connected())
 
+    def test_non_finite_entries_are_violations(self):
+        full = validate(np.full((4, 4), np.nan), BdRisArchitecture.fully_connected())
+        assert not full.valid and "16 non-finite entries" in full.violations
+        phases = np.diag(np.exp(1j * np.array([0.3, 1.1, -0.4, 2.0])))
+        phases[2, 2] = np.nan
+        diag = validate(phases, BdRisArchitecture.diagonal())
+        assert diag.violations == ("1 non-finite entries",)
+        phases[2, 2] = np.inf
+        assert not validate(phases, BdRisArchitecture.diagonal()).valid
+
 
 # diagonal, equal groups, unequal groups, and unequal groups through a permutation
 STRUCTURES = [
@@ -160,6 +170,22 @@ class TestHybrid:
     def test_plain_matrix_is_not_a_hybrid(self):
         report = validate(np.eye(3), BdRisArchitecture.hybrid())
         assert not report.valid
+
+    def test_non_finite_pair_rejected(self):
+        u = random_unitary(3, np.random.default_rng(6)).entries
+        with pytest.raises(InvalidInput, match="non-finite"):
+            HybridMatrices(np.full((3, 3), np.nan), u)
+        with pytest.raises(InvalidInput, match="non-finite"):
+            HybridMatrices(u, np.full((3, 3), np.nan))
+
+    def test_validate_flags_non_finite_pair(self):
+        # built around the constructor's check, as a pair mutated after construction would be
+        u = random_unitary(3, np.random.default_rng(7)).entries
+        pair = object.__new__(HybridMatrices)
+        object.__setattr__(pair, "reflect", np.full((3, 3), np.nan + 0j))
+        object.__setattr__(pair, "transmit", u)
+        report = validate(pair, BdRisArchitecture.hybrid())
+        assert report.violations == ("9 non-finite entries",)
 
 
 class TestEffectiveChannel:

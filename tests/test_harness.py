@@ -5,7 +5,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from bdris.channel import ScenarioConfig
+from bdris.architectures import BdRisArchitecture
+from bdris.channel import ScenarioConfig, scenario_realizations
 from bdris.cli import main as cli_main
 from bdris.errors import ConfigError
 from bdris.harness import (
@@ -17,6 +18,7 @@ from bdris.harness import (
     run_power_comparison,
     validate_config,
 )
+from bdris.optim import ALGORITHMS
 
 POWER_CFG = """\
 experiment = power-comparison
@@ -184,6 +186,49 @@ class TestConfigKeys:
         a = parse_config_text("experiment = qml-beam\n")
         b = parse_config_text("experiment = qml-beam\n")
         assert a.scenario.geometry.bs_position is not b.scenario.geometry.bs_position
+
+
+# line-search and stopping settings that became module constants of bdris.optim
+REMOVED_OPTIMIZER_KEYS = [
+    "armijo_c = 0.001",
+    "backtrack_factor = 0.25",
+    "max_backtracks = 10",
+    "initial_step = 2.0",
+    "stationarity_tolerance = 0.001",
+    "fp_inner_theta_steps = 5",
+]
+# a value for every [optimizer] key that a small solve must notice
+CHANGED_OPTIMIZER_VALUES = {"max_iterations": 3, "objective_tolerance": 1e-2, "lbfgs_memory": 1}
+
+
+class TestOptimizerKeys:
+    @pytest.mark.parametrize(
+        "line", REMOVED_OPTIMIZER_KEYS, ids=[line.split(" = ")[0] for line in REMOVED_OPTIMIZER_KEYS]
+    )
+    def test_removed_key_is_config_fault(self, tmp_path, capsys, line):
+        key = line.split(" = ")[0]
+        text = f"experiment = beamforming-bench\n[optimizer]\n{line}\n"
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            parse_config_text(text)
+        path = tmp_path / "exp.cfg"
+        path.write_text(text)
+        assert cli_main(["run", "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith("error: config:")
+
+    def test_every_key_changes_a_solve(self):
+        """A key that no solver reads is dead: changing it must move some solver's output."""
+        assert set(CHANGED_OPTIMIZER_VALUES) == set(_SECTIONS["optimizer"][2])
+        reals = scenario_realizations(ScenarioConfig(), 8, np.random.default_rng(11))
+
+        def outputs(section_text):
+            cfg = parse_config_text(f"experiment = beamforming-bench\nseed = 12\n[optimizer]\n{section_text}")
+            run_cfg = dataclasses.replace(cfg.optimizer, seed=cfg.seed)
+            results = [ALGORITHMS[a](reals, BdRisArchitecture.fully_connected(), run_cfg) for a in ("fp", "ao", "qnm")]
+            return [(r.theta.tobytes(), r.objective_trace, r.iterations) for r in results]
+
+        default = outputs("")
+        for key, value in CHANGED_OPTIMIZER_VALUES.items():
+            assert outputs(f"{key} = {value!r}\n") != default, key
 
 
 class TestPowerComparison:

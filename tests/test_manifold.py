@@ -342,6 +342,14 @@ class TestTypeInvariants:
         with pytest.raises(InvalidInput):
             UnitaryMatrix(np.ones((2, 2)))
 
+    def test_unitary_wrapper_rejects_non_finite(self):
+        with pytest.raises(InvalidInput, match="non-finite"):
+            UnitaryMatrix(np.full((4, 4), np.nan))
+        eye = np.eye(3, dtype=complex)
+        eye[1, 1] = np.inf
+        with pytest.raises(InvalidInput, match="non-finite"):
+            UnitaryMatrix(eye)
+
     def test_normal_direction_projects_to_zero(self):
         """A direction base * H, H Hermitian on the blocks, is not tangent: it projects to 0."""
         rng = np.random.default_rng(61)

@@ -459,8 +459,6 @@ class TestOptimizerConfig:
         with pytest.raises(InvalidInput):
             OptimizerConfig(max_iterations=0)
         with pytest.raises(InvalidInput):
-            OptimizerConfig(backtrack_factor=1.0)
-        with pytest.raises(InvalidInput):
             OptimizerConfig(objective_tolerance=0.0)
 
 
@@ -574,23 +572,67 @@ class TestQnmMemoryTransport:
         ids=["diag", "groups", "full"],
     )
     def test_full_memory_is_transported_every_iteration(self, arch, monkeypatch):
-        """Each iteration with a full memory re-projects all of it: >= 2 * memory tangents."""
+        """Each iteration re-projects the whole memory: 2 * (pairs held) + 3 tangents.
+
+        The transport re-projects both vectors of every pair; the other three
+        are the new gradient (projected once, shared by the line search loop
+        and the rule), the step and the old gradient.
+        """
         memory = 3
-        calls = [0]
+        calls, sizes = [0], []
         tangent = optim._Feasible.tangent
+        accepted = optim._LimitedMemoryBfgs.accepted
 
         def counting(self, grad, theta):
             calls[0] += 1
             return tangent(self, grad, theta)
 
+        def recording(self, *args):
+            sizes.append(len(self.memory))
+            return accepted(self, *args)
+
         monkeypatch.setattr(optim._Feasible, "tangent", counting)
+        monkeypatch.setattr(optim._LimitedMemoryBfgs, "accepted", recording)
         marks = []
         reals = unit_instance(np.random.default_rng(65), l=2, m=2, n=8, snapshots=2)
         cfg = OptimizerConfig(seed=66, max_iterations=12, lbfgs_memory=memory, objective_tolerance=1e-12)
         result = qnm_manifold(reals, arch, cfg, iterate_callback=lambda _: marks.append(calls[0]))
         assert result.iterations >= memory + 4
-        # callback i + 1 fires inside iteration i; the gap to the next one spans
-        # iteration i's transport and the start of iteration i + 1
-        per_iteration = np.diff(marks)[memory + 1 :]
-        assert per_iteration.size >= 2
-        assert np.all(per_iteration >= 2 * memory)
+        # callback i + 1 fires inside iteration i, after its line search; the
+        # gap to the next one is iteration i's new gradient and transport
+        gaps = np.diff(marks)[1:]
+        held = np.array(sizes[: gaps.size])
+        assert np.array_equal(gaps, 2 * held + 3)
+        assert np.count_nonzero(held == memory) >= 2
+        assert np.all(gaps[held == memory] == 2 * memory + 3)
+
+
+class TestInitialTheta:
+    """A given start is projected onto the surface; a misfit one raises a typed error."""
+
+    ARCHS = [DIAG, BdRisArchitecture.group_connected(BlockStructure((4, 4))), FULL]
+    ARCH_IDS = ["diag", "groups", "full"]
+    SOLVERS = [ao_manifold, qnm_manifold, fp_sum_rate]
+    SOLVER_IDS = ["ao", "qnm", "fp"]
+
+    @pytest.mark.parametrize("arch", ARCHS, ids=ARCH_IDS)
+    @pytest.mark.parametrize("solver", SOLVERS, ids=SOLVER_IDS)
+    @pytest.mark.parametrize(
+        "start,error",
+        [(np.eye(4), DimensionMismatch), (np.eye(12), DimensionMismatch), (np.full((8, 8), np.nan), InvalidInput)],
+        ids=["smaller", "larger", "nan"],
+    )
+    def test_misfit_start_raises_typed_error(self, solver, arch, start, error):
+        reals = unit_instance(np.random.default_rng(70), n=8)
+        with pytest.raises(error):
+            solver(reals, arch, OptimizerConfig(seed=71, max_iterations=2), initial_theta=start)
+
+    @pytest.mark.parametrize("arch", ARCHS, ids=ARCH_IDS)
+    @pytest.mark.parametrize("solver", SOLVERS, ids=SOLVER_IDS)
+    def test_first_iterate_is_projected_start(self, solver, arch):
+        rng = np.random.default_rng(72)
+        reals = unit_instance(rng, n=8)
+        m = random_complex(rng, 8, 8)
+        starts = []
+        solver(reals, arch, OptimizerConfig(seed=73, max_iterations=1), iterate_callback=starts.append, initial_theta=m)
+        assert np.array_equal(starts[0], optim._Feasible(arch, 8).project(m))
