@@ -19,7 +19,7 @@ import numpy as np
 
 from .channel import ChannelRealization, ChannelStack
 from .errors import DimensionMismatch, InvalidInput, ZeroChannel
-from .manifold import BlockStructure, UnitaryMatrix, unitarity_defect
+from .manifold import BlockStructure, UnitaryMatrix, aligned_unitary, unitarity_defect
 
 STRUCT_TOL = 1e-10
 
@@ -42,7 +42,7 @@ class BdRisArchitecture:
     pairing: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if self.kind is ArchitectureKind.GROUP_CONNECTED and self.structure is None:
+        if self.kind is ArchitectureKind.GROUP_CONNECTED and not isinstance(self.structure, BlockStructure):
             raise InvalidInput("group-connected architecture needs a BlockStructure")
         if self.kind is ArchitectureKind.NON_DIAGONAL_PAIRED:
             if self.pairing is None:
@@ -52,11 +52,12 @@ class BdRisArchitecture:
                 raise InvalidInput("pairing must be a bijection of range(N)")
             object.__setattr__(self, "pairing", perm)
 
-    def unitary_blocks(self, n: int) -> BlockStructure | None:
-        """The blocks that must be unitary at dimension n; None is one full N x N block.
+    def unitary_blocks(self, n: int) -> BlockStructure:
+        """The blocks that must be unitary at dimension n.
 
-        Only the diagonal, group- and fully-connected circuits are block
-        unitary; the others raise InvalidInput.
+        N 1 x 1 blocks for the diagonal circuit, the group structure for the
+        group-connected one and one N x N block for the fully-connected one;
+        the other kinds are not block unitary and raise InvalidInput.
         """
         if self.kind is ArchitectureKind.DIAGONAL:
             return BlockStructure((1,) * n)
@@ -65,7 +66,7 @@ class BdRisArchitecture:
                 raise DimensionMismatch("block structure does not fit the matrix dimension")
             return self.structure
         if self.kind is ArchitectureKind.FULLY_CONNECTED:
-            return None
+            return BlockStructure((n,))
         raise InvalidInput(f"{self.kind.value} is not a block-unitary architecture")
 
     @staticmethod
@@ -143,10 +144,7 @@ def _support_mask(arch: BdRisArchitecture, n: int) -> np.ndarray:
             raise DimensionMismatch("pairing does not fit the matrix dimension")
         mask[list(arch.pairing), range(n)] = True
         return mask
-    structure = arch.unitary_blocks(n) or BlockStructure((n,))
-    for g in structure.gather:
-        mask[g.rows, g.cols] = True
-    return mask
+    return arch.unitary_blocks(n).map_blocks(np.ones_like, mask)
 
 
 def _finite(m: np.ndarray, violations: list[str]) -> bool:
@@ -237,37 +235,12 @@ def optimal_diagonal_single_tag(b: np.ndarray, c: np.ndarray) -> tuple[UnitaryMa
     return theta, amplitude
 
 
-def orthonormal_completion(first_column: np.ndarray) -> np.ndarray:
-    """Unitary matrix whose first column is the given unit vector.
-
-    Remaining columns come from Gram-Schmidt over the canonical basis in
-    index order (skipping the one vector absorbed by the span), so the
-    completion is deterministic.
-    """
-    v = np.asarray(first_column, dtype=complex).reshape(-1)
-    n = v.shape[0]
-    cols = [v / np.linalg.norm(v)]
-    for k in range(n):
-        if len(cols) == n:
-            break
-        r = np.zeros(n, dtype=complex)
-        r[k] = 1.0
-        for _ in range(2):  # re-orthogonalize for numerical safety
-            for col in cols:
-                r = r - np.vdot(col, r) * col
-        norm = np.linalg.norm(r)
-        if norm > 1e-7:
-            cols.append(r / norm)
-    if len(cols) != n:
-        raise InvalidInput("failed to complete an orthonormal basis")
-    return np.stack(cols, axis=1)
-
-
 def optimal_fully_connected_single_tag(b: np.ndarray, c: np.ndarray) -> tuple[UnitaryMatrix, float]:
     """Best unitary configuration for a single hop: rotate c onto b.
 
-    Achieves the Cauchy-Schwarz bound |b†Θc| = ||b|| ||c||, which no unitary
-    can exceed; always at least as large as the diagonal optimum.
+    The aligned unitary of the rank-one b c† maps c / ||c|| to b / ||b||, so
+    it achieves the Cauchy-Schwarz bound |b†Θc| = ||b|| ||c||, which no
+    unitary can exceed; always at least as large as the diagonal optimum.
     """
     b = np.asarray(b, dtype=complex).reshape(-1)
     c = np.asarray(c, dtype=complex).reshape(-1)
@@ -276,7 +249,5 @@ def optimal_fully_connected_single_tag(b: np.ndarray, c: np.ndarray) -> tuple[Un
     nb, nc = np.linalg.norm(b), np.linalg.norm(c)
     if nb == 0.0 or nc == 0.0:
         raise ZeroChannel("single-tag optimum undefined for a zero channel")
-    u = orthonormal_completion(b / nb)
-    v = orthonormal_completion(c / nc)
-    theta = UnitaryMatrix(u @ v.conj().T)
-    return theta, float(nb * nc)
+    theta, _ = aligned_unitary(np.outer(b, np.conj(c)), BlockStructure((b.shape[0],)))
+    return UnitaryMatrix(theta), float(nb * nc)

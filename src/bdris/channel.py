@@ -73,7 +73,6 @@ class NetworkGeometry:
     ris_position: np.ndarray = field(default_factory=lambda: np.array([100.0, 0.0, 0.0]))
     device_area: Rectangle = field(default_factory=_default_area)
     bs_ris_distance_m: float = 100.0
-    carrier_hz: float = 2.4e9
 
     def __post_init__(self):
         bs = np.asarray(self.bs_position, dtype=float)

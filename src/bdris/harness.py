@@ -32,7 +32,6 @@ from .manifold import random_unitary
 from .optim import ALGORITHMS, BENCHMARK_COLUMNS, OptimizerConfig, benchmark
 from .qml import (
     MAX_QUBITS,
-    TRACE_COLUMNS,
     confusion_csv_rows,
     confusion_matrix,
     dataset_csv_rows,
@@ -169,7 +168,6 @@ _CHANNEL_PATHS = {
     "ris_y": ("geometry", "ris_position", 1),
     "ris_z": ("geometry", "ris_position", 2),
     "bs_ris_distance_m": ("geometry", "bs_ris_distance_m"),
-    "carrier_hz": ("geometry", "carrier_hz"),
     "area_x_min": ("geometry", "device_area", "x_min"),
     "area_x_max": ("geometry", "device_area", "x_max"),
     "area_y_min": ("geometry", "device_area", "y_min"),
@@ -470,18 +468,15 @@ def run_qml_beam(cfg: ExperimentConfig) -> dict:
 # --------------------------------------------------------------------------
 # files and orchestration
 
+# schema.txt is the results header, a blank line, then these notes
 _SCHEMA_NOTES = {
     "power-comparison": [
-        POWER_HEADER,
-        "",
         "results.csv: one row per (N, ris_type, trial); received_power_dbm is",
         "the tag's backscatter illumination under the closed-form optimal",
         "surface configuration of that type.",
         "plotspec.csv: figure,series,x,y with per-(series, N) mean powers.",
     ],
     "beamforming-bench": [
-        ",".join(BENCHMARK_COLUMNS),
-        "",
         "results.csv: one row per (algorithm, N, trial).  sum_rate_bps_hz is",
         "the snapshot-averaged downlink sum rate of the returned matrix; the",
         "per-device rate is sum_rate divided by the device count (also in",
@@ -491,8 +486,6 @@ _SCHEMA_NOTES = {
         "summary.txt: ordinal pass/fail checks and per-device rates.",
     ],
     "qml-beam": [
-        ",".join(TRACE_COLUMNS),
-        "",
         "results.csv: one row per (epoch, split) with cross-entropy (nats)",
         "and distance accuracies at delta 0/1/2.",
         "confusion.csv: num_beams x num_beams counts, true beams as rows,",
@@ -501,14 +494,6 @@ _SCHEMA_NOTES = {
         "plotspec.csv: figure,series,x,y across epochs per split.",
     ],
 }
-
-
-def _schema_text(cfg: ExperimentConfig, no_timing: bool) -> str:
-    lines = list(_SCHEMA_NOTES[cfg.experiment])
-    if cfg.experiment == "beamforming-bench" and no_timing:
-        columns = [c for c in BENCHMARK_COLUMNS if c != "wall_time_s"]
-        lines[0] = ",".join(columns)
-    return "\n".join(lines) + "\n"
 
 
 def _write(path: Path, lines_or_text) -> None:
@@ -558,7 +543,7 @@ def run(
         if key in outputs:
             _write(out / name, outputs[key])
             written.append(out / name)
-    _write(out / "schema.txt", _schema_text(cfg, no_timing))
+    _write(out / "schema.txt", [outputs["results"][0], ""] + _SCHEMA_NOTES[cfg.experiment])
     _write(out / "config.resolved", resolved_config_text(cfg))
     manifest = [
         f"tool: bdris {__version__}",

@@ -119,8 +119,12 @@ class BlockStructure:
         """Apply ``fn`` to the (G, k, k) block stacks of each size; zero elsewhere.
 
         ``fn`` receives one stack per input matrix and returns a stack of the
-        same shape, which is scattered into the blocks of a zero matrix.
+        same shape, which is scattered into the blocks of a zero matrix.  One
+        in-order block covering every port is the whole matrix: ``fn`` gets
+        the N x N matrices themselves.
         """
+        if self.group_sizes == (self.dimension,) and self.permutation is None:
+            return fn(*matrices)
         out = np.zeros_like(matrices[0])
         for g in self.gather:
             out[g.rows, g.cols] = fn(*(m[g.rows, g.cols] for m in matrices))
@@ -141,6 +145,28 @@ def polar_factor(matrix: np.ndarray) -> np.ndarray:
     if np.min(s) <= RANK_TOL:
         raise RankDeficient(f"smallest singular value {np.min(s):.3e} <= {RANK_TOL:.0e}")
     return u @ vh
+
+
+def aligned_unitary(matrix: np.ndarray, structure: BlockStructure) -> tuple[np.ndarray, np.ndarray]:
+    """Block-unitary maximizer of Re tr(Theta† M) and the ids of degenerate blocks.
+
+    Per block the maximizer is the SVD factor UV† of M's block (orthogonal
+    Procrustes).  Zero singular directions do not change the maximum, so a
+    rank-deficient block keeps its SVD factor; a block whose singular values
+    are all zero attains it at every unitary.  Returns the matrix and the
+    ascending ids (positions in ``structure.block_indices()``) of those
+    fully degenerate blocks, which keep the SVD's arbitrary factor.
+    """
+    degenerate = []
+
+    def factor(stack):
+        u, s, vh = np.linalg.svd(stack)
+        degenerate.append(np.max(s, axis=-1) <= 1e-300)
+        return u @ vh
+
+    theta = structure.map_blocks(factor, np.asarray(matrix, dtype=complex))
+    ids = [g.block_ids[np.reshape(flags, -1)] for g, flags in zip(structure.gather, degenerate)]
+    return theta, np.sort(np.concatenate(ids))
 
 
 def project_to_unitary(matrix: np.ndarray, tolerance: float = UNITARY_TOL) -> UnitaryMatrix:

@@ -33,7 +33,7 @@ import numpy as np
 from .architectures import BdRisArchitecture, effective_channel_matrix
 from .channel import ChannelRealization, ChannelStack, ScenarioConfig, scenario_realizations
 from .errors import DimensionMismatch, InvalidInput, RankDeficient, RankDeficientWarning
-from .manifold import BlockStructure, polar_factor, random_unitary, skew_part
+from .manifold import aligned_unitary, polar_factor, random_unitary, skew_part
 from .seeding import derive_seed, derived_rng
 
 LOG2 = float(np.log(2.0))
@@ -81,25 +81,19 @@ def _tangent(theta: np.ndarray, grad: np.ndarray) -> np.ndarray:
 class _Feasible:
     """Projection / tangent machinery for one architecture at dimension N.
 
-    Block architectures work on the (G, k, k) block stacks of
-    ``BlockStructure.gather``, one batched call per block size; the
-    fully-connected set (``structure`` None) is the single N x N block.
+    Every map runs through ``BlockStructure.map_blocks``: one batched call
+    per block size, and the N x N matrix itself on the fully-connected set.
     """
 
     def __init__(self, arch: BdRisArchitecture, n: int):
         self.structure = arch.unitary_blocks(n)
         self.n = n
 
-    def _blockwise(self, fn, *matrices: np.ndarray) -> np.ndarray:
-        if self.structure is None:
-            return fn(*matrices)
-        return self.structure.map_blocks(fn, *matrices)
-
     def project(self, m: np.ndarray) -> np.ndarray:
-        return self._blockwise(polar_factor, m)
+        return self.structure.map_blocks(polar_factor, m)
 
     def tangent(self, grad: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        return self._blockwise(_tangent, theta, grad)
+        return self.structure.map_blocks(_tangent, theta, grad)
 
     def random_point(self, rng: np.random.Generator) -> np.ndarray:
         # the polar factor of a complex Gaussian matrix is Haar distributed;
@@ -160,25 +154,17 @@ def _start(feas: _Feasible, cfg: OptimizerConfig, initial_theta, iterate_callbac
 def _align_cross_term(stack: ChannelStack, feas: _Feasible, rng: np.random.Generator) -> tuple[np.ndarray, bool]:
     """Feasible matrix maximizing Re tr(Theta† C) for the direct-path cross term.
 
-    C sums b a† C† over devices and snapshots; per block the maximizer is
-    the SVD factor UV†.  Zero singular directions do not affect the maximum,
-    so partial rank deficiency keeps the SVD factor; only a fully degenerate
-    block falls back to a Haar sample, drawn from ``rng`` in block order
-    (second return flags any fallback).
+    C sums b a† C† over devices and snapshots; the maximizer is its aligned
+    unitary (``manifold.aligned_unitary``).  Only a fully degenerate block
+    falls back to a Haar sample, drawn from ``rng`` in block order (second
+    return flags any fallback).
     """
     cross = np.sum(stack.ris_device_t @ np.conj(stack.direct) @ stack.bs_ris_dag, axis=0)
-    gather = (feas.structure or BlockStructure((feas.n,))).gather
-    factors, degenerate = [], []
-    for j, g in enumerate(gather):
-        u, s, vh = np.linalg.svd(cross[g.rows, g.cols])
-        factors.append(u @ vh)
-        degenerate += [(g.block_ids[i], j, i) for i in np.flatnonzero(np.max(s, axis=-1) <= 1e-300)]
-    for _, j, i in sorted(degenerate):
-        factors[j][i] = random_unitary(factors[j].shape[-1], rng).entries
-    theta = np.zeros_like(cross)
-    for g, f in zip(gather, factors):
-        theta[g.rows, g.cols] = f
-    return theta, bool(degenerate)
+    theta, degenerate = aligned_unitary(cross, feas.structure)
+    blocks = feas.structure.block_indices()
+    for i in degenerate:
+        theta[np.ix_(blocks[i], blocks[i])] = random_unitary(len(blocks[i]), rng).entries
+    return theta, bool(len(degenerate))
 
 
 def rzf_one_shot(

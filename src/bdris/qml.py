@@ -337,16 +337,19 @@ def train_hybrid(
 ) -> tuple[HybridModel, list[dict]]:
     """Full-batch gradient descent on softmax cross-entropy.
 
-    The dataset splits 80/20 into train/validation by a seeded permutation.
-    Head gradients are analytic; angle gradients use the parameter-shift
-    rule batched over the training split.  Returns the trained model and one
-    trace row per (epoch, split) with loss and distance accuracies.
+    The dataset (at least 3 samples) splits 80/20 into train/validation by
+    a seeded permutation.  Head gradients are analytic; angle gradients use
+    the parameter-shift rule batched over the training split.  Returns the
+    trained model and one trace row per (epoch, split) with loss and
+    distance accuracies.
     """
     if epochs < 1:
         raise InvalidInput("epochs must be >= 1")
     n = dataset.features.shape[0]
+    if n < 3:
+        raise InvalidInput(f"need >= 3 samples for a train/validation split, got {n}")
     order = rng.permutation(n)
-    cut = max(1, int(round(0.8 * n)))
+    cut = int(round(0.8 * n))
     train_idx, val_idx = order[:cut], order[cut:]
     x_train, y_train = dataset.features[train_idx], dataset.labels[train_idx]
     x_val, y_val = dataset.features[val_idx], dataset.labels[val_idx]

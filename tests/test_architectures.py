@@ -118,7 +118,12 @@ class TestUnitaryBlocks:
         structure = BlockStructure((2, 1, 3, 2), permutation=(7, 0, 5, 2, 4, 1, 6, 3))
         assert BdRisArchitecture.diagonal().unitary_blocks(5) == BlockStructure((1,) * 5)
         assert BdRisArchitecture.group_connected(structure).unitary_blocks(8) is structure
-        assert BdRisArchitecture.fully_connected().unitary_blocks(8) is None
+        assert BdRisArchitecture.fully_connected().unitary_blocks(8) == BlockStructure((8,))
+
+    def test_group_connected_needs_a_structure(self):
+        for structure in (None, (2, 2)):
+            with pytest.raises(InvalidInput, match="needs a BlockStructure"):
+                BdRisArchitecture(ArchitectureKind.GROUP_CONNECTED, structure=structure)
 
     def test_misfit_structure_rejected(self):
         arch = BdRisArchitecture.group_connected(BlockStructure((2, 2)))

@@ -1,6 +1,7 @@
 """Experiment runner: config grammar, determinism, schemas, CLI behavior."""
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -15,7 +16,9 @@ from bdris.harness import (
     parse_config_text,
     resolved_config_text,
     run,
+    run_beamforming_bench,
     run_power_comparison,
+    run_qml_beam,
     validate_config,
 )
 from bdris.optim import ALGORITHMS
@@ -123,6 +126,52 @@ SECTION_KEYS = [
     for section, (_, _, paths) in _SECTIONS.items()
     for key, path in paths.items()
 ]
+EXPERIMENT_KEYS = [k for k in SECTION_KEYS if k[0] in ("channel", "qml")]
+
+# a small run of each experiment: (top-level lines, {section: {key: value}})
+SMALL_RUNS = {
+    "power-comparison": ("trials = 3\nelement_counts = 2,4\ninclude_random_baseline = true\n", {}),
+    "beamforming-bench": (
+        "trials = 1\nelement_counts = 4\nalgorithms = rzf,ao\n", {"optimizer": {"max_iterations": "3"}}
+    ),
+    "qml-beam": ("", {"qml": {"num_samples": "12", "epochs": "2"}}),
+}
+
+
+def _small_run_outputs(experiment, moved_section=None, moved=()):
+    """Non-timing outputs of the small run, with the ``moved`` key = value pairs set."""
+    top, sections = SMALL_RUNS[experiment]
+    if moved_section:
+        sections = {**sections, moved_section: {**sections.get(moved_section, {}), **dict(moved)}}
+    text = f"experiment = {experiment}\n{top}" + "".join(
+        f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()) for name, keys in sections.items()
+    )
+    cfg = parse_config_text(text)
+    if experiment == "power-comparison":
+        out = run_power_comparison(cfg)
+    elif experiment == "beamforming-bench":
+        out = run_beamforming_bench(cfg, no_timing=True)
+    else:
+        out = run_qml_beam(cfg)
+    # the bench summary's cost-ordering checks read wall times
+    return {k: out[k] for k in ("results", "plotspec", "confusion", "dataset") if k in out}
+
+
+@functools.cache
+def _small_run_defaults(experiment):
+    return _small_run_outputs(experiment)
+
+
+def _assert_unknown_key(tmp_path, capsys, section, line):
+    """``line`` in ``[section]`` is a parser ConfigError and exit 1 from the CLI."""
+    key = line.split(" = ")[0]
+    text = f"experiment = beamforming-bench\n[{section}]\n{line}\n"
+    with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+        parse_config_text(text)
+    path = tmp_path / "exp.cfg"
+    path.write_text(text)
+    assert cli_main(["run", "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith("error: config:")
 
 
 class TestConfigKeys:
@@ -158,6 +207,21 @@ class TestConfigKeys:
         shown = f"{value:.17g}" if isinstance(value, float) else str(value)
         assert f"\n{key} = {shown}\n" in text
         assert resolved_config_text(parse_config_text(text)) == text
+
+    @pytest.mark.parametrize(
+        "section,key,path", EXPERIMENT_KEYS, ids=[f"{s}.{k}" for s, k, _ in EXPERIMENT_KEYS]
+    )
+    def test_key_changes_an_output(self, section, key, path):
+        """A key that no experiment reads is dead: moving it must change some non-timing output."""
+        _, _, lines = self._override_lines(section, key, path)
+        moved = [line.split(" = ") for line in lines.splitlines()]
+        assert any(
+            _small_run_outputs(experiment, section, moved) != _small_run_defaults(experiment)
+            for experiment in SMALL_RUNS
+        ), f"{section}.{key} changes no experiment's output"
+
+    def test_removed_carrier_key_is_config_fault(self, tmp_path, capsys):
+        _assert_unknown_key(tmp_path, capsys, "channel", "carrier_hz = 2400000000.0")
 
     def test_channel_keys_cover_scenario_once(self):
         paths = list(_SECTIONS["channel"][2].values())
@@ -206,14 +270,7 @@ class TestOptimizerKeys:
         "line", REMOVED_OPTIMIZER_KEYS, ids=[line.split(" = ")[0] for line in REMOVED_OPTIMIZER_KEYS]
     )
     def test_removed_key_is_config_fault(self, tmp_path, capsys, line):
-        key = line.split(" = ")[0]
-        text = f"experiment = beamforming-bench\n[optimizer]\n{line}\n"
-        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
-            parse_config_text(text)
-        path = tmp_path / "exp.cfg"
-        path.write_text(text)
-        assert cli_main(["run", "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 1
-        assert capsys.readouterr().err.startswith("error: config:")
+        _assert_unknown_key(tmp_path, capsys, "optimizer", line)
 
     def test_every_key_changes_a_solve(self):
         """A key that no solver reads is dead: changing it must move some solver's output."""
@@ -284,6 +341,7 @@ class TestRunArtifacts:
         run(cfg, no_timing=True)
         header = (tmp_path / "out" / "results.csv").read_text().splitlines()[0]
         assert "wall_time_s" not in header
+        assert header == (tmp_path / "out" / "schema.txt").read_text().splitlines()[0]
 
     def test_qml_files(self, tmp_path):
         cfg = parse_config_text(f"output_dir = {tmp_path}/out\n" + QML_CFG)

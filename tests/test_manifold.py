@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 from bdris import optim
-from bdris.architectures import BdRisArchitecture, _support_mask, validate
+from bdris.architectures import BdRisArchitecture, _support_mask, optimal_diagonal_single_tag, validate
 from bdris.errors import DimensionMismatch, InvalidInput, RankDeficient
 from bdris.manifold import (
     BlockStructure,
     UnitaryMatrix,
+    aligned_unitary,
     polar_factor,
     project_to_unitary,
     random_unitary,
@@ -335,6 +336,84 @@ class TestBlockProject:
             BlockStructure((2, 2), permutation=(0, 1, 2, 2))
         with pytest.raises(DimensionMismatch):
             optim._Feasible(BdRisArchitecture.group_connected(BlockStructure((2, 2))), 3)
+
+
+def gather_map(structure, fn, *matrices):
+    """``map_blocks`` without its whole-matrix shortcut: every size through the gathered stacks."""
+    out = np.zeros_like(matrices[0])
+    for g in structure.gather:
+        out[g.rows, g.cols] = fn(*(m[g.rows, g.cols] for m in matrices))
+    return out
+
+
+class TestMapBlocks:
+    @staticmethod
+    def shapes_seen(structure, fn, *matrices):
+        """``structure.map_blocks(fn, ...)`` and the shapes ``fn`` was handed."""
+        shapes = []
+
+        def recording(*args):
+            shapes.append(args[0].shape)
+            return fn(*args)
+
+        return structure.map_blocks(recording, *matrices), shapes
+
+    @pytest.mark.parametrize("n", [8, 32])
+    def test_one_in_order_block_equals_gather_path(self, n):
+        """The whole-matrix shortcut is bit-identical to the (1, N, N) gathered stack."""
+        rng = np.random.default_rng(71)
+        m, theta = random_complex(rng, n, n), polar_factor(random_complex(rng, n, n))
+        structure = BlockStructure((n,))
+        out, shapes = self.shapes_seen(structure, polar_factor, m)
+        assert shapes == [(n, n)] and np.array_equal(out, gather_map(structure, polar_factor, m))
+        out, shapes = self.shapes_seen(structure, optim._tangent, theta, m)
+        assert shapes == [(n, n)] and np.array_equal(out, gather_map(structure, optim._tangent, theta, m))
+
+    def test_one_permuted_block_equals_direct_polar_factor(self):
+        rng = np.random.default_rng(72)
+        m = random_complex(rng, N, N)
+        structure = BlockStructure((N,), permutation=tuple(rng.permutation(N)))
+        out, shapes = self.shapes_seen(structure, polar_factor, m)
+        assert shapes == [(1, N, N)]
+        assert np.max(np.abs(out - polar_factor(m))) <= 1e-12
+
+
+class TestAlignedUnitary:
+    @pytest.mark.parametrize("structure", STRUCTURES, ids=STRUCTURE_IDS)
+    def test_matches_per_block_svd(self, structure):
+        """SVD factor per block, with a zero block and a rank-deficient block mixed in."""
+        rng = np.random.default_rng(73)
+        m = random_complex(rng, N, N)
+        blocks = structure.block_indices()
+        zero = [0, 1] if len(blocks) > 2 else [0]  # on the unequal surfaces sizes 2 then 1
+        for i in zero:
+            m[np.ix_(blocks[i], blocks[i])] = 0.0
+        for idx in [b for i, b in enumerate(blocks) if i not in zero and len(b) > 1][:1]:
+            m[idx[0], idx] = m[idx[1], idx]
+            assert np.linalg.matrix_rank(m[np.ix_(idx, idx)]) == len(idx) - 1
+        expected, degenerate = np.zeros_like(m), []
+        for i, idx in enumerate(blocks):
+            u, s, vh = np.linalg.svd(m[np.ix_(idx, idx)])
+            expected[np.ix_(idx, idx)] = u @ vh
+            if np.max(s) <= 1e-300:
+                degenerate.append(i)
+        theta, ids = aligned_unitary(m, structure)
+        assert np.array_equal(theta, expected)
+        assert degenerate == zero and list(ids) == zero
+
+    def test_whole_matrix_maximizes_real_trace(self):
+        rng = np.random.default_rng(74)
+        m = random_complex(rng, N, N)
+        theta, ids = aligned_unitary(m, BlockStructure((N,)))
+        assert len(ids) == 0
+        assert np.real(np.trace(theta.conj().T @ m)) == pytest.approx(np.sum(np.linalg.svd(m)[1]), rel=1e-12)
+
+    def test_one_by_one_blocks_give_diagonal_single_tag_optimum(self):
+        rng = np.random.default_rng(75)
+        b, c = random_complex(rng, 64), random_complex(rng, 64)
+        theta, ids = aligned_unitary(np.outer(b, np.conj(c)), BlockStructure((1,) * 64))
+        assert len(ids) == 0
+        assert np.max(np.abs(theta - optimal_diagonal_single_tag(b, c)[0].entries)) <= 1e-14
 
 
 class TestTypeInvariants:

@@ -290,6 +290,21 @@ class TestTraining:
         linear_preds = np.argmax(x @ w, axis=1)
         assert distance_accuracy(linear_preds, data.labels, 0) >= 0.95
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_too_few_samples_for_a_split_rejected(self, n):
+        """Below 3 samples the 80/20 split leaves no validation row."""
+        data = generate_synthetic_dataset(n, 1, 0.01, np.random.default_rng(15))
+        model = init_hybrid_model(2, 1, 2, 1, np.random.default_rng(16))
+        with pytest.raises(InvalidInput, match=">= 3 samples"):
+            train_hybrid(data, model, 2, 0.5, np.random.default_rng(17))
+
+    def test_three_samples_train(self):
+        data = generate_synthetic_dataset(3, 2, 0.01, np.random.default_rng(18))
+        model = init_hybrid_model(2, 1, 2, 2, np.random.default_rng(19))
+        _, trace = train_hybrid(data, model, 2, 0.5, np.random.default_rng(20))
+        assert [r["split"] for r in trace] == ["train", "val"] * 2
+        assert all(math.isfinite(r["cross_entropy"]) for r in trace)
+
     def test_trace_row_count_and_keys(self):
         rng = np.random.default_rng(14)
         data = generate_synthetic_dataset(30, 4, 0.05, rng)

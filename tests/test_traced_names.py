@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bdris import optim
+from bdris import optim, qml
 from bdris.architectures import BdRisArchitecture
 from bdris.channel import ScenarioConfig, scenario_realizations
 from bdris.manifold import BlockStructure
@@ -72,3 +72,24 @@ def test_feasible_set_calls_through_optim_namespace(name, arch, monkeypatch):
     assert calls["polar_factor"] > 0
     if name != "fp":
         assert calls["skew_part"] > 0
+
+
+def test_training_calls_logits_twice_per_epoch(monkeypatch):
+    """perfbench's EpochClock closes an epoch on every second ``bdris.qml.hybrid_logits`` call.
+
+    Each epoch must call it once on the training split, then once on the
+    validation split (told apart here by row count); any other pattern
+    makes the benchmark report the mean epoch time for every epoch.
+    """
+    rows = []
+    original = qml.hybrid_logits
+
+    def counting(model, features):
+        rows.append(len(features))
+        return original(model, features)
+
+    monkeypatch.setattr(qml, "hybrid_logits", counting)
+    data = qml.generate_synthetic_dataset(10, 2, 0.01, np.random.default_rng(5))
+    model = qml.init_hybrid_model(2, 1, 2, 2, np.random.default_rng(6))
+    qml.train_hybrid(data, model, 3, 0.5, np.random.default_rng(7))
+    assert rows == [8, 2] * 3
