@@ -414,36 +414,3 @@ def scenario_realizations(
         )
         for snapshot in snapshots
     ]
-
-
-CSV_HEADER = "link_type,device,row,col,re,im"
-
-
-def realization_csv_rows(realization: ChannelRealization) -> list[str]:
-    """Flatten a realization to CSV rows, one per complex entry.
-
-    Vector links use col = 0 and row = the antenna/element index; the
-    backbone matrix uses device = -1.  Floats carry 17 significant digits.
-    """
-    rows = [CSV_HEADER]
-
-    def fmt(value: float) -> str:
-        return f"{value:.17g}"
-
-    for link, arr, device_of in (
-        ("direct", realization.direct, lambda i: i),
-        ("ris_device", realization.ris_device, lambda i: i),
-    ):
-        for dev in range(arr.shape[0]):
-            for i, entry in enumerate(arr[dev]):
-                rows.append(f"{link},{device_of(dev)},{i},0,{fmt(entry.real)},{fmt(entry.imag)}")
-    for r in range(realization.bs_ris.shape[0]):
-        for c in range(realization.bs_ris.shape[1]):
-            entry = realization.bs_ris[r, c]
-            rows.append(f"bs_ris,-1,{r},{c},{fmt(entry.real)},{fmt(entry.imag)}")
-    return rows
-
-
-def write_realization_csv(realization: ChannelRealization, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\n".join(realization_csv_rows(realization)) + "\n")

@@ -22,9 +22,9 @@ def build_parser() -> argparse.ArgumentParser:
     runner.add_argument("--config", required=True, help="path to the experiment config")
     runner.add_argument("--seed", type=int, default=None, help="override the master seed")
     runner.add_argument("--out-dir", default=None, help="override the output directory")
-    runner.add_argument("--threads", type=int, default=1, help="trial-level worker threads")
+    runner.add_argument("--threads", type=int, default=1, help="beamforming-bench trial threads")
     runner.add_argument(
-        "--no-timing", action="store_true", help="omit wall-time columns from outputs"
+        "--no-timing", action="store_true", help="omit wall times and the cost-ordering checks from outputs"
     )
     runner.add_argument(
         "--strict", action="store_true", help="escalate optimizer non-convergence to exit 2"
@@ -50,9 +50,6 @@ def main(argv=None) -> int:
         return 1
     try:
         written = run(cfg, threads=args.threads, no_timing=args.no_timing, strict=args.strict)
-    except ConfigError as exc:
-        print(f"error: config: {exc}", file=sys.stderr)
-        return 1
     except Exception as exc:
         print(f"error: runtime: {exc}", file=sys.stderr)
         return 2

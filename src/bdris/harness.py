@@ -13,32 +13,32 @@ Three experiment shapes, all reproducible from (config, seed):
 Configs are flat ``key = value`` lines with optional ``[section]`` headers
 (sections: channel, optimizer, qml).  Unknown keys are errors; every default
 is materialized into ``config.resolved`` next to the results.
+
+Every output file format lives here, and every value in them is written by
+``csv_line``.
 """
 
 from __future__ import annotations
 
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .channel import ScenarioConfig, path_loss_linear, sample_fading
+from .channel import ChannelRealization, ScenarioConfig, path_loss_linear, sample_fading
 from .errors import ConfigError, InvalidInput
 from .manifold import random_unitary
-from .optim import ALGORITHMS, BENCHMARK_COLUMNS, OptimizerConfig, benchmark
+from .optim import ALGORITHMS, OptimizerConfig, benchmark
 from .qml import (
     MAX_QUBITS,
-    confusion_csv_rows,
+    SyntheticBeamDataset,
     confusion_matrix,
-    dataset_csv_rows,
     generate_synthetic_dataset,
     hybrid_predictions,
     init_hybrid_model,
-    trace_csv_rows,
     train_hybrid,
 )
 from .seeding import derive_seed, derived_rng
@@ -107,6 +107,66 @@ class ExperimentConfig:
 
 
 # --------------------------------------------------------------------------
+# output text
+
+def csv_line(*values) -> str:
+    """The values comma-joined: the one place a value becomes output text.
+
+    A float gets 17 significant digits, which read back as the same
+    float64; a boolean is ``true``/``false``; anything else is ``str``.
+    """
+
+    def cell(v) -> str:
+        if isinstance(v, bool):
+            return "true" if v else "false"
+        return f"{v:.17g}" if isinstance(v, float) else str(v)
+
+    return ",".join(cell(v) for v in values)
+
+
+PLOT_COLUMNS = ("figure", "series", "x", "y")
+POWER_COLUMNS = ("N", "ris_type", "trial", "received_power_dbm")
+BENCHMARK_COLUMNS = ("algorithm", "N", "trial", "sum_rate_bps_hz", "wall_time_s", "iterations", "converged")
+TRACE_COLUMNS = ("epoch", "split", "cross_entropy", "acc_delta0", "acc_delta1", "acc_delta2")
+REALIZATION_COLUMNS = ("link_type", "device", "row", "col", "re", "im")
+
+
+def _table(columns, rows) -> list[str]:
+    """A header line, then one line per row of values."""
+    return [csv_line(*columns)] + [csv_line(*row) for row in rows]
+
+
+def dataset_csv_rows(dataset: SyntheticBeamDataset) -> list[str]:
+    """Feature columns, then the beam label."""
+    header = [f"feature_{i}" for i in range(dataset.features.shape[1])] + ["label"]
+    return _table(header, ([*feat, label] for feat, label in zip(dataset.features, dataset.labels)))
+
+
+def load_dataset_csv(lines, num_beams: int) -> SyntheticBeamDataset:
+    body = [line for line in lines[1:] if line.strip()]
+    features = np.array([[float(v) for v in line.split(",")[:-1]] for line in body])
+    labels = np.array([int(line.split(",")[-1]) for line in body])
+    return SyntheticBeamDataset(features, labels, num_beams)
+
+
+def realization_csv_rows(realization: ChannelRealization) -> list[str]:
+    """One row per complex entry of a channel realization.
+
+    Vector links use col = 0 and row = the antenna/element index; the
+    backbone matrix uses device = -1.
+    """
+    rows = []
+    for link, vectors in (("direct", realization.direct), ("ris_device", realization.ris_device)):
+        rows += [(link, dev, i, 0, v.real, v.imag) for (dev, i), v in np.ndenumerate(vectors)]
+    rows += [("bs_ris", -1, r, c, v.real, v.imag) for (r, c), v in np.ndenumerate(realization.bs_ris)]
+    return _table(REALIZATION_COLUMNS, rows)
+
+
+def write_realization_csv(realization: ChannelRealization, path) -> None:
+    _write(Path(path), realization_csv_rows(realization))
+
+
+# --------------------------------------------------------------------------
 # config grammar
 
 def _parse_bool(text: str) -> bool:
@@ -126,19 +186,15 @@ def _parse_str_list(text: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
-def _fmt_value(v) -> str:
-    return f"{v:.17g}" if isinstance(v, float) else str(v)
-
-
-# top-level key -> (parser, pretty printer)
+# top-level key -> parser; the order is the order of config.resolved
 _TOP_KEYS = {
-    "experiment": (str.strip, str),
-    "seed": (int, str),
-    "trials": (int, str),
-    "element_counts": (_parse_int_list, lambda v: ",".join(str(x) for x in v)),
-    "algorithms": (_parse_str_list, lambda v: ",".join(v)),
-    "include_random_baseline": (_parse_bool, lambda v: "true" if v else "false"),
-    "output_dir": (str.strip, str),
+    "experiment": str.strip,
+    "seed": int,
+    "trials": int,
+    "element_counts": _parse_int_list,
+    "algorithms": _parse_str_list,
+    "include_random_baseline": _parse_bool,
+    "output_dir": str.strip,
 }
 
 # [channel] key -> attribute path inside ScenarioConfig; an int step indexes
@@ -255,7 +311,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
             if key not in _TOP_KEYS:
                 errors.append(f"line {lineno}: unknown key '{key}'")
                 continue
-            parser, _ = _TOP_KEYS[key]
+            parser = _TOP_KEYS[key]
         else:
             paths = _SECTIONS[current][2]
             if key not in paths:
@@ -292,12 +348,16 @@ def validate_config(path) -> ExperimentConfig:
 
 
 def resolved_config_text(cfg: ExperimentConfig) -> str:
-    """Every setting made explicit, in a stable order."""
-    lines = [f"{key} = {fmt(getattr(cfg, key))}" for key, (_, fmt) in _TOP_KEYS.items()]
+    """Every setting made explicit, in a stable order; a list is one comma-joined value."""
+
+    def line(key, value):
+        return f"{key} = {csv_line(*value) if isinstance(value, tuple) else csv_line(value)}"
+
+    lines = [line(key, getattr(cfg, key)) for key in _TOP_KEYS]
     for name, (field_name, _, paths) in _SECTIONS.items():
         section = getattr(cfg, field_name)
         lines += ["", f"[{name}]"]
-        lines += [f"{key} = {_fmt_value(_get(section, path))}" for key, path in paths.items()]
+        lines += [line(key, _get(section, path)) for key, path in paths.items()]
     return "\n".join(lines) + "\n"
 
 
@@ -342,28 +402,16 @@ def _power_comparison_trial(cfg: ExperimentConfig, trial: int) -> list[tuple]:
     return rows
 
 
-POWER_HEADER = "N,ris_type,trial,received_power_dbm"
-
-
-def run_power_comparison(cfg: ExperimentConfig, threads: int = 1) -> dict:
-    trials = range(cfg.trials)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_trial = list(pool.map(lambda t: _power_comparison_trial(cfg, t), trials))
-    else:
-        per_trial = [_power_comparison_trial(cfg, t) for t in trials]
-    rows = [row for batch in per_trial for row in batch]
+def run_power_comparison(cfg: ExperimentConfig) -> dict:
+    rows = [row for t in range(cfg.trials) for row in _power_comparison_trial(cfg, t)]
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
-    lines = [POWER_HEADER] + [
-        f"{n},{kind},{trial},{power:.17g}" for n, kind, trial, power in rows
-    ]
-    plot = ["figure,series,x,y"]
+    plot = [csv_line(*PLOT_COLUMNS)]
     for kind in sorted({r[1] for r in rows}):
         for n in cfg.element_counts:
             values = [r[3] for r in rows if r[0] == n and r[1] == kind]
-            plot.append(f"received_power,{kind},{n},{np.mean(values):.17g}")
-    child_seeds = [derive_seed(cfg.seed, "power-comparison", t) for t in trials]
-    return {"results": lines, "plotspec": plot, "child_seeds": child_seeds}
+            plot.append(csv_line("received_power", kind, n, np.mean(values)))
+    child_seeds = [derive_seed(cfg.seed, "power-comparison", t) for t in range(cfg.trials)]
+    return {"results": _table(POWER_COLUMNS, rows), "plotspec": plot, "child_seeds": child_seeds}
 
 
 def run_beamforming_bench(cfg: ExperimentConfig, threads: int = 1, no_timing: bool = False) -> dict:
@@ -373,18 +421,6 @@ def run_beamforming_bench(cfg: ExperimentConfig, threads: int = 1, no_timing: bo
         threads=threads,
     )
     columns = [c for c in BENCHMARK_COLUMNS if not (no_timing and c == "wall_time_s")]
-    lines = [",".join(columns)]
-    for row in table:
-        cells = []
-        for col in columns:
-            value = row[col]
-            if isinstance(value, bool):
-                cells.append("true" if value else "false")
-            elif isinstance(value, float):
-                cells.append(f"{value:.17g}")
-            else:
-                cells.append(str(value))
-        lines.append(",".join(cells))
     summary = ["ordinal checks:"]
 
     def mean_time(algo, n):
@@ -393,13 +429,14 @@ def run_beamforming_bench(cfg: ExperimentConfig, threads: int = 1, no_timing: bo
     def mean_rate(algo, n):
         return float(np.mean([r["sum_rate_bps_hz"] for r in table if r["algorithm"] == algo and r["N"] == n]))
 
-    if "rzf" in cfg.algorithms:
+    # the cost ordering reads wall times, so it is left out with them
+    if "rzf" in cfg.algorithms and not no_timing:
         ok = all(
             mean_time("rzf", n) <= min(mean_time(a, n) for a in cfg.algorithms)
             for n in cfg.element_counts
         )
         summary.append(f"rzf_cheapest_at_every_N: {'pass' if ok else 'fail'}")
-    if "qnm" in cfg.algorithms:
+    if "qnm" in cfg.algorithms and not no_timing:
         n_max = max(cfg.element_counts)
         ok = mean_time("qnm", n_max) >= max(mean_time(a, n_max) for a in cfg.algorithms)
         summary.append(f"qnm_costliest_at_max_N: {'pass' if ok else 'fail'}")
@@ -407,25 +444,23 @@ def run_beamforming_bench(cfg: ExperimentConfig, threads: int = 1, no_timing: bo
         rates = [mean_rate(algo, n) for n in cfg.element_counts]
         ok = all(b >= a for a, b in zip(rates, rates[1:]))
         summary.append(f"{algo}_rate_nondecreasing_in_N: {'pass' if ok else 'fail'}")
-        summary.append(
-            f"{algo}_mean_rate_per_device_at_max_N: "
-            f"{mean_rate(algo, max(cfg.element_counts)) / cfg.scenario.num_devices:.17g}"
-        )
-    plot = ["figure,series,x,y"]
+        per_device = mean_rate(algo, max(cfg.element_counts)) / cfg.scenario.num_devices
+        summary.append(f"{algo}_mean_rate_per_device_at_max_N: {csv_line(per_device)}")
+    plot = [csv_line(*PLOT_COLUMNS)]
     for algo in cfg.algorithms:
         for n in cfg.element_counts:
-            plot.append(f"sum_rate,{algo},{n},{mean_rate(algo, n):.17g}")
+            plot.append(csv_line("sum_rate", algo, n, mean_rate(algo, n)))
     if not no_timing:
         for algo in cfg.algorithms:
             for n in cfg.element_counts:
-                plot.append(f"wall_time,{algo},{n},{mean_time(algo, n):.17g}")
+                plot.append(csv_line("wall_time", algo, n, mean_time(algo, n)))
     child_seeds = [
         derive_seed(cfg.seed, "bench-channel", n, t)
         for n in cfg.element_counts
         for t in range(cfg.trials)
     ]
     return {
-        "results": lines,
+        "results": _table(columns, ([row[c] for c in columns] for row in table)),
         "plotspec": plot,
         "summary": summary,
         "child_seeds": child_seeds,
@@ -447,18 +482,18 @@ def run_qml_beam(cfg: ExperimentConfig) -> dict:
     )
     predictions = hybrid_predictions(trained, dataset.features)
     counts = confusion_matrix(predictions, dataset.labels, q.num_beams)
-    plot = ["figure,series,x,y"]
+    plot = [csv_line(*PLOT_COLUMNS)]
     for row in trace:
-        plot.append(f"cross_entropy,{row['split']},{row['epoch']},{row['cross_entropy']:.17g}")
-        plot.append(f"acc_delta0,{row['split']},{row['epoch']},{row['acc_delta0']:.17g}")
+        plot.append(csv_line("cross_entropy", row["split"], row["epoch"], row["cross_entropy"]))
+        plot.append(csv_line("acc_delta0", row["split"], row["epoch"], row["acc_delta0"]))
     histogram = [f"beam_{i}: {int(c)}" for i, c in enumerate(dataset.class_counts())]
     child_seeds = [
         derive_seed(cfg.seed, "qml-beam", role) for role in ("dataset", "model", "split")
     ]
     return {
-        "results": trace_csv_rows(trace),
+        "results": _table(TRACE_COLUMNS, ([row[c] for c in TRACE_COLUMNS] for row in trace)),
         "plotspec": plot,
-        "confusion": confusion_csv_rows(counts),
+        "confusion": [csv_line(*row) for row in counts],
         "dataset": dataset_csv_rows(dataset),
         "summary": ["per-beam sample counts:"] + histogram,
         "child_seeds": child_seeds,
@@ -509,9 +544,9 @@ def run(
 ) -> list[Path]:
     """Execute one experiment and write its artifact files.
 
-    Returns the written paths.  Raises ConfigError for configuration faults
-    and RuntimeError for runtime faults (strict mode escalates optimizer
-    non-convergence).
+    Returns the written paths.  Raises RuntimeError when strict mode
+    escalates optimizer non-convergence; ``cfg`` was validated when it was
+    built.  ``threads`` runs beamforming-bench trials in a thread pool.
     """
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -523,7 +558,7 @@ def run(
         )
     started = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     if cfg.experiment == "power-comparison":
-        outputs = run_power_comparison(cfg, threads)
+        outputs = run_power_comparison(cfg)
     elif cfg.experiment == "beamforming-bench":
         outputs = run_beamforming_bench(cfg, threads, no_timing)
         if strict:

@@ -620,16 +620,6 @@ ALGORITHMS = {
     "qnm": qnm_manifold,
 }
 
-BENCHMARK_COLUMNS = (
-    "algorithm",
-    "N",
-    "trial",
-    "sum_rate_bps_hz",
-    "wall_time_s",
-    "iterations",
-    "converged",
-)
-
 
 def benchmark(
     algorithms,
@@ -647,8 +637,7 @@ def benchmark(
     seed per algorithm, so rows are independent of scheduling and identical
     for any thread count (wall times excepted).  Wall time covers the
     optimizer call only; run single-threaded when timings must be
-    comparable.  Rows carry the per-device mean rate alongside the
-    aggregate.
+    comparable.
     """
     if trials < 1:
         raise InvalidInput("trials must be >= 1")
@@ -666,14 +655,12 @@ def benchmark(
         for name in algorithms:
             run_cfg = replace(cfg, seed=derive_seed(cfg.seed, "bench-init", n, trial, name))
             result = ALGORITHMS[name](reals, arch, run_cfg)
-            rate = mean_sum_rate(result.theta, reals)
             cell.append(
                 {
                     "algorithm": name,
                     "N": n,
                     "trial": trial,
-                    "sum_rate_bps_hz": rate,
-                    "sum_rate_per_device_bps_hz": rate / reals[0].num_devices,
+                    "sum_rate_bps_hz": mean_sum_rate(result.theta, reals),
                     "wall_time_s": result.wall_time_s,
                     "iterations": result.iterations,
                     "converged": result.converged,

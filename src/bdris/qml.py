@@ -379,35 +379,3 @@ def train_hybrid(
         trace.append({"epoch": epoch, "split": "train", **_split_metrics(current, x_train, y_train)})
         trace.append({"epoch": epoch, "split": "val", **_split_metrics(current, x_val, y_val)})
     return HybridModel(CircuitParams(angles), weights, bias), trace
-
-
-TRACE_COLUMNS = ("epoch", "split", "cross_entropy", "acc_delta0", "acc_delta1", "acc_delta2")
-
-
-def trace_csv_rows(trace: list[dict]) -> list[str]:
-    rows = [",".join(TRACE_COLUMNS)]
-    for entry in trace:
-        rows.append(
-            f"{entry['epoch']},{entry['split']},{entry['cross_entropy']:.17g},"
-            f"{entry['acc_delta0']:.17g},{entry['acc_delta1']:.17g},{entry['acc_delta2']:.17g}"
-        )
-    return rows
-
-
-def confusion_csv_rows(counts: np.ndarray) -> list[str]:
-    return [",".join(str(int(v)) for v in row) for row in counts]
-
-
-def dataset_csv_rows(dataset: SyntheticBeamDataset) -> list[str]:
-    width = dataset.features.shape[1]
-    rows = [",".join(f"feature_{i}" for i in range(width)) + ",label"]
-    for feat, label in zip(dataset.features, dataset.labels):
-        rows.append(",".join(f"{v:.17g}" for v in feat) + f",{int(label)}")
-    return rows
-
-
-def load_dataset_csv(lines, num_beams: int) -> SyntheticBeamDataset:
-    body = [line for line in lines[1:] if line.strip()]
-    features = np.array([[float(v) for v in line.split(",")[:-1]] for line in body])
-    labels = np.array([int(line.split(",")[-1]) for line in body])
-    return SyntheticBeamDataset(features, labels, num_beams)

@@ -374,3 +374,28 @@ class TestFullyConnectedSingleTag:
     def test_zero_channel_rejected(self):
         with pytest.raises(ZeroChannel):
             optimal_fully_connected_single_tag(np.ones(3), np.zeros(3))
+
+
+GUARDS = [
+    pytest.param(lambda: BdRisArchitecture(ArchitectureKind.NON_DIAGONAL_PAIRED), InvalidInput,
+                 "port permutation", id="paired_without_pairing"),
+    pytest.param(lambda: BdRisArchitecture.non_diagonal_paired((0, 0, 1)), InvalidInput,
+                 "bijection", id="paired_not_bijective"),
+    pytest.param(lambda: HybridMatrices(np.eye(2), np.eye(3)), DimensionMismatch,
+                 "square and equally sized", id="hybrid_shapes"),
+    pytest.param(lambda: hybrid_split(random_unitary(2, np.random.default_rng(0)),
+                                      random_unitary(2, np.random.default_rng(1)), alpha=1.5),
+                 InvalidInput, "alpha", id="hybrid_split_alpha"),
+    pytest.param(lambda: _support_mask(BdRisArchitecture.non_diagonal_paired((1, 0)), 3), DimensionMismatch,
+                 "pairing does not fit", id="pairing_size"),
+    pytest.param(lambda: optimal_diagonal_single_tag(np.ones(2), np.ones(3)), DimensionMismatch,
+                 "equal length", id="diagonal_lengths"),
+    pytest.param(lambda: optimal_fully_connected_single_tag(np.ones(2), np.ones(3)), DimensionMismatch,
+                 "equal length", id="fully_connected_lengths"),
+]
+
+
+@pytest.mark.parametrize("build,error,message", GUARDS)
+def test_typed_guard(build, error, message):
+    with pytest.raises(error, match=message):
+        build()

@@ -20,11 +20,10 @@ from bdris.channel import (
     path_loss_db,
     path_loss_linear,
     random_waypoint_step,
-    realization_csv_rows,
     sample_fading,
-    write_realization_csv,
 )
 from bdris.errors import BelowReferenceDistance, DimensionMismatch, InvalidInput
+from bdris.harness import realization_csv_rows, write_realization_csv
 from bdris.seeding import derive_seed, derived_rng
 
 
@@ -336,3 +335,45 @@ class TestSeedDerivation:
         a = derived_rng(5, "x", 1).standard_normal(4)
         b = derived_rng(5, "x", 1).standard_normal(4)
         assert np.array_equal(a, b)
+
+
+def _devices(count=1):
+    return initial_devices(count, NetworkGeometry().device_area, (0.5, 2.0), np.random.default_rng(0))
+
+
+def _realization(devices, num_elements=2):
+    return generate_realization(
+        NetworkGeometry(), devices, PathLossModel(), FadingModel(), num_elements, np.random.default_rng(1)
+    )
+
+
+GUARDS = [
+    pytest.param(lambda: Rectangle(1, 0, 0, 1), InvalidInput, "positive side", id="rectangle"),
+    pytest.param(lambda: FadingModel(los_probability=1.5), InvalidInput, "los_probability", id="los"),
+    pytest.param(lambda: ChannelRealization(np.ones(4), np.ones((1, 3)), np.ones((3, 4))), InvalidInput,
+                 "2-D", id="realization_1d"),
+    pytest.param(lambda: ChannelRealization(np.ones((2, 4)), np.ones((1, 3)), np.ones((3, 4))), InvalidInput,
+                 "device count", id="realization_devices"),
+    pytest.param(lambda: ChannelRealization(np.ones((1, 0)), np.ones((1, 3)), np.ones((3, 0))), InvalidInput,
+                 "at least one", id="realization_empty"),
+    pytest.param(lambda: sample_fading(0, 3, 0.0, np.random.default_rng(0)), InvalidInput,
+                 "positive shape", id="fading_shape"),
+    pytest.param(lambda: _realization(_devices(), num_elements=0), InvalidInput, "reflecting element",
+                 id="no_elements"),
+    pytest.param(lambda: _realization([Device(np.array([1e4, 1e4]), np.zeros(2), 1.0)]), InvalidInput,
+                 "outside the movement area", id="device_outside"),
+    pytest.param(lambda: random_waypoint_step(_devices()[0], 0, NetworkGeometry().device_area, (0.5, 2.0),
+                                              np.random.default_rng(0)),
+                 InvalidInput, "dt", id="waypoint_dt"),
+    pytest.param(lambda: _devices(0), InvalidInput, "at least one device", id="no_devices"),
+    pytest.param(lambda: ScenarioConfig(num_devices=0), InvalidInput, "device and one BS", id="scenario_devices"),
+    pytest.param(lambda: ScenarioConfig(snapshots=0), InvalidInput, "snapshot counts", id="scenario_snapshots"),
+    pytest.param(lambda: ScenarioConfig(speed_min_mps=3.0, speed_max_mps=2.0), InvalidInput, "speed range",
+                 id="scenario_speeds"),
+]
+
+
+@pytest.mark.parametrize("build,error,message", GUARDS)
+def test_typed_guard(build, error, message):
+    with pytest.raises(error, match=message):
+        build()

@@ -1,7 +1,9 @@
 """Experiment runner: config grammar, determinism, schemas, CLI behavior."""
 
+import ast
 import dataclasses
 import functools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from bdris.errors import ConfigError
 from bdris.harness import (
     _SECTIONS,
     ExperimentConfig,
+    csv_line,
     parse_config_text,
     resolved_config_text,
     run,
@@ -153,8 +156,7 @@ def _small_run_outputs(experiment, moved_section=None, moved=()):
         out = run_beamforming_bench(cfg, no_timing=True)
     else:
         out = run_qml_beam(cfg)
-    # the bench summary's cost-ordering checks read wall times
-    return {k: out[k] for k in ("results", "plotspec", "confusion", "dataset") if k in out}
+    return {k: out[k] for k in ("results", "plotspec", "summary", "confusion", "dataset") if k in out}
 
 
 @functools.cache
@@ -303,11 +305,9 @@ class TestPowerComparison:
             for t in range(20):
                 assert powers[(n, "fully_connected", t)] >= powers[(n, "diagonal", t)]
 
-    def test_deterministic_and_thread_invariant(self):
+    def test_deterministic(self):
         cfg = parse_config_text(POWER_CFG)
-        a = run_power_comparison(cfg, threads=1)["results"]
-        b = run_power_comparison(cfg, threads=4)["results"]
-        assert a == b
+        assert run_power_comparison(cfg)["results"] == run_power_comparison(cfg)["results"]
 
     def test_random_baseline_rows_optional(self):
         cfg = parse_config_text(POWER_CFG + "include_random_baseline = true\n")
@@ -362,12 +362,30 @@ class TestRunArtifacts:
             cfg_b = parse_config_text(f"output_dir = {tmp_path}/{experiment}_b\n" + text)
             run(cfg_a, no_timing=True)
             run(cfg_b, no_timing=True)
-            for name in ("results.csv", "plotspec.csv", "config.resolved"):
+            for name in (
+                "results.csv", "plotspec.csv", "summary.txt", "confusion.csv", "dataset.csv",
+                "schema.txt", "config.resolved",
+            ):
+                if not (tmp_path / f"{experiment}_a" / name).exists():
+                    assert not (tmp_path / f"{experiment}_b" / name).exists(), (experiment, name)
+                    continue
                 a = (tmp_path / f"{experiment}_a" / name).read_bytes()
                 b = (tmp_path / f"{experiment}_b" / name).read_bytes().replace(
                     f"{experiment}_b".encode(), f"{experiment}_a".encode()
                 )
                 assert a == b, (experiment, name)
+
+    @pytest.mark.parametrize("no_timing", [False, True], ids=["timing", "no_timing"])
+    def test_cost_ordering_lines_only_with_timing(self, tmp_path, no_timing):
+        """Both checks read wall times, so --no-timing leaves them out of summary.txt."""
+        text = BENCH_CFG.replace("algorithms = rzf,ao", "algorithms = rzf,ao,qnm")
+        cfg = parse_config_text(f"output_dir = {tmp_path}/out\n" + text)
+        run(cfg, no_timing=no_timing)
+        summary = (tmp_path / "out" / "summary.txt").read_text().splitlines()
+        checks = [line.split(": ")[0] for line in summary]
+        for check in ("rzf_cheapest_at_every_N", "qnm_costliest_at_max_N"):
+            assert (check in checks) is not no_timing, check
+        assert "qnm_rate_nondecreasing_in_N" in checks
 
     def test_strict_mode_escalates_nonconvergence(self, tmp_path):
         text = BENCH_CFG.replace("max_iterations = 25", "max_iterations = 1")
@@ -513,3 +531,65 @@ class TestThreadWarnings:
         cfg = parse_config_text(f"output_dir = {tmp_path}/o\n" + BENCH_CFG)
         run(cfg, threads=2, no_timing=True)
         assert "warning" not in capsys.readouterr().err
+
+
+class TestCsvLine:
+    """``csv_line`` is the one output format; 17 significant digits round-trip float64."""
+
+    EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-310, 1.7e308, -1.7e308,
+                   float("inf"), float("-inf"), 0.1, 1.0 / 3.0]
+
+    def test_floats_round_trip_exactly(self):
+        draws = np.random.default_rng(12)
+        values = list(draws.standard_normal(500) * 10.0 ** draws.integers(-300, 300, 500))
+        values += list(draws.random(500)) + self.EDGE_FLOATS
+        for value in values:
+            back = float(csv_line(value))
+            assert back == value and np.signbit(back) == np.signbit(value), value
+
+    def test_cells(self):
+        assert csv_line(True, False) == "true,false"
+        assert csv_line(7, -3, np.int64(12)) == "7,-3,12"
+        assert csv_line(np.float64(0.1), 0.1) == "0.10000000000000001,0.10000000000000001"
+        assert csv_line(1.0, -0.0, float("-inf")) == "1,-0,-inf"
+        assert csv_line("rzf", 4, 2.5) == "rzf,4,2.5"
+        assert csv_line() == ""
+
+    def test_only_csv_line_formats_floats(self):
+        """``:.17g`` appears in ``src/bdris`` only inside ``csv_line``."""
+        src = Path(__file__).resolve().parents[1] / "src" / "bdris"
+        harness = ast.parse((src / "harness.py").read_text(encoding="utf-8"))
+        (func,) = [n for n in harness.body if isinstance(n, ast.FunctionDef) and n.name == "csv_line"]
+        found = [
+            (path.name, lineno)
+            for path in sorted(src.glob("*.py"))
+            for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
+            if ":.17g" in line
+        ]
+        assert found and all(
+            name == "harness.py" and func.lineno <= lineno <= func.end_lineno for name, lineno in found
+        ), found
+
+
+PARSE_GUARDS = [
+    pytest.param("experiment = qml-beam\n[nosuch]\n", "unknown section 'nosuch'", id="unknown_section"),
+    pytest.param("experiment = qml-beam\njust words\n", "expected 'key = value'", id="no_equals"),
+    pytest.param("experiment = power-comparison\ninclude_random_baseline = maybe\n",
+                 "bad value for 'include_random_baseline'", id="bad_bool"),
+    pytest.param("experiment = beamforming-bench\nalgorithms = rzf,nope\n", "unknown algorithms: nope",
+                 id="unknown_algorithm"),
+    pytest.param(f"experiment = qml-beam\nseed = {2**64}\n", "seed must fit in 64 bits", id="seed_65_bits"),
+]
+
+
+@pytest.mark.parametrize("text,message", PARSE_GUARDS)
+def test_parse_guard(text, message):
+    with pytest.raises(ConfigError, match=message):
+        parse_config_text(text)
+
+
+def test_cli_zero_threads_is_config_fault(tmp_path, capsys):
+    path = tmp_path / "exp.cfg"
+    path.write_text(QML_CFG)
+    assert cli_main(["run", "--config", str(path), "--threads", "0", "--out-dir", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.strip() == "error: config: threads must be >= 1"

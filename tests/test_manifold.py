@@ -438,3 +438,15 @@ class TestTypeInvariants:
             normal = base @ (a + a.conj().T)
             assert np.max(np.abs(normal)) > 1.0
             assert np.max(np.abs(feas.tangent(normal, base))) <= 1e-12
+
+
+GUARDS = [
+    pytest.param(lambda: UnitaryMatrix(np.ones((2, 3))), DimensionMismatch, "square", id="not_square"),
+    pytest.param(lambda: UnitaryMatrix(np.zeros((0, 0))), InvalidInput, "dimension", id="empty"),
+]
+
+
+@pytest.mark.parametrize("build,error,message", GUARDS)
+def test_typed_guard(build, error, message):
+    with pytest.raises(error, match=message):
+        build()

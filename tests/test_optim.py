@@ -444,8 +444,7 @@ class TestBenchmark:
             assert a["iterations"] == b["iterations"]
         for row in rows:
             assert set(row) == {
-                "algorithm", "N", "trial", "sum_rate_bps_hz",
-                "sum_rate_per_device_bps_hz", "wall_time_s", "iterations", "converged",
+                "algorithm", "N", "trial", "sum_rate_bps_hz", "wall_time_s", "iterations", "converged",
             }
             assert row["sum_rate_bps_hz"] >= 0.0
 
@@ -636,3 +635,14 @@ class TestInitialTheta:
         starts = []
         solver(reals, arch, OptimizerConfig(seed=73, max_iterations=1), iterate_callback=starts.append, initial_theta=m)
         assert np.array_equal(starts[0], optim._Feasible(arch, 8).project(m))
+
+
+GUARDS = [
+    pytest.param(lambda: benchmark(["rzf"], [2], trials=0), InvalidInput, "trials", id="no_trials"),
+]
+
+
+@pytest.mark.parametrize("build,error,message", GUARDS)
+def test_typed_guard(build, error, message):
+    with pytest.raises(error, match=message):
+        build()

@@ -7,22 +7,22 @@ import pytest
 
 from bdris.errors import DimensionMismatch, InvalidInput, LengthMismatch, TooLong, ZeroVector
 from bdris import qml
+from bdris.harness import dataset_csv_rows, load_dataset_csv
 from bdris.qml import (
     CircuitParams,
     HybridModel,
     StateVector,
+    SyntheticBeamDataset,
     amplitude_embed,
     circuit_outputs,
     confusion_matrix,
     cross_entropy,
-    dataset_csv_rows,
     distance_accuracy,
     entangling_layer,
     generate_synthetic_dataset,
     hybrid_logits,
     hybrid_predictions,
     init_hybrid_model,
-    load_dataset_csv,
     measure_z,
     parameter_shift_grad,
     train_hybrid,
@@ -251,7 +251,8 @@ class TestSyntheticDataset:
         data = generate_synthetic_dataset(50, 4, 0.01, rng)
         rows = dataset_csv_rows(data)
         back = load_dataset_csv(rows, 4)
-        assert np.allclose(back.features, data.features)
+        # 17 significant digits read back as the same float64
+        assert np.array_equal(back.features, data.features)
         assert np.array_equal(back.labels, data.labels)
 
 
@@ -329,3 +330,41 @@ class TestStateVectorType:
         amp[0] = 1.0
         with pytest.raises(InvalidInput):
             StateVector(amp)
+
+
+def _circuit(qubits=2):
+    return CircuitParams(np.zeros((1, qubits)))
+
+
+GUARDS = [
+    pytest.param(lambda: CircuitParams(np.zeros(3)), DimensionMismatch, "layers, qubits", id="angles_1d"),
+    pytest.param(lambda: CircuitParams(np.full((1, 2), np.nan)), InvalidInput, "finite", id="angles_nan"),
+    pytest.param(lambda: HybridModel(_circuit(), np.zeros((4, 4)), np.zeros(3)), DimensionMismatch,
+                 "disagree", id="head_bias_size"),
+    pytest.param(lambda: HybridModel(_circuit(), np.zeros((4, 2)), np.zeros(4)), DimensionMismatch,
+                 "classical features", id="head_without_features"),
+    pytest.param(lambda: SyntheticBeamDataset(np.zeros((3, 2)), np.zeros(2), 4), DimensionMismatch,
+                 "disagree", id="dataset_lengths"),
+    pytest.param(lambda: SyntheticBeamDataset(np.zeros((2, 2)), np.array([0, 5]), 4), InvalidInput,
+                 "num_beams", id="dataset_label_range"),
+    pytest.param(lambda: amplitude_embed([], 2), ZeroVector, "at least one feature", id="embed_empty"),
+    pytest.param(lambda: amplitude_embed([1.0], 0), InvalidInput, "qubit count", id="embed_no_qubits"),
+    pytest.param(lambda: parameter_shift_grad(_circuit(), np.ones(2), lambda z: np.ones(3)),
+                 DimensionMismatch, "qubit count", id="shift_grad_length"),
+    pytest.param(lambda: confusion_matrix([0, 1], [0], 2), LengthMismatch, "length", id="confusion_lengths"),
+    pytest.param(lambda: generate_synthetic_dataset(2, 4, 0.0, np.random.default_rng(0)), InvalidInput,
+                 "one sample per beam", id="dataset_too_small"),
+    pytest.param(
+        lambda: train_hybrid(
+            generate_synthetic_dataset(8, 2, 0.0, np.random.default_rng(0)),
+            init_hybrid_model(2, 1, 2, 2, np.random.default_rng(1)), 0, 1.0, np.random.default_rng(2),
+        ),
+        InvalidInput, "epochs", id="no_epochs",
+    ),
+]
+
+
+@pytest.mark.parametrize("build,error,message", GUARDS)
+def test_typed_guard(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
