@@ -5,12 +5,16 @@ model: amplitude embedding of the classical features, one or more entangling
 layers (per-qubit RY rotations followed by a ring of CNOTs), and per-qubit
 Pauli-Z expectations.  Those expectations are concatenated with the raw
 features and fed to a linear softmax head; everything trains by full-batch
-gradient descent, with circuit gradients from the exact parameter-shift
-rule.  A synthetic position-to-beam dataset stands in for field data.
+gradient descent.  Training simulates the batch on real float64 amplitudes
+(embedding, RY and CNOT never make them complex) and takes the circuit
+gradient by adjoint differentiation: one forward pass, then one backward
+sweep.  The exact parameter-shift rule stays as the oracle it is tested
+against.  A synthetic position-to-beam dataset stands in for field data.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +41,7 @@ class StateVector:
         if q > MAX_QUBITS:
             raise InvalidInput(f"{q} qubits exceed the dense-simulation cap of {MAX_QUBITS}")
         norm = float(np.linalg.norm(amp))
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:  # written so that a NaN norm fails
             raise InvalidInput(f"state norm {norm!r} deviates from 1 beyond {NORM_TOL:g}")
 
     @property
@@ -108,6 +112,8 @@ class SyntheticBeamDataset:
         object.__setattr__(self, "labels", l)
         if f.ndim != 2 or l.ndim != 1 or f.shape[0] != l.shape[0]:
             raise DimensionMismatch("features and labels disagree")
+        if not np.all(np.isfinite(f)):
+            raise InvalidInput("features must be finite")
         if l.size and (l.min() < 0 or l.max() >= self.num_beams):
             raise InvalidInput("labels must lie in [0, num_beams)")
 
@@ -117,66 +123,91 @@ class SyntheticBeamDataset:
 
 # ---------------------------------------------------------------------------
 # statevector primitives (batched over samples; single states are batch 1)
+#
+# Qubit 0 is the most significant bit of a basis index.  Embedding, RY and
+# CNOT keep amplitudes real, so the batched circuit runs on float64; the
+# helpers are dtype-generic, so the complex ``StateVector`` goes through them
+# unchanged.
 
 def _embed_batch(x: np.ndarray, num_qubits: int) -> np.ndarray:
-    """Zero-pad feature rows to 2^q and normalize each to unit norm."""
+    """Zero-pad feature rows to 2^q and normalize each to unit norm (real)."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     dim = 2**num_qubits
     if x.shape[1] > dim:
         raise TooLong(f"{x.shape[1]} features exceed the state dimension {dim}")
     if x.shape[1] < 1:
         raise ZeroVector("need at least one feature")
+    if not np.all(np.isfinite(x)):
+        raise InvalidInput("features must be finite to amplitude-embed")
     norms = np.linalg.norm(x, axis=1)
     if np.any(norms == 0.0):
         raise ZeroVector("cannot amplitude-embed a zero vector")
-    states = np.zeros((x.shape[0], dim), dtype=complex)
+    states = np.zeros((x.shape[0], dim))
     states[:, : x.shape[1]] = x / norms[:, None]
     return states
 
 
-def _apply_ry_batch(states: np.ndarray, angle: float, qubit: int, num_qubits: int) -> np.ndarray:
+def _apply_ry_batch(states: np.ndarray, angle: float, qubit: int) -> np.ndarray:
     shaped = states.reshape(states.shape[0], 2**qubit, 2, -1)
     c, s = np.cos(angle / 2.0), np.sin(angle / 2.0)
-    top = c * shaped[:, :, 0, :] - s * shaped[:, :, 1, :]
-    bottom = s * shaped[:, :, 0, :] + c * shaped[:, :, 1, :]
-    return np.stack([top, bottom], axis=2).reshape(states.shape)
-
-
-def _apply_cnot_batch(states: np.ndarray, control: int, target: int, num_qubits: int) -> np.ndarray:
-    shaped = states.reshape(states.shape[0], *([2] * num_qubits))
-    out = shaped.copy()
-    index_one = [slice(None)] * (num_qubits + 1)
-    index_one[1 + control] = 1
-    block = out[tuple(index_one)]
-    out[tuple(index_one)] = np.flip(block, axis=1 + target - (1 if target > control else 0))
+    out = np.empty_like(shaped)
+    out[:, :, 0, :] = c * shaped[:, :, 0, :] - s * shaped[:, :, 1, :]
+    out[:, :, 1, :] = s * shaped[:, :, 0, :] + c * shaped[:, :, 1, :]
     return out.reshape(states.shape)
+
+
+@functools.lru_cache(maxsize=None)
+def _ring_permutation(num_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index gathers of the CNOT ring and of its inverse.
+
+    ``states.take(forward, axis=1)`` applies CNOT(k, k+1 mod q) for
+    k = 0..q-1 in that order; ``take(inverse, axis=1)`` undoes it.  One qubit
+    has no ring (both are the identity).  ``take`` keeps the C order of the
+    batch; fancy indexing ``states[:, perm]`` returns an F-ordered array,
+    which changes the rounding of later sums.
+    """
+    index = np.arange(2**num_qubits)
+    if num_qubits > 1:
+        # state_after[i] = state_before[P_0(P_1(...P_{q-1}(i)))], P_k the CNOT k's bit flip
+        for control in range(num_qubits - 1, -1, -1):
+            target = (control + 1) % num_qubits
+            flip = (index >> (num_qubits - 1 - control)) & 1
+            index = index ^ (flip << (num_qubits - 1 - target))
+    inverse = np.argsort(index)
+    index.setflags(write=False)
+    inverse.setflags(write=False)
+    return index, inverse
+
+
+@functools.lru_cache(maxsize=None)
+def _z_signs(num_qubits: int) -> np.ndarray:
+    """signs[i, k] = <i|Z_k|i>: +1 where qubit k is 0 in basis state i, else -1."""
+    bits = (np.arange(2**num_qubits)[:, None] >> np.arange(num_qubits - 1, -1, -1)[None, :]) & 1
+    signs = 1.0 - 2.0 * bits
+    signs.setflags(write=False)
+    return signs
 
 
 def _layer_batch(states: np.ndarray, layer_angles: np.ndarray, num_qubits: int) -> np.ndarray:
     for k in range(num_qubits):
-        states = _apply_ry_batch(states, float(layer_angles[k]), k, num_qubits)
-    if num_qubits > 1:
-        for k in range(num_qubits):
-            states = _apply_cnot_batch(states, k, (k + 1) % num_qubits, num_qubits)
-    return states
+        states = _apply_ry_batch(states, float(layer_angles[k]), k)
+    return states.take(_ring_permutation(num_qubits)[0], axis=1)
 
 
 def _measure_z_batch(states: np.ndarray, num_qubits: int) -> np.ndarray:
-    probs = np.abs(states) ** 2
-    shaped = probs.reshape(probs.shape[0], *([2] * num_qubits))
-    out = np.empty((probs.shape[0], num_qubits))
-    for k in range(num_qubits):
-        axes = tuple(i + 1 for i in range(num_qubits) if i != k)
-        marginal = shaped.sum(axis=axes)
-        out[:, k] = marginal[:, 0] - marginal[:, 1]
-    return out
+    return (np.abs(states) ** 2) @ _z_signs(num_qubits)
 
 
-def _forward_batch(angles: np.ndarray, x: np.ndarray, num_qubits: int) -> np.ndarray:
+def _run_batch(angles: np.ndarray, x: np.ndarray, num_qubits: int) -> np.ndarray:
+    """Final (real) states of the circuit, one row per feature row."""
     states = _embed_batch(x, num_qubits)
     for layer in angles:
         states = _layer_batch(states, layer, num_qubits)
-    return _measure_z_batch(states, num_qubits)
+    return states
+
+
+def _forward_batch(angles: np.ndarray, x: np.ndarray, num_qubits: int) -> np.ndarray:
+    return _measure_z_batch(_run_batch(angles, x, num_qubits), num_qubits)
 
 
 # ---------------------------------------------------------------------------
@@ -241,12 +272,43 @@ def parameter_shift_grad(params: CircuitParams, x: np.ndarray, loss_grad_z) -> n
     return _shift_grad(params.angles, x, dl_dz[None, :], params.num_qubits)
 
 
+def _adjoint_grad(angles: np.ndarray, states: np.ndarray, dl_dz: np.ndarray, num_qubits: int) -> np.ndarray:
+    """Sum over rows of dl_dz . dz/dtheta for every angle, by one backward sweep.
+
+    ``states`` are the final real states the forward pass left (one row per
+    row of ``dl_dz``); no gate is applied forwards again.  The sweep starts
+    from lambda = (sum_j dl_dz_j Z_j) psi and un-applies each gate, last
+    first, to psi and lambda.  Since dRY/dtheta = RY(theta + pi) / 2 and z is
+    quadratic in psi, an angle's gradient is <lambda|RY(theta + pi)|psi_before>
+    (adjoint differentiation: Jones & Gacon, arXiv:2009.02823).  The result
+    equals ``_shift_grad``, which stays as the oracle.
+    """
+    inverse = _ring_permutation(num_qubits)[1]
+    psi = states
+    lam = states * (dl_dz @ _z_signs(num_qubits).T)
+    grad = np.zeros_like(angles)
+    for l in range(angles.shape[0] - 1, -1, -1):
+        psi = psi.take(inverse, axis=1)
+        lam = lam.take(inverse, axis=1)
+        for k in range(num_qubits - 1, -1, -1):
+            theta = float(angles[l, k])
+            psi = _apply_ry_batch(psi, -theta, k)
+            grad[l, k] = np.vdot(lam, _apply_ry_batch(psi, theta + np.pi, k))
+            lam = _apply_ry_batch(lam, -theta, k)
+    return grad
+
+
 # ---------------------------------------------------------------------------
 # metrics
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
     """Mean softmax cross-entropy in nats (log-sum-exp form)."""
     logits = np.atleast_2d(logits)
+    labels = np.asarray(labels, dtype=int)
+    if labels.shape != logits.shape[:1]:
+        raise LengthMismatch("logits and labels differ in length")
+    if labels.size and (labels.min() < 0 or labels.max() >= logits.shape[1]):
+        raise InvalidInput("labels must lie in [0, number of classes)")
     shifted = logits - np.max(logits, axis=1, keepdims=True)
     lse = np.log(np.sum(np.exp(shifted), axis=1)) + np.max(logits, axis=1)
     return float(np.mean(lse - logits[np.arange(len(labels)), labels]))
@@ -306,8 +368,14 @@ def init_hybrid_model(
     return HybridModel(CircuitParams(angles), weights, bias)
 
 
+def _check_feature_width(model: HybridModel, x: np.ndarray) -> None:
+    if x.shape[1] != model.feature_dim:
+        raise DimensionMismatch(f"{x.shape[1]} features for a head that expects {model.feature_dim}")
+
+
 def hybrid_logits(model: HybridModel, features: np.ndarray) -> np.ndarray:
     x = np.atleast_2d(np.asarray(features, dtype=float))
+    _check_feature_width(model, x)
     z = _forward_batch(model.circuit.angles, x, model.circuit.num_qubits)
     joint = np.concatenate([z, x], axis=1)
     return joint @ model.head_weights.T + model.head_bias
@@ -338,8 +406,10 @@ def train_hybrid(
     """Full-batch gradient descent on softmax cross-entropy.
 
     The dataset (at least 3 samples) splits 80/20 into train/validation by
-    a seeded permutation.  Head gradients are analytic; angle gradients use
-    the parameter-shift rule batched over the training split.  Returns the
+    a seeded permutation.  Head gradients are analytic.  Each epoch makes one
+    forward pass of the training split on real amplitudes; its final states
+    give both the outputs z and the start of the adjoint backward sweep
+    (``_adjoint_grad``) that yields every angle gradient.  Returns the
     trained model and one trace row per (epoch, split) with loss and
     distance accuracies.
     """
@@ -348,6 +418,7 @@ def train_hybrid(
     n = dataset.features.shape[0]
     if n < 3:
         raise InvalidInput(f"need >= 3 samples for a train/validation split, got {n}")
+    _check_feature_width(model, dataset.features)
     order = rng.permutation(n)
     cut = int(round(0.8 * n))
     train_idx, val_idx = order[:cut], order[cut:]
@@ -360,7 +431,8 @@ def train_hybrid(
     trace: list[dict] = []
     n_train = len(train_idx)
     for epoch in range(1, epochs + 1):
-        z = _forward_batch(angles, x_train, q)
+        states = _run_batch(angles, x_train, q)
+        z = _measure_z_batch(states, q)
         joint = np.concatenate([z, x_train], axis=1)
         logits = joint @ weights.T + bias
         shifted = logits - np.max(logits, axis=1, keepdims=True)
@@ -371,7 +443,7 @@ def train_hybrid(
         dlogits /= n_train
         grad_w = dlogits.T @ joint
         grad_b = dlogits.sum(axis=0)
-        grad_angles = _shift_grad(angles, x_train, dlogits @ weights[:, :q], q)
+        grad_angles = _adjoint_grad(angles, states, dlogits @ weights[:, :q], q)
         weights -= learning_rate * grad_w
         bias -= learning_rate * grad_b
         angles -= learning_rate * grad_angles

@@ -1,4 +1,4 @@
-"""Statevector circuit, parameter-shift gradients, training and metrics."""
+"""Statevector circuit, adjoint and parameter-shift gradients, training and metrics."""
 
 import math
 
@@ -166,6 +166,65 @@ class TestParameterShift:
             parameter_shift_grad(CircuitParams(angles), x[i], lambda z, w=dl_dz[i]: w) for i in range(7)
         )
         assert np.linalg.norm(batched - rows) <= 1e-12 * np.linalg.norm(rows)
+
+
+def _reference_ring(states, q):
+    """The CNOT ring as q single CNOTs, each a bit flip of the basis index."""
+    index = np.arange(2**q)
+    for control in range(q):
+        target = (control + 1) % q
+        flipped = np.where((index >> (q - 1 - control)) & 1, index ^ (1 << (q - 1 - target)), index)
+        states = states[:, flipped]
+    return states
+
+
+class TestAdjointGradient:
+    @pytest.mark.parametrize("layers", [1, 3])
+    @pytest.mark.parametrize("q", [1, 2, 4, 6])
+    def test_matches_shift_oracle(self, q, layers):
+        rng = np.random.default_rng(100 * q + layers)
+        angles = rng.uniform(-np.pi, np.pi, (layers, q))
+        x = rng.uniform(-1.0, 1.0, (9, min(2**q, 3)))
+        dl_dz = rng.standard_normal((9, q))
+        oracle = qml._shift_grad(angles, x, dl_dz, q)
+        adjoint = qml._adjoint_grad(angles, qml._run_batch(angles, x, q), dl_dz, q)
+        assert np.linalg.norm(adjoint - oracle) <= 1e-12 * np.linalg.norm(oracle)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("q", range(2, 9))
+    def test_gathered_ring_equals_single_cnots(self, q, dtype):
+        rng = np.random.default_rng(q)
+        states = rng.standard_normal((5, 2**q)).astype(dtype)
+        if dtype is complex:
+            states += 1j * rng.standard_normal((5, 2**q))
+        # RY(0) is the identity to the bit, so a zero-angle layer is the ring alone
+        ring = qml._layer_batch(states, np.zeros(q), q)
+        assert ring.dtype == states.dtype and ring.flags.c_contiguous
+        assert np.array_equal(ring, _reference_ring(states, q))
+        assert np.array_equal(ring.take(qml._ring_permutation(q)[1], axis=1), states)
+
+    def test_training_embeds_three_times_per_epoch(self, monkeypatch):
+        """One forward pass for the gradient, one per metrics split; no shift rule."""
+        calls = []
+        original = qml._embed_batch
+
+        def counting(x, num_qubits):
+            calls.append(len(x))
+            return original(x, num_qubits)
+
+        def no_shift(*args):
+            raise AssertionError("training must not use the parameter-shift rule")
+
+        monkeypatch.setattr(qml, "_embed_batch", counting)
+        monkeypatch.setattr(qml, "_shift_grad", no_shift)
+        data = generate_synthetic_dataset(20, 2, 0.01, np.random.default_rng(21))
+        model = init_hybrid_model(3, 2, 2, 2, np.random.default_rng(22))
+        train_hybrid(data, model, 4, 0.5, np.random.default_rng(23))
+        assert calls == [16, 16, 4] * 4
+
+    def test_simulation_stays_real(self):
+        angles = np.random.default_rng(24).uniform(-np.pi, np.pi, (2, 3))
+        assert qml._run_batch(angles, np.ones((2, 2)), 3).dtype == np.float64
 
 
 class TestMetrics:
@@ -352,6 +411,28 @@ GUARDS = [
     pytest.param(lambda: parameter_shift_grad(_circuit(), np.ones(2), lambda z: np.ones(3)),
                  DimensionMismatch, "qubit count", id="shift_grad_length"),
     pytest.param(lambda: confusion_matrix([0, 1], [0], 2), LengthMismatch, "length", id="confusion_lengths"),
+    pytest.param(lambda: cross_entropy([[0, 1, 2], [0, 0, 9]], [0, -1]), InvalidInput, "labels must lie",
+                 id="cross_entropy_negative_label"),
+    pytest.param(lambda: cross_entropy([[0, 1, 2], [0, 0, 9]], [0, 3]), InvalidInput, "labels must lie",
+                 id="cross_entropy_label_too_large"),
+    pytest.param(lambda: cross_entropy([[0, 1, 2], [0, 0, 9]], [0]), LengthMismatch, "length",
+                 id="cross_entropy_lengths"),
+    pytest.param(lambda: StateVector(np.array([np.nan, 0.0])), InvalidInput, "norm", id="state_nan"),
+    pytest.param(lambda: amplitude_embed([np.nan, 1.0], 1), InvalidInput, "finite", id="embed_nan"),
+    pytest.param(lambda: amplitude_embed([np.inf, 1.0], 1), InvalidInput, "finite", id="embed_inf"),
+    pytest.param(lambda: SyntheticBeamDataset(np.array([[0.1, np.nan], [0.2, 0.3]]), np.array([0, 1]), 2),
+                 InvalidInput, "finite", id="dataset_nan_feature"),
+    pytest.param(lambda: load_dataset_csv(["feature_0,feature_1,label", "0.1,nan,0", "0.2,0.3,1"], 2),
+                 InvalidInput, "finite", id="dataset_csv_nan_feature"),
+    pytest.param(lambda: hybrid_logits(init_hybrid_model(2, 1, 2, 2, np.random.default_rng(0)), np.ones((4, 3))),
+                 DimensionMismatch, "expects 2", id="logits_feature_width"),
+    pytest.param(
+        lambda: train_hybrid(
+            SyntheticBeamDataset(np.ones((8, 3)), np.arange(8) % 2, 2),
+            init_hybrid_model(2, 1, 2, 2, np.random.default_rng(1)), 1, 1.0, np.random.default_rng(2),
+        ),
+        DimensionMismatch, "expects 2", id="train_feature_width",
+    ),
     pytest.param(lambda: generate_synthetic_dataset(2, 4, 0.0, np.random.default_rng(0)), InvalidInput,
                  "one sample per beam", id="dataset_too_small"),
     pytest.param(
