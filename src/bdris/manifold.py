@@ -175,8 +175,15 @@ def project_to_unitary(matrix: np.ndarray, tolerance: float = UNITARY_TOL) -> Un
 
 
 def skew_part(x: np.ndarray) -> np.ndarray:
-    """Skew-Hermitian part (X - X†)/2 of a matrix or of each in a (..., k, k) stack."""
-    return (x - x.conj().swapaxes(-1, -2)) / 2.0
+    """Skew-Hermitian part (X - X†)/2 of a matrix or of each in a (..., k, k) stack.
+
+    Exactly skew-Hermitian in floating point: entry (j, i) is the negated
+    conjugate of entry (i, j) bit for bit, and the diagonal is imaginary.
+    """
+    out = np.conj(x.swapaxes(-1, -2), order="C")
+    np.subtract(x, out, out=out)
+    out *= 0.5
+    return out
 
 
 def random_unitary(n: int, rng: np.random.Generator) -> UnitaryMatrix:

@@ -15,6 +15,10 @@ Four optimizers over the unitary (or block-unitary) feasible set:
   of the concave surrogate in the surface matrix.
 
 AO and QNM are two direction rules on one line-search loop (``_ascend``).
+It holds every tangent vector in body coordinates (Omega with Theta Omega
+the ambient vector, skew-Hermitian per block), retracts in closed form
+(one ``eigh`` per block size and step, one matrix product per trial step)
+and transports by projection at one matrix product per vector.
 RZF/AO/QNM maximize the channel-gain objective and are judged by the sum
 rate afterwards; FP maximizes the sum rate directly.  All optimizers keep
 every iterate feasible for the requested architecture and report a monotone
@@ -70,19 +74,28 @@ class OptimizerResult:
 
 def _inner(x: np.ndarray, y: np.ndarray) -> float:
     """Real part of the Frobenius inner product (the manifold metric)."""
-    return float(np.real(np.sum(np.conj(x) * y)))
+    return float(np.vdot(x, y).real)
 
 
-def _tangent(theta: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """theta * skew(theta† grad) for a matrix or a (G, k, k) stack of blocks."""
-    return theta @ skew_part(theta.conj().swapaxes(-1, -2) @ grad)
+def _tangent(frame: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """skew(frame† x) for a matrix or a (G, k, k) stack of blocks."""
+    return skew_part(frame.conj().swapaxes(-1, -2) @ x)
+
+
+def _times_adjoint(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a b† for a matrix or a (G, k, k) stack of blocks."""
+    return a @ b.conj().swapaxes(-1, -2)
 
 
 class _Feasible:
-    """Projection / tangent machinery for one architecture at dimension N.
+    """Projection, tangent and retraction machinery for one architecture at dimension N.
 
-    Every map runs through ``BlockStructure.map_blocks``: one batched call
-    per block size, and the N x N matrix itself on the fully-connected set.
+    Tangent vectors at a point Theta are held in body coordinates: the
+    ambient vector Theta Omega is stored as Omega, skew-Hermitian per block
+    and zero off the blocks.  Since Theta is unitary, the metric needs no
+    change.  Every map runs through ``BlockStructure.map_blocks``: one
+    batched call per block size, and the N x N matrix itself on the
+    fully-connected set.
     """
 
     def __init__(self, arch: BdRisArchitecture, n: int):
@@ -92,8 +105,38 @@ class _Feasible:
     def project(self, m: np.ndarray) -> np.ndarray:
         return self.structure.map_blocks(polar_factor, m)
 
-    def tangent(self, grad: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        return self.structure.map_blocks(_tangent, theta, grad)
+    def tangent(self, x: np.ndarray, frame: np.ndarray) -> np.ndarray:
+        """Body-coordinate tangent projection skew(frame† x), one product per block.
+
+        With ``frame`` a point Theta and ``x`` the Euclidean gradient this is
+        the Riemannian gradient.  With ``frame`` the block rotation
+        W = Theta_old† Theta_new of a step and ``x`` a body vector at
+        Theta_old, it is the vector's transport by projection to Theta_new.
+        """
+        return self.structure.map_blocks(_tangent, frame, x)
+
+    def retract(self, theta: np.ndarray, omega: np.ndarray):
+        """Closed-form polar retraction along the body tangent ``omega``.
+
+        With -i Omega = V diag(lam) V† per block, I + s Omega is never
+        singular and polar(Theta + s Theta Omega) = Theta V diag(exp(i atan(s
+        lam))) V† (Absil, Mahony & Sepulchre 2008, section 4.1.1).  One
+        batched ``eigh`` per block size here; returns ``step(s)``, the
+        retracted point at one block product, and ``rotation(s)``, the block
+        rotation W(s) = V diag(exp(i atan(s lam))) V† at one product more.
+        """
+        lam, vectors = np.zeros(self.n), np.zeros_like(omega)
+        for g in self.structure.gather:
+            lam[g.cols[:, 0, :]], vectors[g.rows, g.cols] = np.linalg.eigh(-1j * omega[g.rows, g.cols])
+        theta_v = self.structure.map_blocks(np.matmul, theta, vectors)
+
+        def step(s: float) -> np.ndarray:
+            return self.structure.map_blocks(_times_adjoint, theta_v * np.exp(1j * np.arctan(s * lam)), vectors)
+
+        def rotation(s: float) -> np.ndarray:
+            return self.structure.map_blocks(_times_adjoint, vectors * np.exp(1j * np.arctan(s * lam)), vectors)
+
+        return step, rotation
 
     def random_point(self, rng: np.random.Generator) -> np.ndarray:
         # the polar factor of a complex Gaussian matrix is Haar distributed;
@@ -192,21 +235,18 @@ def rzf_one_shot(
     return OptimizerResult(theta, [problem.value(theta)], time.perf_counter() - start, 1, True)
 
 
-def _armijo_search(feas, value_fn, theta, direction, slope, f_current, step0):
-    """Backtracking search for sufficient increase along a tangent direction.
+def _armijo_search(step_fn, value_fn, slope, f_current, step0):
+    """Backtracking search for sufficient increase along a retraction curve.
 
-    Failed steps shrink by parabolic interpolation through (0, f), f'(0) and
-    the rejected point, clamped into [0.1 s, BACKTRACK_FACTOR * s].  Returns
-    (new_theta, new_value, accepted_step), or (None, None, None) when every
-    backtrack fails (a stall).
+    ``step_fn(s)`` is the retracted point at step length s.  Failed steps
+    shrink by parabolic interpolation through (0, f), f'(0) and the rejected
+    point, clamped into [0.1 s, BACKTRACK_FACTOR * s].  Returns (new_theta,
+    new_value, accepted_step), or (None, None, None) when every backtrack
+    fails (a stall).
     """
     s = step0
     for _ in range(MAX_BACKTRACKS):
-        try:
-            candidate = feas.project(theta + s * direction)
-        except RankDeficient:
-            s *= BACKTRACK_FACTOR
-            continue
+        candidate = step_fn(s)
         f_new = value_fn(candidate)
         if f_new >= f_current + ARMIJO_C * s * slope:
             return candidate, f_new, s
@@ -224,6 +264,7 @@ class _BarzilaiBorwein:
     """
 
     def __init__(self, feas: _Feasible, cfg: OptimizerConfig):
+        self.n = feas.n
         self.cap = 2.0 * np.sqrt(feas.n)
         self.step = None
 
@@ -232,10 +273,14 @@ class _BarzilaiBorwein:
         # slope: df/ds along the unnormalized gradient
         return riem, 2.0 * gnorm * gnorm, min(step, self.cap / gnorm)
 
-    def accepted(self, theta, theta_new, riem, riem_new, direction, s):
-        delta_theta = theta_new - theta
-        denom = -_inner(delta_theta, riem_new - riem)
-        ss = _inner(delta_theta, delta_theta)
+    def accepted(self, rotation, riem, riem_new, direction, s):
+        # Premultiplied by Theta†, the move is W - I and the ambient gradient
+        # change is W Omega_new - Omega_old.  <W - I, (W - I) Omega_new> is the
+        # real part of tr(H Omega_new) with H Hermitian, which is zero, so the
+        # product W Omega_new drops out of the curvature.
+        delta = rotation - np.eye(self.n)
+        denom = -_inner(delta, riem_new - riem)
+        ss = _inner(delta, delta)
         self.step = ss / denom if denom > 0 else (2.0 * s if s else None)
 
 
@@ -244,10 +289,11 @@ class _LimitedMemoryBfgs:
 
     Internally a textbook two-loop recursion on the negated objective, with
     curvature pairs living in the tangent space.  After every accepted step
-    the whole memory is transported to the new tangent space by projection,
-    the extra per-iteration cost that dominates at large N.  Falls back to
-    the normalized gradient whenever the quasi-Newton direction fails the
-    ascent test.
+    the whole memory is transported to the new tangent space by projection
+    through the block rotation W (``feas.tangent(v, W)``), the extra
+    per-iteration cost that dominates at large N.  Falls back to the
+    normalized gradient whenever the quasi-Newton direction fails the ascent
+    test.
     """
 
     def __init__(self, feas: _Feasible, cfg: OptimizerConfig):
@@ -282,19 +328,19 @@ class _LimitedMemoryBfgs:
                 direction, step0, self.used_fallback = candidate, 1.0, False
         return direction, 2.0 * _inner(riem, direction), step0
 
-    def accepted(self, theta, theta_new, riem, riem_new, direction, s):
+    def accepted(self, rotation, riem, riem_new, direction, s):
         if self.used_fallback:
             self.fallback_step = min(max(2.0 * s, 1e-12), self.cap)
         # transport the memory into the new tangent space, refresh curvatures
         tangent = self.feas.tangent
         memory = []
         for s_i, y_i, _ in self.memory:
-            s_t, y_t = tangent(s_i, theta_new), tangent(y_i, theta_new)
+            s_t, y_t = tangent(s_i, rotation), tangent(y_i, rotation)
             sy = _inner(s_t, y_t)
             if sy > 1e-300:
                 memory.append((s_t, y_t, 1.0 / sy))
-        s_vec = tangent(s * direction, theta_new)
-        y_vec = tangent(riem, theta_new) - riem_new  # negated-objective gap
+        s_vec = tangent(s * direction, rotation)
+        y_vec = tangent(riem, rotation) - riem_new  # negated-objective gap
         sy = _inner(s_vec, y_vec)
         s_norm = float(np.sqrt(_inner(s_vec, s_vec)))
         y_norm = float(np.sqrt(_inner(y_vec, y_vec)))
@@ -308,13 +354,18 @@ class _LimitedMemoryBfgs:
 def _ascend(realizations, arch, cfg, iterate_callback, initial_theta, rule) -> OptimizerResult:
     """Riemannian line-search ascent on the channel-gain objective.
 
-    ``rule(feas, cfg)`` builds the direction rule: ``propose(riem, gnorm)``
-    returns (direction, slope, trial step) and ``accepted(...)`` updates the
-    rule after each step.  Every step is an Armijo backtracking search with
-    polar retraction, so the trace is monotone.  Stops at a numerically
-    stationary point, on a line-search stall, on a two-iteration objective
-    plateau, or at the iteration cap; ``converged`` reports whether the
-    final gradient passed the stationarity test.
+    Gradients and directions are body-coordinate tangent vectors (see
+    ``_Feasible``).  ``rule(feas, cfg)`` builds the direction rule:
+    ``propose(riem, gnorm)`` returns (direction, slope, trial step) and
+    ``accepted(rotation, riem, riem_new, direction, s)`` updates the rule
+    after each step, where ``rotation`` is the step's block rotation
+    W = Theta† Theta_new.  Every step is an Armijo backtracking search along
+    the closed-form polar retraction (``_Feasible.retract``): one ``eigh``
+    per step, one matrix product per trial, and no SVD inside the loop.
+    The trace is monotone.  Stops at a numerically stationary point, on a
+    line-search stall, on a two-iteration objective plateau, or at the
+    iteration cap; ``converged`` reports whether the final gradient passed
+    the stationarity test.
     """
     start = time.perf_counter()
     problem = _GainProblem(realizations)
@@ -333,7 +384,8 @@ def _ascend(realizations, arch, cfg, iterate_callback, initial_theta, rule) -> O
             converged = True
             break
         direction, slope, step0 = rule.propose(riem, gnorm)
-        theta_new, f_new, s = _armijo_search(feas, problem.value, theta, direction, slope, f, step0)
+        step, rotation = feas.retract(theta, direction)
+        theta_new, f_new, s = _armijo_search(step, problem.value, slope, f, step0)
         if theta_new is None:  # stall: the step is effectively zero
             converged = gnorm <= STATIONARITY_TOLERANCE * max(abs(f), 1e-300)
             break
@@ -343,7 +395,7 @@ def _ascend(realizations, arch, cfg, iterate_callback, initial_theta, rule) -> O
         f, grad = problem.value_and_grad(theta_new)
         trace.append(f)
         riem_new = feas.tangent(grad, theta_new)
-        rule.accepted(theta, theta_new, riem, riem_new, direction, s)
+        rule.accepted(rotation(s), riem, riem_new, direction, s)
         theta, riem = theta_new, riem_new
         flat_streak = flat_streak + 1 if rel_change < cfg.objective_tolerance else 0
         if flat_streak >= 2:
@@ -361,10 +413,10 @@ def ao_manifold(
 ) -> OptimizerResult:
     """Riemannian gradient ascent on the channel-gain objective.
 
-    Steps along the Riemannian gradient with polar (per-block) retraction;
-    the trial step uses the Barzilai-Borwein curvature estimate from the
-    last accepted move.  The Armijo safeguard and the stopping rules are
-    ``_ascend``'s.
+    Steps along the Riemannian gradient, held in body coordinates, with the
+    closed-form polar (per-block) retraction; the trial step uses the
+    Barzilai-Borwein curvature estimate from the last accepted move.  The
+    Armijo safeguard and the stopping rules are ``_ascend``'s.
     """
     return _ascend(realizations, arch, cfg, iterate_callback, initial_theta, _BarzilaiBorwein)
 
@@ -378,8 +430,11 @@ def qnm_manifold(
 ) -> OptimizerResult:
     """Limited-memory quasi-Newton ascent on the channel-gain objective.
 
-    Keeps up to ``cfg.lbfgs_memory`` curvature pairs (``_LimitedMemoryBfgs``);
-    the Armijo safeguard and the stopping rules are ``_ascend``'s, as for AO.
+    Keeps up to ``cfg.lbfgs_memory`` curvature pairs (``_LimitedMemoryBfgs``)
+    as body-coordinate tangent vectors, transported after every step by
+    projection through the step's block rotation, one matrix product per
+    vector; the closed-form polar retraction, the Armijo safeguard and the
+    stopping rules are ``_ascend``'s, as for AO.
     """
     return _ascend(realizations, arch, cfg, iterate_callback, initial_theta, _LimitedMemoryBfgs)
 

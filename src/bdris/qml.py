@@ -34,9 +34,11 @@ class StateVector:
     def __post_init__(self):
         amp = np.asarray(self.amplitudes, dtype=complex)
         object.__setattr__(self, "amplitudes", amp)
+        if amp.ndim != 1:
+            raise DimensionMismatch(f"amplitudes of shape {amp.shape} are not a vector")
         size = amp.shape[0]
         q = int(np.log2(size)) if size > 0 else -1
-        if amp.ndim != 1 or size != 2**q or q < 1:
+        if size != 2**q or q < 1:
             raise DimensionMismatch(f"amplitude vector of length {size} is not a qubit register")
         if q > MAX_QUBITS:
             raise InvalidInput(f"{q} qubits exceed the dense-simulation cap of {MAX_QUBITS}")
@@ -60,6 +62,8 @@ class CircuitParams:
         object.__setattr__(self, "angles", a)
         if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
             raise DimensionMismatch("angles must be a (layers, qubits) matrix")
+        if a.shape[1] > MAX_QUBITS:
+            raise InvalidInput(f"{a.shape[1]} qubits exceed the dense-simulation cap of {MAX_QUBITS}")
         if not np.all(np.isfinite(a)):
             raise InvalidInput("angles must be finite")
 

@@ -33,6 +33,7 @@ N = 8
 FULL = BdRisArchitecture.fully_connected()
 ARCHS = [FULL, BdRisArchitecture.diagonal()] + [BdRisArchitecture.group_connected(s) for s in STRUCTURES[1:]]
 FEASIBLE = [optim._Feasible(arch, N) for arch in ARCHS]
+BLOCKS = [[np.arange(N)]] + [s.block_indices() for s in STRUCTURES]
 
 
 def random_complex(rng, *shape):
@@ -46,10 +47,15 @@ def block_project(m, structure):
 
 def per_block_project(m, structure):
     """Reference block projection: one np.ix_ gather and polar factor per block."""
-    out = np.zeros_like(m)
-    for idx in structure.block_indices():
+    return per_block(structure.block_indices(), polar_factor, m)
+
+
+def per_block(blocks, fn, *matrices):
+    """Reference block map: one np.ix_ gather and call per block, zero elsewhere."""
+    out = np.zeros_like(matrices[0])
+    for idx in blocks:
         sel = np.ix_(idx, idx)
-        out[sel] = polar_factor(m[sel])
+        out[sel] = fn(*(m[sel] for m in matrices))
     return out
 
 
@@ -127,6 +133,15 @@ class TestProjectToUnitary:
 
 
 class TestSkewPart:
+    def test_exactly_skew_hermitian(self):
+        rng = np.random.default_rng(18)
+        for shape in ((1, 1), (7, 7), (5, 4, 4)):
+            x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            out = skew_part(x)
+            assert np.array_equal(out, (x - x.conj().swapaxes(-1, -2)) / 2.0)
+            assert np.array_equal(out, -out.conj().swapaxes(-1, -2))
+            assert not np.any(np.diagonal(out, axis1=-2, axis2=-1).real)
+
     def test_stack_matches_per_slice(self):
         rng = np.random.default_rng(19)
         stack = rng.standard_normal((6, 3, 3)) + 1j * rng.standard_normal((6, 3, 3))
@@ -137,7 +152,10 @@ class TestSkewPart:
 
 
 class TestTangentProject:
-    """``_Feasible.tangent``: theta * skew(theta† G), per block."""
+    """``_Feasible.tangent``: body coordinates skew(theta† G), per block.
+
+    The ambient tangent vector is theta times the body vector.
+    """
 
     def test_base_point_maps_to_zero(self):
         rng = np.random.default_rng(5)
@@ -155,23 +173,32 @@ class TestTangentProject:
         assert np.allclose(t, np.diag([2.0j, -1.0j]), atol=1e-14)
 
     def test_output_is_tangent(self):
+        """Exactly skew-Hermitian, zero off the blocks, and theta times it is the ambient projection."""
         rng = np.random.default_rng(13)
-        for arch, feas in zip(ARCHS, FEASIBLE):
+        for arch, feas, blocks in zip(ARCHS, FEASIBLE, BLOCKS):
             outside = ~_support_mask(arch, N)
             for _ in range(20):
                 base = feas.random_point(rng)
-                t = feas.tangent(random_complex(rng, N, N), base)
-                x = base.conj().T @ t
-                assert np.max(np.abs(x + x.conj().T)) <= 1e-12
-                assert not np.any(t[outside])
+                g = random_complex(rng, N, N)
+                body = feas.tangent(g, base)
+                assert np.array_equal(body, -body.conj().T)
+                assert not np.any(body[outside])
+                ambient = per_block(blocks, lambda t, x: t @ skew_part(t.conj().T @ x), base, g)
+                assert np.max(np.abs(base @ body - ambient)) <= 1e-13
 
     def test_idempotent_linear_map(self):
+        """Projecting the ambient vector theta * Omega of a body vector Omega returns Omega."""
         rng = np.random.default_rng(17)
         for feas in FEASIBLE:
             base = feas.random_point(rng)
-            once = feas.tangent(random_complex(rng, N, N), base)
-            twice = feas.tangent(once, base)
+            x, y = random_complex(rng, N, N), random_complex(rng, N, N)
+            once = feas.tangent(x, base)
+            twice = feas.tangent(base @ once, base)
             assert np.max(np.abs(twice - once)) <= 1e-12
+            # at the identity frame a body vector is its own projection, bit for bit
+            assert np.array_equal(feas.tangent(once, np.eye(N, dtype=complex)), once)
+            combo = feas.tangent(2.0 * x - 0.5 * y, base)
+            assert np.max(np.abs(combo - (2.0 * once - 0.5 * feas.tangent(y, base)))) <= 1e-12
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -179,37 +206,74 @@ class TestTangentProject:
 
 
 class TestRetract:
-    """The polar retraction the line search makes: ``feas.project(theta + s * direction)``."""
+    """``_Feasible.retract``: the closed-form polar retraction the line search makes."""
+
+    @staticmethod
+    def setup(feas, rng, scale=1.0):
+        base = feas.random_point(rng)
+        omega = feas.tangent(random_complex(rng, N, N), base)
+        return base, scale * omega / np.linalg.norm(omega)
 
     def test_zero_step_returns_base_point(self):
         rng = np.random.default_rng(19)
         for feas in FEASIBLE:
-            base = feas.random_point(rng)
-            t = feas.tangent(random_complex(rng, N, N), base)
-            assert np.max(np.abs(feas.project(base + 0.0 * t) - base)) <= 1e-13
+            base, omega = self.setup(feas, rng)
+            step, rotation = feas.retract(base, omega)
+            assert np.max(np.abs(step(0.0) - base)) <= 1e-13
+            assert np.max(np.abs(rotation(0.0) - np.eye(N))) <= 1e-13
 
     def test_matches_exponential_map_to_first_order(self):
         t = 0.1
-        direction = np.array([[0.0, t], [-t, 0.0]], dtype=complex)
-        out = optim._Feasible(FULL, 2).project(np.eye(2) + direction)
+        omega = np.array([[0.0, t], [-t, 0.0]], dtype=complex)
+        out = optim._Feasible(FULL, 2).retract(np.eye(2, dtype=complex), omega)[0](1.0)
         exact = np.array([[np.cos(t), np.sin(t)], [-np.sin(t), np.cos(t)]])
         assert np.linalg.norm(out - exact) <= 1e-3
         rng = np.random.default_rng(21)
         for feas in FEASIBLE:
-            base = feas.random_point(rng)
-            t = feas.tangent(random_complex(rng, N, N), base)
-            t *= 0.1 / np.linalg.norm(t)
-            # exp map: base * expm(Omega), Omega = base† t skew-Hermitian, via H = -i Omega
-            lam, v = np.linalg.eigh(-1j * (base.conj().T @ t))
+            base, omega = self.setup(feas, rng, 0.1)
+            # exp map: base * expm(Omega), via H = -i Omega = V diag(lam) V†
+            lam, v = np.linalg.eigh(-1j * omega)
             exact = base @ (v * np.exp(1j * lam)) @ v.conj().T
-            assert np.linalg.norm(feas.project(base + t) - exact) <= 1e-3
+            assert np.linalg.norm(feas.retract(base, omega)[0](1.0) - exact) <= 1e-3
+
+    @pytest.mark.parametrize("s", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("index", range(len(ARCHS)), ids=["full"] + STRUCTURE_IDS)
+    def test_equals_per_block_polar_factor(self, index, s):
+        """step(s) is polar(theta + s theta Omega), block by block; W(s) is the step's block rotation."""
+        arch, feas, blocks = ARCHS[index], FEASIBLE[index], BLOCKS[index]
+        rng = np.random.default_rng(22)
+        outside = ~_support_mask(arch, N)
+        for _ in range(5):
+            base, omega = self.setup(feas, rng, 3.0)
+            step, rotation = feas.retract(base, omega)
+            expected = per_block(blocks, lambda t, o: polar_factor(t + s * t @ o), base, omega)
+            assert np.max(np.abs(step(s) - expected)) <= 1e-12
+            w = rotation(s)
+            assert not np.any(w[outside])
+            for idx in blocks:
+                assert unitarity_defect(w[np.ix_(idx, idx)]) <= 1e-12
+            assert np.max(np.abs(base @ w - expected)) <= 1e-12
+
+    @pytest.mark.parametrize("index", range(len(ARCHS)), ids=["full"] + STRUCTURE_IDS)
+    def test_body_transport_equals_ambient_projection(self, index):
+        """tangent(Omega_i, W) mapped back by theta_new is the projection of theta_old Omega_i at theta_new."""
+        feas, blocks = FEASIBLE[index], BLOCKS[index]
+        rng = np.random.default_rng(24)
+        for s in (0.01, 1.0, 50.0):
+            base, omega = self.setup(feas, rng)
+            memory = feas.tangent(random_complex(rng, N, N), base)
+            step, rotation = feas.retract(base, omega)
+            new = step(s)
+            moved = new @ feas.tangent(memory, rotation(s))
+            ambient = per_block(blocks, lambda t, x: t @ skew_part(t.conj().T @ x), new, base @ memory)
+            assert np.max(np.abs(moved - ambient)) <= 1e-12
 
     def test_output_unitary(self):
         rng = np.random.default_rng(23)
         for arch, feas in zip(ARCHS, FEASIBLE):
             for step in (0.01, 0.5, 3.0):
-                base = feas.random_point(rng)
-                out = feas.project(base + step * feas.tangent(random_complex(rng, N, N), base))
+                base, omega = self.setup(feas, rng, np.sqrt(N))
+                out = feas.retract(base, omega)[0](step)
                 assert unitarity_defect(out) <= 1e-10
                 assert validate(out, arch).valid
 

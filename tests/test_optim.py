@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from bdris import optim
-from bdris.architectures import BdRisArchitecture, channel_gain_objective, validate
+from bdris.architectures import BdRisArchitecture, _support_mask, channel_gain_objective, validate
 from bdris.channel import ChannelRealization, ScenarioConfig, scenario_realizations
 from bdris.errors import DimensionMismatch, InvalidInput, RankDeficient, RankDeficientWarning
 from bdris.manifold import BlockStructure, polar_factor, skew_part, unitarity_defect
@@ -210,6 +210,16 @@ class TestAoManifold:
             assert iterates
             for theta in iterates:
                 assert validate(theta, arch, tolerance=1e-8).valid
+
+    def test_long_run_stays_feasible(self):
+        """Iterates come from closed-form retractions, never re-projected: no drift off the set."""
+        reals = scenario_realizations(ScenarioConfig(), 128, np.random.default_rng(7))
+        cfg = OptimizerConfig(seed=7, max_iterations=500, objective_tolerance=1e-15)
+        result = ao_manifold(reals, FULL, cfg)
+        assert result.iterations >= 250
+        assert validate(result.theta, FULL, tolerance=1e-8).valid
+        trace = result.objective_trace
+        assert all(b >= a for a, b in zip(trace, trace[1:]))
 
     def test_stationarity_at_convergence(self):
         # the converged flag is only ever set after the gradient test, so
@@ -515,10 +525,11 @@ class TestBatchedFeasibleSet:
         grad = random_complex(rng, self.N, self.N)
         theta = feas.project(m)
         assert np.array_equal(theta, self.per_block(arch, polar_factor, m))
-        assert np.array_equal(
-            feas.tangent(grad, theta),
-            self.per_block(arch, lambda t, g: t @ skew_part(t.conj().T @ g), theta, grad),
-        )
+        body = feas.tangent(grad, theta)
+        assert np.array_equal(body, self.per_block(arch, lambda t, g: skew_part(t.conj().T @ g), theta, grad))
+        # mapped back by theta, the body vector is the ambient Riemannian gradient
+        ambient = self.per_block(arch, lambda t, g: t @ skew_part(t.conj().T @ g), theta, grad)
+        assert np.max(np.abs(theta @ body - ambient)) <= 1e-13
         point = feas.random_point(np.random.default_rng(61))
         z_rng = np.random.default_rng(61)
         z = (z_rng.standard_normal((self.N, self.N)) + 1j * z_rng.standard_normal((self.N, self.N))) / np.sqrt(2.0)
@@ -562,6 +573,68 @@ class TestBatchedFeasibleSet:
             warnings.simplefilter("error")  # only rzf_one_shot warns about the fallback
             fp_sum_rate(reals, arch, OptimizerConfig(seed=64, max_iterations=1), iterate_callback=starts.append)
         assert np.array_equal(starts[0], expected)
+
+
+class TestBodyCoordinateRules:
+    """The direction rules, fed body vectors and the block rotation W, compute the ambient quantities.
+
+    The reference works on the ambient vectors theta * Omega with the two
+    iterates, as the rules did before tangent vectors were held in body
+    coordinates.
+    """
+
+    N = 8
+    ARCHS = [FULL] + BLOCK_ARCHS
+    IDS = ["full"] + BLOCK_IDS
+
+    def step_instance(self, arch, rng, s=0.7):
+        feas = optim._Feasible(arch, self.N)
+        theta = feas.random_point(rng)
+        direction = feas.tangent(random_complex(rng, self.N, self.N), theta)
+        step, rotation = feas.retract(theta, direction)
+        return feas, theta, step(s), direction, rotation(s), s
+
+    def ambient_tangent(self, x, frame):
+        return frame @ skew_part(frame.conj().T @ x)
+
+    @pytest.mark.parametrize("arch", ARCHS, ids=IDS)
+    def test_barzilai_borwein_step(self, arch):
+        rng = np.random.default_rng(66)
+        feas, theta, theta_new, direction, w, s = self.step_instance(arch, rng)
+        g_old = random_complex(rng, self.N, self.N)
+        g_new = g_old - 3.0 * (theta_new - theta)  # concave along the step: positive curvature estimate
+        riem, riem_new = feas.tangent(g_old, theta), feas.tangent(g_new, theta_new)
+        rule = optim._BarzilaiBorwein(feas, OptimizerConfig())
+        rule.accepted(w, riem, riem_new, direction, s)
+        delta = theta_new - theta
+        denom = -np.vdot(delta, theta_new @ riem_new - theta @ riem).real
+        assert denom > 0
+        assert rule.step == pytest.approx(np.vdot(delta, delta).real / denom, rel=1e-10)
+
+    @pytest.mark.parametrize("arch", ARCHS, ids=IDS)
+    def test_lbfgs_transport_and_new_pair(self, arch):
+        rng = np.random.default_rng(67)
+        feas, theta, theta_new, direction, w, s = self.step_instance(arch, rng)
+        rule = optim._LimitedMemoryBfgs(feas, OptimizerConfig(lbfgs_memory=4))
+        pairs = []
+        for _ in range(3):
+            s_i = feas.tangent(random_complex(rng, self.N, self.N), theta)
+            y_i = s_i + 0.1 * feas.tangent(random_complex(rng, self.N, self.N), theta)
+            pairs.append((s_i, y_i))
+        rule.memory = [(a, b, 1.0 / optim._inner(a, b)) for a, b in pairs]
+        rule.used_fallback = False
+        riem = feas.tangent(random_complex(rng, self.N, self.N), theta)
+        riem_new = feas.tangent(random_complex(rng, self.N, self.N), theta_new)
+        rule.accepted(w, riem, riem_new, direction, s)
+        mask = _support_mask(arch, self.N)  # theta_new is block diagonal: project, then keep the blocks
+        p = lambda x: np.where(mask, self.ambient_tangent(x, theta_new), 0.0)
+        expected = [(p(theta @ a), p(theta @ b)) for a, b in pairs]
+        expected.append((p(s * theta @ direction), p(theta @ riem) - theta_new @ riem_new))
+        assert len(rule.memory) == len(expected)
+        for (a, b, rho), (ea, eb) in zip(rule.memory, expected):
+            assert np.max(np.abs(theta_new @ a - ea)) <= 1e-12
+            assert np.max(np.abs(theta_new @ b - eb)) <= 1e-12
+            assert rho == pytest.approx(1.0 / np.vdot(ea, eb).real, rel=1e-10)
 
 
 class TestQnmMemoryTransport:

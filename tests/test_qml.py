@@ -9,6 +9,7 @@ from bdris.errors import DimensionMismatch, InvalidInput, LengthMismatch, TooLon
 from bdris import qml
 from bdris.harness import dataset_csv_rows, load_dataset_csv
 from bdris.qml import (
+    MAX_QUBITS,
     CircuitParams,
     HybridModel,
     StateVector,
@@ -418,6 +419,14 @@ GUARDS = [
     pytest.param(lambda: cross_entropy([[0, 1, 2], [0, 0, 9]], [0]), LengthMismatch, "length",
                  id="cross_entropy_lengths"),
     pytest.param(lambda: StateVector(np.array([np.nan, 0.0])), InvalidInput, "norm", id="state_nan"),
+    pytest.param(lambda: StateVector(np.array(1.0)), DimensionMismatch, "not a vector", id="state_0d"),
+    pytest.param(lambda: StateVector(np.ones((2, 2)) / 2.0), DimensionMismatch, "not a vector", id="state_2d"),
+    pytest.param(lambda: CircuitParams(np.zeros((1, MAX_QUBITS + 1))), InvalidInput, "dense-simulation cap",
+                 id="angles_too_many_qubits"),
+    pytest.param(lambda: init_hybrid_model(MAX_QUBITS + 1, 1, 2, 2, np.random.default_rng(0)), InvalidInput,
+                 "dense-simulation cap", id="init_model_too_many_qubits"),
+    pytest.param(lambda: HybridModel(CircuitParams(np.zeros((1, MAX_QUBITS + 1))), np.zeros((2, MAX_QUBITS + 1)),
+                                     np.zeros(2)), InvalidInput, "dense-simulation cap", id="model_too_many_qubits"),
     pytest.param(lambda: amplitude_embed([np.nan, 1.0], 1), InvalidInput, "finite", id="embed_nan"),
     pytest.param(lambda: amplitude_embed([np.inf, 1.0], 1), InvalidInput, "finite", id="embed_inf"),
     pytest.param(lambda: SyntheticBeamDataset(np.array([[0.1, np.nan], [0.2, 0.3]]), np.array([0, 1]), 2),
