@@ -578,9 +578,8 @@ class TestBatchedFeasibleSet:
 class TestBodyCoordinateRules:
     """The direction rules, fed body vectors and the block rotation W, compute the ambient quantities.
 
-    The reference works on the ambient vectors theta * Omega with the two
-    iterates, as the rules did before tangent vectors were held in body
-    coordinates.
+    The reference evaluates the same quantities on the ambient vectors
+    theta * Omega and the two iterates.
     """
 
     N = 8

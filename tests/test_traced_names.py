@@ -56,7 +56,8 @@ def test_feasible_set_calls_through_optim_namespace(name, arch, monkeypatch):
 
     If the feasible set stopped looking them up in ``bdris.optim``, the
     per-layer counters would silently read zero.  FP makes no tangent
-    projection.
+    projection.  AO and QNM project only their first iterate; their steps
+    use the closed-form retraction, which calls neither name.
     """
     calls = {"polar_factor": 0, "skew_part": 0}
     for attr in calls:
