@@ -5,10 +5,8 @@ __version__ = "0.1.0"
 from .architectures import (
     ArchitectureKind,
     BdRisArchitecture,
-    HybridMatrices,
-    channel_gain_objective,
-    effective_channel,
-    hybrid_split,
+    diagonal_single_tag_amplitude,
+    fully_connected_single_tag_amplitude,
     optimal_diagonal_single_tag,
     optimal_fully_connected_single_tag,
     validate,
@@ -33,12 +31,12 @@ from .optim import (
     OptimizerResult,
     ao_manifold,
     benchmark,
+    channel_gain_objective,
     euclidean_gradient,
     fp_sum_rate,
     mean_sum_rate,
     qnm_manifold,
     rzf_one_shot,
-    sum_rate,
 )
 from .qml import (
     CircuitParams,

@@ -28,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .architectures import diagonal_single_tag_amplitude, fully_connected_single_tag_amplitude
 from .channel import ChannelRealization, ScenarioConfig, path_loss_linear, sample_fading
 from .errors import ConfigError, InvalidInput
 from .manifold import random_unitary
@@ -387,10 +388,8 @@ def _power_comparison_trial(cfg: ExperimentConfig, trial: int) -> list[tuple]:
     rows = []
     for n in cfg.element_counts:
         b, c = b_full[:n], c_full[:n]
-        # certified closed forms (the constructive matrices live in
-        # architectures and are verified to achieve exactly these values)
-        amp_diag = float(np.sum(np.abs(b) * np.abs(c)))
-        amp_full = float(np.linalg.norm(b) * np.linalg.norm(c))
+        amp_diag = diagonal_single_tag_amplitude(b, c)
+        amp_full = fully_connected_single_tag_amplitude(b, c)
         rows.append((n, "diagonal", trial, tx_power_dbm + 20.0 * np.log10(amp_diag)))
         rows.append((n, "fully_connected", trial, tx_power_dbm + 20.0 * np.log10(amp_full)))
         if cfg.include_random_baseline:

@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .architectures import BdRisArchitecture, effective_channel_matrix
-from .channel import ChannelRealization, ChannelStack, ScenarioConfig, scenario_realizations
+from .channel import ChannelStack, ScenarioConfig, scenario_realizations
 from .errors import DimensionMismatch, InvalidInput, RankDeficient, RankDeficientWarning
 from .manifold import aligned_unitary, polar_factor, random_unitary, skew_part
 from .seeding import derive_seed, derived_rng
@@ -159,6 +159,11 @@ class _GainProblem:
         h = effective_channel_matrix(self.stack, theta)
         grad = np.sum(self.stack.ris_device_t @ np.conj(h) @ self.stack.bs_ris_dag, axis=0)
         return float(np.sum(np.abs(h) ** 2)), grad
+
+
+def channel_gain_objective(theta, realizations) -> float:
+    """Total squared effective-channel norm over devices and location snapshots."""
+    return _GainProblem(realizations).value(theta)
 
 
 def euclidean_gradient(theta: np.ndarray, realizations) -> np.ndarray:
@@ -470,6 +475,8 @@ def _rates_from_cross(cross: np.ndarray, rho: float) -> float:
 def mean_sum_rate(theta, realizations, tx_snr_db: float | None = None) -> float:
     """Snapshot-averaged downlink sum rate in bits/s/Hz, one RZF precoder per snapshot.
 
+    ``realizations`` is one ``ChannelRealization`` or a sequence of them.
+
     SINR_l = rho |h_l† w_l|^2 / (rho sum_{j != l} |h_l† w_j|^2 + 1) with rho
     the linear transmit SNR (the snapshots' own unless ``tx_snr_db`` is
     given) and each precoder normalized to unit total power.
@@ -478,11 +485,6 @@ def mean_sum_rate(theta, realizations, tx_snr_db: float | None = None) -> float:
     rho = 10.0 ** ((stack.tx_snr_db if tx_snr_db is None else tx_snr_db) / 10.0)
     h = effective_channel_matrix(stack, theta)
     return _rates_from_cross(np.conj(h) @ _rzf_precoder_batch(h, rho), rho)
-
-
-def sum_rate(theta: np.ndarray, realization: ChannelRealization, tx_snr_db: float | None = None) -> float:
-    """Downlink sum rate of one snapshot; see ``mean_sum_rate``."""
-    return mean_sum_rate(theta, realization, tx_snr_db)
 
 
 class _SumRateSurrogate:

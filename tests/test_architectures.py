@@ -7,11 +7,9 @@ from bdris import optim
 from bdris.architectures import (
     ArchitectureKind,
     BdRisArchitecture,
-    HybridMatrices,
-    channel_gain_objective,
-    effective_channel,
+    diagonal_single_tag_amplitude,
     effective_channel_matrix,
-    hybrid_split,
+    fully_connected_single_tag_amplitude,
     optimal_diagonal_single_tag,
     optimal_fully_connected_single_tag,
     _support_mask,
@@ -20,6 +18,7 @@ from bdris.architectures import (
 from bdris.channel import ChannelRealization, ChannelStack
 from bdris.errors import DimensionMismatch, InvalidInput, ZeroChannel
 from bdris.manifold import BlockStructure, random_unitary
+from bdris.optim import channel_gain_objective
 
 
 def random_complex(rng, *shape):
@@ -56,16 +55,6 @@ class TestValidate:
         u = random_unitary(6, np.random.default_rng(2)).entries
         assert validate(u, BdRisArchitecture.fully_connected()).valid
 
-    def test_paired_pattern(self):
-        pairing = (1, 0, 3, 2)
-        theta = np.zeros((4, 4), dtype=complex)
-        phases = np.exp(1j * np.array([0.3, 1.1, -0.4, 2.0]))
-        for col, row in enumerate(pairing):
-            theta[row, col] = phases[col]
-        arch = BdRisArchitecture.non_diagonal_paired(pairing)
-        assert validate(theta, arch).valid
-        assert not validate(np.diag(phases), arch).valid
-
     def test_rejects_perturbations(self):
         rng = np.random.default_rng(3)
         eps = 1e-6  # well above 10x the structural tolerance
@@ -82,11 +71,6 @@ class TestValidate:
         theta[0, 1] = 0.5
         report = validate(theta, BdRisArchitecture.diagonal())
         assert len(report.violations) == 2
-
-    def test_tree_forest_are_typed_but_unsupported(self):
-        arch = BdRisArchitecture(ArchitectureKind.TREE_CONNECTED)
-        with pytest.raises(InvalidInput):
-            validate(np.eye(3), arch)
 
     def test_non_square_rejected(self):
         with pytest.raises(DimensionMismatch):
@@ -131,20 +115,6 @@ class TestUnitaryBlocks:
             with pytest.raises(DimensionMismatch):
                 arch.unitary_blocks(n)
 
-    @pytest.mark.parametrize(
-        "arch",
-        [
-            BdRisArchitecture.non_diagonal_paired((1, 0, 3, 2)),
-            BdRisArchitecture.hybrid(),
-            BdRisArchitecture(ArchitectureKind.TREE_CONNECTED),
-            BdRisArchitecture(ArchitectureKind.FOREST_CONNECTED),
-        ],
-        ids=["paired", "hybrid", "tree", "forest"],
-    )
-    def test_non_block_kinds_rejected(self, arch):
-        with pytest.raises(InvalidInput):
-            arch.unitary_blocks(4)
-
     @pytest.mark.parametrize("structure", STRUCTURES, ids=STRUCTURE_IDS)
     def test_support_mask_equals_per_block_reference(self, structure):
         """validate's zero pattern equals one np.ix_ fill per block."""
@@ -158,82 +128,40 @@ class TestUnitaryBlocks:
         assert np.all(_support_mask(BdRisArchitecture.fully_connected(), 8))
 
 
-class TestHybrid:
-    def test_split_constructor_satisfies_invariant(self):
-        rng = np.random.default_rng(4)
-        for alpha in (0.0, 0.3, 1.0):
-            pair = hybrid_split(random_unitary(4, rng), random_unitary(4, rng), alpha)
-            assert pair.split_defect() <= 1e-10
-            assert validate(pair, BdRisArchitecture.hybrid()).valid
-
-    def test_lossy_pair_rejected(self):
-        rng = np.random.default_rng(5)
-        u = random_unitary(3, rng).entries
-        with pytest.raises(InvalidInput):
-            HybridMatrices(0.5 * u, 0.5 * u)
-
-    def test_plain_matrix_is_not_a_hybrid(self):
-        report = validate(np.eye(3), BdRisArchitecture.hybrid())
-        assert not report.valid
-
-    def test_non_finite_pair_rejected(self):
-        u = random_unitary(3, np.random.default_rng(6)).entries
-        with pytest.raises(InvalidInput, match="non-finite"):
-            HybridMatrices(np.full((3, 3), np.nan), u)
-        with pytest.raises(InvalidInput, match="non-finite"):
-            HybridMatrices(u, np.full((3, 3), np.nan))
-
-    def test_validate_flags_non_finite_pair(self):
-        # built around the constructor's check, as a pair mutated after construction would be
-        u = random_unitary(3, np.random.default_rng(7)).entries
-        pair = object.__new__(HybridMatrices)
-        object.__setattr__(pair, "reflect", np.full((3, 3), np.nan + 0j))
-        object.__setattr__(pair, "transmit", u)
-        report = validate(pair, BdRisArchitecture.hybrid())
-        assert report.violations == ("9 non-finite entries",)
-
-
 class TestEffectiveChannel:
     def test_zero_theta_leaves_direct_path(self):
-        rng = np.random.default_rng(6)
-        a, b, c = random_complex(rng, 3), random_complex(rng, 4), random_complex(rng, 4, 3)
-        h = effective_channel(a, b, c, np.zeros((4, 4)))
-        assert np.allclose(h, a)
+        real = make_realization(np.random.default_rng(6), l=2, m=3, n=4)
+        h = effective_channel_matrix(real, np.zeros((4, 4)))
+        assert np.allclose(h, real.direct)
 
     def test_zero_reflector_link_leaves_direct_path(self):
         rng = np.random.default_rng(7)
-        a, c = random_complex(rng, 3), random_complex(rng, 4, 3)
-        u = random_unitary(4, rng).entries
-        h = effective_channel(a, np.zeros(4), c, u)
-        assert np.allclose(h, a)
+        real = make_realization(rng, l=2, m=3, n=4)
+        real = ChannelRealization(real.direct, np.zeros((2, 4)), real.bs_ris)
+        h = effective_channel_matrix(real, random_unitary(4, rng).entries)
+        assert np.allclose(h, real.direct)
 
     def test_matches_scalar_loop_expansion(self):
         rng = np.random.default_rng(8)
-        n, m = 3, 2
-        a, b, c = random_complex(rng, m), random_complex(rng, n), random_complex(rng, n, m)
+        l, m, n = 2, 2, 3
+        real = make_realization(rng, l=l, m=m, n=n)
+        a, b, c = real.direct, real.ris_device, real.bs_ris
         theta = random_complex(rng, n, n)
-        h = effective_channel(a, b, c, theta)
-        # h† = a† + b†ΘC expanded entry by entry
-        expected_dag = np.zeros(m, dtype=complex)
-        for j in range(m):
-            expected_dag[j] = np.conj(a[j])
-            for p in range(n):
-                for q in range(n):
-                    expected_dag[j] += np.conj(b[p]) * theta[p, q] * c[q, j]
+        h = effective_channel_matrix(real, theta)
+        # h_l† = a_l† + b_l†ΘC expanded entry by entry
+        expected_dag = np.zeros((l, m), dtype=complex)
+        for k in range(l):
+            for j in range(m):
+                expected_dag[k, j] = np.conj(a[k, j])
+                for p in range(n):
+                    for q in range(n):
+                        expected_dag[k, j] += np.conj(b[k, p]) * theta[p, q] * c[q, j]
         assert np.allclose(np.conj(h), expected_dag, atol=1e-12)
 
-    def test_matrix_form_agrees_with_vector_form(self):
-        rng = np.random.default_rng(9)
-        real = make_realization(rng)
-        theta = random_complex(rng, 4, 4)
-        stacked = effective_channel_matrix(real, theta)
-        for l in range(real.num_devices):
-            h = effective_channel(real.direct[l], real.ris_device[l], real.bs_ris, theta)
-            assert np.allclose(stacked[l], h, atol=1e-12)
-
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            effective_channel(np.ones(2), np.ones(3), np.ones((4, 2)), np.eye(4))
+        real = make_realization(np.random.default_rng(9), n=4)
+        with pytest.raises(DimensionMismatch, match="theta shape"):
+            effective_channel_matrix(real, np.eye(3))
 
     @pytest.mark.parametrize("n", [1, 4, 16])
     def test_stack_form_equals_each_realization_exactly(self, n):
@@ -376,22 +304,31 @@ class TestFullyConnectedSingleTag:
             optimal_fully_connected_single_tag(np.ones(3), np.zeros(3))
 
 
+class TestSingleTagAmplitudes:
+    @pytest.mark.parametrize("n", [1, 8])
+    def test_achieved_by_the_optima(self, n):
+        rng = np.random.default_rng(19 + n)
+        b, c = random_complex(rng, n), random_complex(rng, n)
+        for amplitude, optimum in (
+            (diagonal_single_tag_amplitude, optimal_diagonal_single_tag),
+            (fully_connected_single_tag_amplitude, optimal_fully_connected_single_tag),
+        ):
+            theta, value = optimum(b, c)
+            assert amplitude(b, c) == value
+            assert abs(np.conj(b) @ theta.entries @ c) == pytest.approx(value, rel=1e-12)
+
+
 GUARDS = [
-    pytest.param(lambda: BdRisArchitecture(ArchitectureKind.NON_DIAGONAL_PAIRED), InvalidInput,
-                 "port permutation", id="paired_without_pairing"),
-    pytest.param(lambda: BdRisArchitecture.non_diagonal_paired((0, 0, 1)), InvalidInput,
-                 "bijection", id="paired_not_bijective"),
-    pytest.param(lambda: HybridMatrices(np.eye(2), np.eye(3)), DimensionMismatch,
-                 "square and equally sized", id="hybrid_shapes"),
-    pytest.param(lambda: hybrid_split(random_unitary(2, np.random.default_rng(0)),
-                                      random_unitary(2, np.random.default_rng(1)), alpha=1.5),
-                 InvalidInput, "alpha", id="hybrid_split_alpha"),
-    pytest.param(lambda: _support_mask(BdRisArchitecture.non_diagonal_paired((1, 0)), 3), DimensionMismatch,
-                 "pairing does not fit", id="pairing_size"),
+    pytest.param(lambda: validate(np.eye(4), BdRisArchitecture("diagonal")), InvalidInput,
+                 "'diagonal' is not a block-unitary architecture", id="kind_not_a_member"),
     pytest.param(lambda: optimal_diagonal_single_tag(np.ones(2), np.ones(3)), DimensionMismatch,
                  "equal length", id="diagonal_lengths"),
     pytest.param(lambda: optimal_fully_connected_single_tag(np.ones(2), np.ones(3)), DimensionMismatch,
                  "equal length", id="fully_connected_lengths"),
+    pytest.param(lambda: diagonal_single_tag_amplitude(np.ones(2), np.ones(3)), DimensionMismatch,
+                 "equal length", id="diagonal_amplitude_lengths"),
+    pytest.param(lambda: fully_connected_single_tag_amplitude(np.zeros(3), np.ones(3)), ZeroChannel,
+                 "zero channel", id="fully_connected_amplitude_zero"),
 ]
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from bdris import optim
-from bdris.architectures import BdRisArchitecture, _support_mask, channel_gain_objective, validate
+from bdris.architectures import ArchitectureKind, BdRisArchitecture, _support_mask, validate
 from bdris.channel import ChannelRealization, ScenarioConfig, scenario_realizations
 from bdris.errors import DimensionMismatch, InvalidInput, RankDeficient, RankDeficientWarning
 from bdris.manifold import BlockStructure, polar_factor, skew_part, unitarity_defect
@@ -14,12 +14,12 @@ from bdris.optim import (
     OptimizerConfig,
     ao_manifold,
     benchmark,
+    channel_gain_objective,
     euclidean_gradient,
     fp_sum_rate,
     mean_sum_rate,
     qnm_manifold,
     rzf_one_shot,
-    sum_rate,
 )
 
 FULL = BdRisArchitecture.fully_connected()
@@ -295,7 +295,7 @@ class TestSumRate:
     def test_vanishes_at_zero_snr(self):
         rng = np.random.default_rng(17)
         real = unit_instance(rng)[0]
-        rate = sum_rate(np.eye(3), real, tx_snr_db=-300.0)
+        rate = mean_sum_rate(np.eye(3), real, tx_snr_db=-300.0)
         assert rate == pytest.approx(0.0, abs=1e-10)
 
     def test_single_user_closed_form(self):
@@ -312,7 +312,7 @@ class TestSumRate:
         h = effective_channel_matrix(real, theta)[0]
         rho = 10.0 ** 1.8
         expected = np.log2(1 + rho * float(np.sum(np.abs(h) ** 2)))
-        assert sum_rate(theta, real) == pytest.approx(expected, rel=1e-10)
+        assert mean_sum_rate(theta, real) == pytest.approx(expected, rel=1e-10)
 
     def test_invariant_under_device_permutation(self):
         rng = np.random.default_rng(19)
@@ -324,7 +324,7 @@ class TestSumRate:
             tx_snr_db=real.tx_snr_db,
         )
         theta = np.eye(3)
-        assert sum_rate(theta, real) == pytest.approx(sum_rate(theta, flipped), rel=1e-12)
+        assert mean_sum_rate(theta, real) == pytest.approx(mean_sum_rate(theta, flipped), rel=1e-12)
 
     @staticmethod
     def reference_rate(theta, real, rho):
@@ -355,16 +355,16 @@ class TestSumRate:
         rng = np.random.default_rng(27)
         real = unit_instance(rng, l=3, m=4, n=5)[0]
         theta = random_complex(rng, 5, 5)
-        assert sum_rate(theta, real) == mean_sum_rate(theta, [real])
-        assert sum_rate(theta, real, tx_snr_db=5.0) == mean_sum_rate(theta, [real], tx_snr_db=5.0)
+        assert mean_sum_rate(theta, real) == mean_sum_rate(theta, [real])
+        assert mean_sum_rate(theta, real, tx_snr_db=5.0) == mean_sum_rate(theta, [real], tx_snr_db=5.0)
 
     def test_snr_override(self):
         rng = np.random.default_rng(28)
         real = unit_instance(rng, l=3, m=4, n=5)[0]
         at_5db = ChannelRealization(real.direct, real.ris_device, real.bs_ris, tx_snr_db=5.0)
         theta = random_complex(rng, 5, 5)
-        assert sum_rate(theta, real, tx_snr_db=5.0) == sum_rate(theta, at_5db)
-        assert sum_rate(theta, real, tx_snr_db=5.0) != sum_rate(theta, real)
+        assert mean_sum_rate(theta, real, tx_snr_db=5.0) == mean_sum_rate(theta, at_5db)
+        assert mean_sum_rate(theta, real, tx_snr_db=5.0) != mean_sum_rate(theta, real)
 
 
 def mixed_instance(kind):
@@ -496,13 +496,23 @@ class TestGroupConnected:
                 assert a[key] == b[key]
 
     def test_optimizers_reject_unsupported_architectures(self):
+        """A kind that is not an ArchitectureKind member never falls through to a feasible set."""
         rng = np.random.default_rng(32)
         reals = unit_instance(rng, n=4)
-        paired = BdRisArchitecture.non_diagonal_paired((1, 0, 3, 2))
-        hybrid = BdRisArchitecture.hybrid()
-        for arch in (paired, hybrid):
-            with pytest.raises(InvalidInput):
-                ao_manifold(reals, arch, OptimizerConfig(seed=1, max_iterations=2))
+        for kind in ("fully-connected", None):
+            for solver in optim.ALGORITHMS.values():
+                with pytest.raises(InvalidInput, match="not a block-unitary architecture"):
+                    solver(reals, BdRisArchitecture(kind), OptimizerConfig(seed=1, max_iterations=2))
+
+
+@pytest.mark.parametrize("name", sorted(optim.ALGORITHMS))
+@pytest.mark.parametrize("kind", list(ArchitectureKind), ids=lambda kind: kind.value)
+def test_every_kind_is_optimized_feasibly(kind, name):
+    """Every architecture kind has a feasible set that every optimizer moves on and stays in."""
+    reals = unit_instance(np.random.default_rng(33), n=4)
+    arch = BdRisArchitecture(kind, structure=BlockStructure((2, 2)))
+    result = optim.ALGORITHMS[name](reals, arch, OptimizerConfig(seed=2, max_iterations=2))
+    assert validate(result.theta, arch, 1e-8).valid
 
 
 class TestBatchedFeasibleSet:
