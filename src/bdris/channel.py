@@ -118,6 +118,13 @@ class Device:
         object.__setattr__(self, "waypoint", np.asarray(self.waypoint, dtype=float))
 
 
+def _require_finite_levels(obj) -> None:
+    """The noise power and transmit SNR of a realization or scenario must be finite numbers."""
+    for name in ("noise_power_dbm", "tx_snr_db"):
+        if not math.isfinite(getattr(obj, name)):
+            raise InvalidInput(f"{name} must be finite, got {getattr(obj, name)!r}")
+
+
 @dataclass(frozen=True)
 class ChannelRealization:
     """One snapshot of all links: direct (L x M), ris_device (L x N), bs_ris (N x M)."""
@@ -145,6 +152,7 @@ class ChannelRealization:
             raise InvalidInput(
                 f"bs_ris shape {c.shape} != (elements, antennas) = ({b.shape[1]}, {a.shape[1]})"
             )
+        _require_finite_levels(self)
         object.__setattr__(self, "direct", a)
         object.__setattr__(self, "ris_device", b)
         object.__setattr__(self, "bs_ris", c)
@@ -376,6 +384,7 @@ class ScenarioConfig:
             raise InvalidInput("snapshot counts must be positive")
         if not 0.0 <= self.speed_min_mps <= self.speed_max_mps:
             raise InvalidInput("speed range must satisfy 0 <= min <= max")
+        _require_finite_levels(self)
         area, reference = self.geometry.device_area, self.pathloss.reference_distance_m
         for name, site in (("BS", self.geometry.bs_position), ("RIS", self.geometry.ris_position)):
             nearest = np.clip(site[:2], (area.x_min, area.y_min), (area.x_max, area.y_max))

@@ -115,6 +115,36 @@ class BlockStructure:
             out.append(BlockGather(ids, idx[:, :, None], idx[:, None, :]))
         return tuple(out)
 
+    @cached_property
+    def _bounds(self) -> tuple[tuple[int, int, int], ...]:
+        """(start, G, k) of each size's run in the packed layout."""
+        out, start = [], 0
+        for g in self.gather:
+            count, k = len(g.block_ids), g.rows.shape[1]
+            out.append((start, count, k))
+            start += count * k * k
+        return tuple(out)
+
+    def pack(self, m: np.ndarray) -> np.ndarray:
+        """The block entries of an N x N matrix as one 1-D array, in ``gather`` order.
+
+        Entry by entry this is the per-size (G, k, k) stacks concatenated;
+        the fully-connected surface packs to the matrix's own entries in
+        row-major order.
+        """
+        return np.concatenate([m[g.rows, g.cols].reshape(-1) for g in self.gather])
+
+    def unpack(self, packed: np.ndarray) -> np.ndarray:
+        """The N x N matrix with the packed blocks in place and zeros elsewhere."""
+        out = np.zeros((self.dimension, self.dimension), dtype=packed.dtype)
+        for g, part in zip(self.gather, self.parts(packed)):
+            out[g.rows, g.cols] = part
+        return out
+
+    def parts(self, packed: np.ndarray) -> list[np.ndarray]:
+        """The (G, k, k) stacks of a packed array, one view per block size."""
+        return [packed[start : start + count * k * k].reshape(count, k, k) for start, count, k in self._bounds]
+
     def map_blocks(self, fn, *matrices: np.ndarray) -> np.ndarray:
         """Apply ``fn`` to the (G, k, k) block stacks of each size; zero elsewhere.
 

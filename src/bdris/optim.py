@@ -15,10 +15,12 @@ Four optimizers over the unitary (or block-unitary) feasible set:
   of the concave surrogate in the surface matrix.
 
 AO and QNM are two direction rules on one line-search loop (``_ascend``).
-It holds every tangent vector in body coordinates (Omega with Theta Omega
-the ambient vector, skew-Hermitian per block), retracts in closed form
-(one ``eigh`` per block size and step, one matrix product per trial step)
-and transports by projection at one matrix product per vector.
+It runs in packed block coordinates (``BlockStructure.pack``: only the
+entries of the blocks, one 1-D array), holds every tangent vector in body
+coordinates (Omega with Theta Omega the ambient vector, skew-Hermitian per
+block), retracts in closed form (one ``eigh`` per block size and step, one
+block product per trial step) and transports by projection at one block
+product per vector.  FP still works on dense N x N matrices.
 RZF/AO/QNM maximize the channel-gain objective and are judged by the sum
 rate afterwards; FP maximizes the sum rate directly.  All optimizers keep
 every iterate feasible for the requested architecture and report a monotone
@@ -28,6 +30,8 @@ objective trace.  The line-search and stopping constants below are fixed;
 
 from __future__ import annotations
 
+import math
+import numbers
 import time
 import warnings
 from dataclasses import dataclass, replace
@@ -37,7 +41,7 @@ import numpy as np
 from .architectures import BdRisArchitecture, effective_channel_matrix
 from .channel import ChannelStack, ScenarioConfig, scenario_realizations
 from .errors import DimensionMismatch, InvalidInput, RankDeficient, RankDeficientWarning
-from .manifold import aligned_unitary, polar_factor, random_unitary, skew_part
+from .manifold import BlockStructure, aligned_unitary, polar_factor, random_unitary, skew_part
 from .seeding import derive_seed, derived_rng
 
 LOG2 = float(np.log(2.0))
@@ -57,19 +61,32 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.max_iterations, self.lbfgs_memory) < 1:
+        counts = (self.max_iterations, self.lbfgs_memory)
+        if not all(isinstance(c, numbers.Integral) and not isinstance(c, bool) for c in counts):
+            raise InvalidInput("max_iterations and lbfgs_memory must be integers")
+        if min(counts) < 1:
             raise InvalidInput("iteration counts must be positive")
-        if self.objective_tolerance <= 0:
-            raise InvalidInput("objective_tolerance must be positive")
+        if not (math.isfinite(self.objective_tolerance) and self.objective_tolerance > 0):
+            raise InvalidInput("objective_tolerance must be finite and positive")
 
 
 @dataclass
 class OptimizerResult:
+    """An optimizer's last iterate, objective trace and why it stopped.
+
+    ``stop_reason`` is ``stationary`` (a numerically zero gradient),
+    ``stalled`` (the line search found no increase), ``plateau`` (two small
+    relative changes in a row for AO/QNM, one for FP), ``max_iterations``
+    or, for RZF, ``closed_form``.
+    ``converged`` is the separate stationarity verdict.
+    """
+
     theta: np.ndarray
     objective_trace: list[float]
     wall_time_s: float
     iterations: int
     converged: bool
+    stop_reason: str
 
 
 def _inner(x: np.ndarray, y: np.ndarray) -> float:
@@ -87,23 +104,42 @@ def _times_adjoint(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b.conj().swapaxes(-1, -2)
 
 
+def _joined(per_size: list[np.ndarray], axis: int = 0) -> np.ndarray:
+    """Per-block-size results concatenated; a single one is returned as it is."""
+    return per_size[0] if len(per_size) == 1 else np.concatenate(per_size, axis=axis)
+
+
 class _Feasible:
     """Projection, tangent and retraction machinery for one architecture at dimension N.
 
+    ``project`` and ``random_point`` work on N x N matrices.  ``tangent`` and
+    ``retract`` work in packed block coordinates (``BlockStructure.pack``):
+    a point or a tangent vector is one 1-D array holding only the entries
+    of its blocks, and its per-size (G, k, k) stacks are free views.  The
+    fully-connected surface is one (1, N, N) part, the N x N matrix itself.
     Tangent vectors at a point Theta are held in body coordinates: the
-    ambient vector Theta Omega is stored as Omega, skew-Hermitian per block
-    and zero off the blocks.  Since Theta is unitary, the metric needs no
-    change.  Every map runs through ``BlockStructure.map_blocks``: one
-    batched call per block size, and the N x N matrix itself on the
-    fully-connected set.
+    ambient vector Theta Omega is stored as Omega, skew-Hermitian per
+    block.  Since Theta is unitary, the metric is the plain real inner
+    product of the packed arrays.
     """
 
     def __init__(self, arch: BdRisArchitecture, n: int):
         self.structure = arch.unitary_blocks(n)
         self.n = n
+        # with one block size (fully connected, diagonal, equal groups) a packed
+        # array is one reshape from its stack; tangents run ~20 times per QNM step
+        gather = self.structure.gather
+        k = gather[0].rows.shape[1]
+        self._one_size = (len(gather[0].block_ids), k, k) if len(gather) == 1 else None
 
     def project(self, m: np.ndarray) -> np.ndarray:
         return self.structure.map_blocks(polar_factor, m)
+
+    def _map(self, fn, *packed: np.ndarray) -> np.ndarray:
+        """Packed result of ``fn`` applied to the (G, k, k) parts of packed arrays."""
+        if self._one_size:
+            return fn(*[p.reshape(self._one_size) for p in packed]).reshape(-1)
+        return np.concatenate([fn(*parts).reshape(-1) for parts in zip(*map(self.structure.parts, packed))])
 
     def tangent(self, x: np.ndarray, frame: np.ndarray) -> np.ndarray:
         """Body-coordinate tangent projection skew(frame† x), one product per block.
@@ -112,31 +148,31 @@ class _Feasible:
         the Riemannian gradient.  With ``frame`` the block rotation
         W = Theta_old† Theta_new of a step and ``x`` a body vector at
         Theta_old, it is the vector's transport by projection to Theta_new.
+        All three are packed.
         """
-        return self.structure.map_blocks(_tangent, frame, x)
+        return self._map(_tangent, frame, x)
 
     def retract(self, theta: np.ndarray, omega: np.ndarray):
-        """Closed-form polar retraction along the body tangent ``omega``.
+        """Closed-form polar retraction along the packed body tangent ``omega``.
 
         With -i Omega = V diag(lam) V† per block, I + s Omega is never
         singular and polar(Theta + s Theta Omega) = Theta V diag(exp(i atan(s
         lam))) V† (Absil, Mahony & Sepulchre 2008, section 4.1.1).  One
-        batched ``eigh`` per block size here; returns ``step(s)``, the
-        retracted point at one block product, and ``rotation(s)``, the block
-        rotation W(s) = V diag(exp(i atan(s lam))) V† at one product more.
+        batched ``eigh`` per block size here; returns ``step(s)``, the packed
+        retracted point at one block product, and ``rotation(s)``, the packed
+        block rotation W(s) = V diag(exp(i atan(s lam))) V† at one product more.
         """
-        lam, vectors = np.zeros(self.n), np.zeros_like(omega)
-        for g in self.structure.gather:
-            lam[g.cols[:, 0, :]], vectors[g.rows, g.cols] = np.linalg.eigh(-1j * omega[g.rows, g.cols])
-        theta_v = self.structure.map_blocks(np.matmul, theta, vectors)
+        eigen = [np.linalg.eigh(-1j * part) for part in self.structure.parts(omega)]
+        theta_vs = [t @ v for t, (_, v) in zip(self.structure.parts(theta), eigen)]
 
-        def step(s: float) -> np.ndarray:
-            return self.structure.map_blocks(_times_adjoint, theta_v * np.exp(1j * np.arctan(s * lam)), vectors)
+        def rotated(left, s: float) -> np.ndarray:
+            """Packed left · diag(exp(i atan(s lam))) · V† per block."""
+            return _joined([
+                _times_adjoint(a * np.exp(1j * np.arctan(s * lam))[:, None, :], v).reshape(-1)
+                for a, (lam, v) in zip(left, eigen)
+            ])
 
-        def rotation(s: float) -> np.ndarray:
-            return self.structure.map_blocks(_times_adjoint, vectors * np.exp(1j * np.arctan(s * lam)), vectors)
-
-        return step, rotation
+        return (lambda s: rotated(theta_vs, s)), (lambda s: rotated([v for _, v in eigen], s))
 
     def random_point(self, rng: np.random.Generator) -> np.ndarray:
         # the polar factor of a complex Gaussian matrix is Haar distributed;
@@ -146,24 +182,67 @@ class _Feasible:
 
 
 class _GainProblem:
-    """Channel-gain objective summed over devices and snapshots, plus gradient."""
+    """Channel-gain objective summed over devices and snapshots, plus gradient, in packed coordinates.
 
-    def __init__(self, realizations):
-        self.stack = ChannelStack(realizations)
+    With R the surface-to-device links (P, L, N), B the conjugated
+    BS-to-surface links (P, N, M) and Theta_g the blocks, the channels are
+    h = a + sum_g R_g conj(Theta_g) B_g and the conjugate gradient's block g
+    is sum_p R_g^T conj(h_p) B_g†.  The links are gathered per block size
+    once, so no N x N matrix is formed; on the fully-connected surface every
+    product is the whole-matrix one.
+    """
+
+    def __init__(self, stack: ChannelStack, structure: BlockStructure):
+        self.structure = structure
+        self.direct = stack.direct
+        ports = [g.rows[:, :, 0] for g in structure.gather]  # (G, k) per size
+        order = np.concatenate([idx.reshape(-1) for idx in ports])
+        # R_g as (P, G, L, k) and B_g† as (P, G, M, k) per size; B and R^T with ports in packed order
+        self.device = [np.ascontiguousarray(stack.ris_device[:, :, idx].transpose(0, 2, 1, 3)) for idx in ports]
+        self.bs_dag = [np.ascontiguousarray(stack.bs_ris_dag[:, :, idx].transpose(0, 2, 1, 3)) for idx in ports]
+        self.bs = np.conj(stack.bs_ris)[:, order, :]  # (P, N, M)
+        self.device_t = stack.ris_device_t[:, order, :]  # (P, N, L)
+
+    def _channels(self, theta: np.ndarray) -> np.ndarray:
+        """Effective channels as rows, (P, L, M)."""
+        p, l = self.direct.shape[:2]
+        scaled = [
+            (r @ np.conj(t)).transpose(0, 2, 1, 3).reshape(p, l, -1)
+            for r, t in zip(self.device, self.structure.parts(theta))
+        ]
+        return self.direct + _joined(scaled, axis=2) @ self.bs
 
     def value(self, theta: np.ndarray) -> float:
-        h = effective_channel_matrix(self.stack, theta)
-        return float(np.sum(np.abs(h) ** 2))
+        return float(np.sum(np.abs(self._channels(theta)) ** 2))
 
     def value_and_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
-        h = effective_channel_matrix(self.stack, theta)
-        grad = np.sum(self.stack.ris_device_t @ np.conj(h) @ self.stack.bs_ris_dag, axis=0)
-        return float(np.sum(np.abs(h) ** 2)), grad
+        h = self._channels(theta)
+        left = self.device_t @ np.conj(h)  # (P, N, M), rows in packed order
+        p, _, m = left.shape
+        grad, start = [], 0
+        for b in self.bs_dag:
+            count, k = b.shape[1], b.shape[3]
+            part = left[:, start : start + count * k].reshape(p, count, k, m)
+            grad.append(np.sum(part @ b, axis=0).reshape(-1))
+            start += count * k
+        return float(np.sum(np.abs(h) ** 2)), _joined(grad)
+
+
+def _whole_matrix(realizations, theta) -> tuple[_GainProblem, np.ndarray]:
+    """The gain problem on one N x N block, and ``theta`` in its packed form (its flat entries)."""
+    stack = ChannelStack(realizations)
+    n = stack.num_elements
+    problem = _GainProblem(stack, BlockStructure((n,)))
+    t = np.asarray(theta, dtype=complex)
+    if t.shape != (n, n):
+        raise DimensionMismatch(f"theta shape {t.shape} != ({n}, {n})")
+    return problem, t.reshape(-1)
 
 
 def channel_gain_objective(theta, realizations) -> float:
     """Total squared effective-channel norm over devices and location snapshots."""
-    return _GainProblem(realizations).value(theta)
+    problem, packed = _whole_matrix(realizations, theta)
+    return problem.value(packed)
 
 
 def euclidean_gradient(theta: np.ndarray, realizations) -> np.ndarray:
@@ -173,7 +252,8 @@ def euclidean_gradient(theta: np.ndarray, realizations) -> np.ndarray:
     df = 2 Re tr(G† dTheta); the manifold ascent direction is the tangent
     projection of G.
     """
-    return _GainProblem(realizations).value_and_grad(theta)[1]
+    problem, packed = _whole_matrix(realizations, theta)
+    return problem.value_and_grad(packed)[1].reshape(problem.structure.dimension, -1)
 
 
 def _start(feas: _Feasible, cfg: OptimizerConfig, initial_theta, iterate_callback, warm=None) -> np.ndarray:
@@ -228,16 +308,17 @@ def rzf_one_shot(
     the cross matrix is degenerate (no direct paths at all).
     """
     start = time.perf_counter()
-    problem = _GainProblem(realizations)
-    feas = _Feasible(arch, problem.stack.num_elements)
-    theta, fell_back = _align_cross_term(problem.stack, feas, np.random.default_rng(cfg.seed))
+    stack = ChannelStack(realizations)
+    feas = _Feasible(arch, stack.num_elements)
+    theta, fell_back = _align_cross_term(stack, feas, np.random.default_rng(cfg.seed))
     if fell_back:
         warnings.warn(
             "cross matrix is rank deficient; fell back to a random feasible point",
             RankDeficientWarning,
             stacklevel=2,
         )
-    return OptimizerResult(theta, [problem.value(theta)], time.perf_counter() - start, 1, True)
+    value = _GainProblem(stack, BlockStructure((feas.n,))).value(theta.reshape(-1))
+    return OptimizerResult(theta, [value], time.perf_counter() - start, 1, True, "closed_form")
 
 
 def _armijo_search(step_fn, value_fn, slope, f_current, step0):
@@ -269,7 +350,7 @@ class _BarzilaiBorwein:
     """
 
     def __init__(self, feas: _Feasible, cfg: OptimizerConfig):
-        self.n = feas.n
+        self.identity = feas.structure.pack(np.eye(feas.n))
         self.cap = 2.0 * np.sqrt(feas.n)
         self.step = None
 
@@ -283,7 +364,7 @@ class _BarzilaiBorwein:
         # change is W Omega_new - Omega_old.  <W - I, (W - I) Omega_new> is the
         # real part of tr(H Omega_new) with H Hermitian, which is zero, so the
         # product W Omega_new drops out of the curvature.
-        delta = rotation - np.eye(self.n)
+        delta = rotation - self.identity
         denom = -_inner(delta, riem_new - riem)
         ss = _inner(delta, delta)
         self.step = ss / denom if denom > 0 else (2.0 * s if s else None)
@@ -359,43 +440,47 @@ class _LimitedMemoryBfgs:
 def _ascend(realizations, arch, cfg, iterate_callback, initial_theta, rule) -> OptimizerResult:
     """Riemannian line-search ascent on the channel-gain objective.
 
-    Gradients and directions are body-coordinate tangent vectors (see
-    ``_Feasible``).  ``rule(feas, cfg)`` builds the direction rule:
+    The loop runs in packed block coordinates (see ``_Feasible``): it packs
+    ``_start``'s iterate once, and unpacks only for ``iterate_callback`` and
+    the returned ``theta``.  Gradients and directions are body-coordinate
+    tangent vectors.  ``rule(feas, cfg)`` builds the direction rule:
     ``propose(riem, gnorm)`` returns (direction, slope, trial step) and
     ``accepted(rotation, riem, riem_new, direction, s)`` updates the rule
     after each step, where ``rotation`` is the step's block rotation
     W = Theta† Theta_new.  Every step is an Armijo backtracking search along
     the closed-form polar retraction (``_Feasible.retract``): one ``eigh``
-    per step, one matrix product per trial, and no SVD inside the loop.
+    per step, one block product per trial, and no SVD inside the loop.
     The trace is monotone.  Stops at a numerically stationary point, on a
     line-search stall, on a two-iteration objective plateau, or at the
-    iteration cap; ``converged`` reports whether the final gradient passed
-    the stationarity test.
+    iteration cap (``stop_reason``); ``converged`` reports whether the
+    final gradient passed the stationarity test.
     """
     start = time.perf_counter()
-    problem = _GainProblem(realizations)
-    feas = _Feasible(arch, problem.stack.num_elements)
+    stack = ChannelStack(realizations)
+    feas = _Feasible(arch, stack.num_elements)
+    unpack = feas.structure.unpack
+    problem = _GainProblem(stack, feas.structure)
     rule = rule(feas, cfg)
-    theta = _start(feas, cfg, initial_theta, iterate_callback)
+    theta = feas.structure.pack(_start(feas, cfg, initial_theta, iterate_callback))
     f, grad = problem.value_and_grad(theta)
     riem = feas.tangent(grad, theta)
     trace = [f]
-    converged = False
+    converged, reason = False, "max_iterations"
     iterations = 0
     flat_streak = 0  # a single small change may be a bad step, two in a row is a plateau
     for iterations in range(1, cfg.max_iterations + 1):
         gnorm = float(np.sqrt(_inner(riem, riem)))
         if gnorm <= 1e-12 * max(abs(f), 1e-300):  # numerically stationary
-            converged = True
+            converged, reason = True, "stationary"
             break
         direction, slope, step0 = rule.propose(riem, gnorm)
         step, rotation = feas.retract(theta, direction)
         theta_new, f_new, s = _armijo_search(step, problem.value, slope, f, step0)
         if theta_new is None:  # stall: the step is effectively zero
-            converged = gnorm <= STATIONARITY_TOLERANCE * max(abs(f), 1e-300)
+            converged, reason = gnorm <= STATIONARITY_TOLERANCE * max(abs(f), 1e-300), "stalled"
             break
         if iterate_callback:
-            iterate_callback(theta_new)
+            iterate_callback(unpack(theta_new))
         rel_change = abs(f_new - f) / max(abs(f), 1e-300)
         f, grad = problem.value_and_grad(theta_new)
         trace.append(f)
@@ -405,8 +490,9 @@ def _ascend(realizations, arch, cfg, iterate_callback, initial_theta, rule) -> O
         flat_streak = flat_streak + 1 if rel_change < cfg.objective_tolerance else 0
         if flat_streak >= 2:
             converged = float(np.sqrt(_inner(riem, riem))) <= STATIONARITY_TOLERANCE * max(abs(f), 1e-300)
+            reason = "plateau"
             break
-    return OptimizerResult(theta, trace, time.perf_counter() - start, iterations, converged)
+    return OptimizerResult(unpack(theta), trace, time.perf_counter() - start, iterations, converged, reason)
 
 
 def ao_manifold(
@@ -481,6 +567,8 @@ def mean_sum_rate(theta, realizations, tx_snr_db: float | None = None) -> float:
     the linear transmit SNR (the snapshots' own unless ``tx_snr_db`` is
     given) and each precoder normalized to unit total power.
     """
+    if tx_snr_db is not None and not math.isfinite(tx_snr_db):
+        raise InvalidInput(f"tx_snr_db must be finite, got {tx_snr_db!r}")
     stack = ChannelStack(realizations)
     rho = 10.0 ** ((stack.tx_snr_db if tx_snr_db is None else tx_snr_db) / 10.0)
     h = effective_channel_matrix(stack, theta)
@@ -644,7 +732,7 @@ def fp_sum_rate(
     precoders = _rzf_precoder_batch(effective_channel_matrix(stack, theta), rho)
     rate = _rates_from_cross(_cross_products(stack, theta, precoders), rho)
     trace = [rate]
-    converged = False
+    converged, reason = False, "max_iterations"
     iterations = 0
     for iterations in range(1, cfg.max_iterations + 1):
         rate_at_start = rate
@@ -665,9 +753,9 @@ def fp_sum_rate(
         # progress of the whole precoder/auxiliary/matrix cycle
         rel_change = (rate - rate_at_start) / max(abs(rate_at_start), 1e-300)
         if rel_change < cfg.objective_tolerance:
-            converged = True
+            converged, reason = True, "plateau"
             break
-    return OptimizerResult(theta, trace, time.perf_counter() - start, iterations, converged)
+    return OptimizerResult(theta, trace, time.perf_counter() - start, iterations, converged, reason)
 
 
 ALGORITHMS = {

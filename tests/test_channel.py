@@ -370,6 +370,14 @@ GUARDS = [
     pytest.param(lambda: ScenarioConfig(snapshots=0), InvalidInput, "snapshot counts", id="scenario_snapshots"),
     pytest.param(lambda: ScenarioConfig(speed_min_mps=3.0, speed_max_mps=2.0), InvalidInput, "speed range",
                  id="scenario_speeds"),
+    pytest.param(lambda: ScenarioConfig(tx_snr_db=math.nan), InvalidInput, "tx_snr_db must be finite",
+                 id="scenario_nan_snr"),
+    pytest.param(lambda: ScenarioConfig(noise_power_dbm=-math.inf), InvalidInput, "noise_power_dbm must be finite",
+                 id="scenario_infinite_noise"),
+    pytest.param(lambda: ChannelRealization(np.ones((1, 4)), np.ones((1, 3)), np.ones((3, 4)), tx_snr_db=math.inf),
+                 InvalidInput, "tx_snr_db must be finite", id="realization_infinite_snr"),
+    pytest.param(lambda: ChannelRealization(np.ones((1, 4)), np.ones((1, 3)), np.ones((3, 4)), noise_power_dbm=math.nan),
+                 InvalidInput, "noise_power_dbm must be finite", id="realization_nan_noise"),
 ]
 
 

@@ -579,6 +579,14 @@ PARSE_GUARDS = [
     pytest.param("experiment = beamforming-bench\nalgorithms = rzf,nope\n", "unknown algorithms: nope",
                  id="unknown_algorithm"),
     pytest.param(f"experiment = qml-beam\nseed = {2**64}\n", "seed must fit in 64 bits", id="seed_65_bits"),
+    pytest.param("experiment = beamforming-bench\n[optimizer]\nobjective_tolerance = nan\n",
+                 "objective_tolerance must be finite", id="nan_tolerance"),
+    pytest.param("experiment = beamforming-bench\n[optimizer]\nobjective_tolerance = inf\n",
+                 "objective_tolerance must be finite", id="inf_tolerance"),
+    pytest.param("experiment = beamforming-bench\n[channel]\ntx_snr_db = nan\n", "tx_snr_db must be finite",
+                 id="nan_tx_snr"),
+    pytest.param("experiment = power-comparison\n[channel]\nnoise_power_dbm = -inf\n",
+                 "noise_power_dbm must be finite", id="infinite_noise_power"),
 ]
 
 

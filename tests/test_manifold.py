@@ -59,6 +59,19 @@ def per_block(blocks, fn, *matrices):
     return out
 
 
+def tangent(feas, x, frame):
+    """``feas.tangent`` on N x N matrices, through the packed block layout."""
+    pack = feas.structure.pack
+    return feas.structure.unpack(feas.tangent(pack(x), pack(frame)))
+
+
+def retract(feas, theta, omega):
+    """``feas.retract`` on N x N matrices: ``step`` and ``rotation`` return unpacked matrices."""
+    unpack = feas.structure.unpack
+    step, rotation = feas.retract(feas.structure.pack(theta), feas.structure.pack(omega))
+    return (lambda s: unpack(step(s))), (lambda s: unpack(rotation(s)))
+
+
 def haar_batch(n, count, rng):
     """Independent Haar samples via batched QR with phase correction."""
     z = (rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))) / np.sqrt(2)
@@ -161,15 +174,15 @@ class TestTangentProject:
         rng = np.random.default_rng(5)
         for feas in FEASIBLE:
             base = feas.random_point(rng)
-            assert np.max(np.abs(feas.tangent(base, base))) <= 1e-12
+            assert np.max(np.abs(tangent(feas, base, base))) <= 1e-12
 
     def test_hand_evaluated_case(self):
         g = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-        t = optim._Feasible(FULL, 2).tangent(g, np.eye(2, dtype=complex))
+        t = tangent(optim._Feasible(FULL, 2), g, np.eye(2, dtype=complex))
         assert np.allclose(t, [[0.0, 0.5], [-0.5, 0.0]], atol=1e-14)
         # on a diagonal surface only the imaginary part of the diagonal survives
         g = np.array([[1.0 + 2.0j, 5.0], [0.0, 3.0 - 1.0j]])
-        t = optim._Feasible(BdRisArchitecture.diagonal(), 2).tangent(g, np.eye(2, dtype=complex))
+        t = tangent(optim._Feasible(BdRisArchitecture.diagonal(), 2), g, np.eye(2, dtype=complex))
         assert np.allclose(t, np.diag([2.0j, -1.0j]), atol=1e-14)
 
     def test_output_is_tangent(self):
@@ -180,7 +193,7 @@ class TestTangentProject:
             for _ in range(20):
                 base = feas.random_point(rng)
                 g = random_complex(rng, N, N)
-                body = feas.tangent(g, base)
+                body = tangent(feas, g, base)
                 assert np.array_equal(body, -body.conj().T)
                 assert not np.any(body[outside])
                 ambient = per_block(blocks, lambda t, x: t @ skew_part(t.conj().T @ x), base, g)
@@ -192,13 +205,13 @@ class TestTangentProject:
         for feas in FEASIBLE:
             base = feas.random_point(rng)
             x, y = random_complex(rng, N, N), random_complex(rng, N, N)
-            once = feas.tangent(x, base)
-            twice = feas.tangent(base @ once, base)
+            once = tangent(feas, x, base)
+            twice = tangent(feas, base @ once, base)
             assert np.max(np.abs(twice - once)) <= 1e-12
             # at the identity frame a body vector is its own projection, bit for bit
-            assert np.array_equal(feas.tangent(once, np.eye(N, dtype=complex)), once)
-            combo = feas.tangent(2.0 * x - 0.5 * y, base)
-            assert np.max(np.abs(combo - (2.0 * once - 0.5 * feas.tangent(y, base)))) <= 1e-12
+            assert np.array_equal(tangent(feas, once, np.eye(N, dtype=complex)), once)
+            combo = tangent(feas, 2.0 * x - 0.5 * y, base)
+            assert np.max(np.abs(combo - (2.0 * once - 0.5 * tangent(feas, y, base)))) <= 1e-12
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -211,21 +224,21 @@ class TestRetract:
     @staticmethod
     def setup(feas, rng, scale=1.0):
         base = feas.random_point(rng)
-        omega = feas.tangent(random_complex(rng, N, N), base)
+        omega = tangent(feas, random_complex(rng, N, N), base)
         return base, scale * omega / np.linalg.norm(omega)
 
     def test_zero_step_returns_base_point(self):
         rng = np.random.default_rng(19)
         for feas in FEASIBLE:
             base, omega = self.setup(feas, rng)
-            step, rotation = feas.retract(base, omega)
+            step, rotation = retract(feas, base, omega)
             assert np.max(np.abs(step(0.0) - base)) <= 1e-13
             assert np.max(np.abs(rotation(0.0) - np.eye(N))) <= 1e-13
 
     def test_matches_exponential_map_to_first_order(self):
         t = 0.1
         omega = np.array([[0.0, t], [-t, 0.0]], dtype=complex)
-        out = optim._Feasible(FULL, 2).retract(np.eye(2, dtype=complex), omega)[0](1.0)
+        out = retract(optim._Feasible(FULL, 2), np.eye(2, dtype=complex), omega)[0](1.0)
         exact = np.array([[np.cos(t), np.sin(t)], [-np.sin(t), np.cos(t)]])
         assert np.linalg.norm(out - exact) <= 1e-3
         rng = np.random.default_rng(21)
@@ -234,7 +247,7 @@ class TestRetract:
             # exp map: base * expm(Omega), via H = -i Omega = V diag(lam) V†
             lam, v = np.linalg.eigh(-1j * omega)
             exact = base @ (v * np.exp(1j * lam)) @ v.conj().T
-            assert np.linalg.norm(feas.retract(base, omega)[0](1.0) - exact) <= 1e-3
+            assert np.linalg.norm(retract(feas, base, omega)[0](1.0) - exact) <= 1e-3
 
     @pytest.mark.parametrize("s", [1e-3, 1.0, 1e3])
     @pytest.mark.parametrize("index", range(len(ARCHS)), ids=["full"] + STRUCTURE_IDS)
@@ -245,7 +258,7 @@ class TestRetract:
         outside = ~_support_mask(arch, N)
         for _ in range(5):
             base, omega = self.setup(feas, rng, 3.0)
-            step, rotation = feas.retract(base, omega)
+            step, rotation = retract(feas, base, omega)
             expected = per_block(blocks, lambda t, o: polar_factor(t + s * t @ o), base, omega)
             assert np.max(np.abs(step(s) - expected)) <= 1e-12
             w = rotation(s)
@@ -261,10 +274,10 @@ class TestRetract:
         rng = np.random.default_rng(24)
         for s in (0.01, 1.0, 50.0):
             base, omega = self.setup(feas, rng)
-            memory = feas.tangent(random_complex(rng, N, N), base)
-            step, rotation = feas.retract(base, omega)
+            memory = tangent(feas, random_complex(rng, N, N), base)
+            step, rotation = retract(feas, base, omega)
             new = step(s)
-            moved = new @ feas.tangent(memory, rotation(s))
+            moved = new @ tangent(feas, memory, rotation(s))
             ambient = per_block(blocks, lambda t, x: t @ skew_part(t.conj().T @ x), new, base @ memory)
             assert np.max(np.abs(moved - ambient)) <= 1e-12
 
@@ -273,7 +286,7 @@ class TestRetract:
         for arch, feas in zip(ARCHS, FEASIBLE):
             for step in (0.01, 0.5, 3.0):
                 base, omega = self.setup(feas, rng, np.sqrt(N))
-                out = feas.retract(base, omega)[0](step)
+                out = retract(feas, base, omega)[0](step)
                 assert unitarity_defect(out) <= 1e-10
                 assert validate(out, arch).valid
 
@@ -402,6 +415,34 @@ class TestBlockProject:
             optim._Feasible(BdRisArchitecture.group_connected(BlockStructure((2, 2))), 3)
 
 
+class TestPackedLayout:
+    """``BlockStructure.pack``/``unpack``/``parts``: the optimizers' packed block coordinates."""
+
+    @pytest.mark.parametrize("structure", STRUCTURES + [BlockStructure((N,))], ids=STRUCTURE_IDS + ["full"])
+    def test_unpack_of_pack_keeps_the_blocks(self, structure):
+        rng = np.random.default_rng(76)
+        m = random_complex(rng, N, N)
+        blocks = structure.block_indices()
+        packed = structure.pack(m)
+        assert packed.shape == (sum(len(idx) ** 2 for idx in blocks),)
+        assert np.array_equal(structure.unpack(packed), per_block(blocks, lambda b: b, m))
+        parts = structure.parts(packed)
+        for g, part in zip(structure.gather, parts):
+            assert np.shares_memory(part, packed)  # a view, not a copy
+            for block_id, block in zip(g.block_ids, part):
+                idx = blocks[block_id]
+                assert np.array_equal(block, m[np.ix_(idx, idx)])
+        assert sum(part.size for part in parts) == packed.size
+
+    def test_whole_matrix_packs_to_its_own_entries(self):
+        rng = np.random.default_rng(77)
+        m = random_complex(rng, N, N)
+        structure = BlockStructure((N,))
+        assert np.array_equal(structure.pack(m), m.reshape(-1))
+        assert [p.shape for p in structure.parts(structure.pack(m))] == [(1, N, N)]
+        assert np.array_equal(structure.unpack(m.reshape(-1)), m)
+
+
 def gather_map(structure, fn, *matrices):
     """``map_blocks`` without its whole-matrix shortcut: every size through the gathered stacks."""
     out = np.zeros_like(matrices[0])
@@ -501,7 +542,7 @@ class TestTypeInvariants:
             a = random_complex(rng, N, N) * _support_mask(arch, N)
             normal = base @ (a + a.conj().T)
             assert np.max(np.abs(normal)) > 1.0
-            assert np.max(np.abs(feas.tangent(normal, base))) <= 1e-12
+            assert np.max(np.abs(tangent(feas, normal, base))) <= 1e-12
 
 
 GUARDS = [

@@ -7,7 +7,7 @@ import pytest
 
 from bdris import optim
 from bdris.architectures import ArchitectureKind, BdRisArchitecture, _support_mask, validate
-from bdris.channel import ChannelRealization, ScenarioConfig, scenario_realizations
+from bdris.channel import ChannelRealization, ChannelStack, ScenarioConfig, scenario_realizations
 from bdris.errors import DimensionMismatch, InvalidInput, RankDeficient, RankDeficientWarning
 from bdris.manifold import BlockStructure, polar_factor, skew_part, unitarity_defect
 from bdris.optim import (
@@ -41,6 +41,12 @@ def block_indices(arch, n):
 
 def random_complex(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def tangent(feas, x, frame):
+    """``feas.tangent`` on N x N matrices, through the packed block layout."""
+    pack = feas.structure.pack
+    return feas.structure.unpack(feas.tangent(pack(x), pack(frame)))
 
 
 def unit_instance(rng, l=2, m=2, n=3, snapshots=2):
@@ -130,6 +136,27 @@ class TestEuclideanGradient:
         rng = np.random.default_rng(1)
         with pytest.raises(DimensionMismatch):
             euclidean_gradient(np.eye(4), unit_instance(rng, n=3))
+
+
+class TestPackedGainProblem:
+    """``_GainProblem`` on packed blocks equals the whole-matrix objective and gradient."""
+
+    @pytest.mark.parametrize("arch", [FULL] + BLOCK_ARCHS, ids=["full"] + BLOCK_IDS)
+    def test_matches_whole_matrix_forms(self, arch):
+        rng = np.random.default_rng(78)
+        reals = scenario_realizations(ScenarioConfig(), 8, rng)
+        structure = optim._Feasible(arch, 8).structure
+        problem = optim._GainProblem(ChannelStack(reals), structure)
+        for theta in (optim._Feasible(arch, 8).random_point(rng), structure.unpack(structure.pack(random_complex(rng, 8, 8)))):
+            f, g = problem.value_and_grad(structure.pack(theta))
+            expected_f = channel_gain_objective(theta, reals)
+            expected_g = structure.pack(euclidean_gradient(theta, reals))
+            assert problem.value(structure.pack(theta)) == f
+            if arch is FULL:
+                assert f == expected_f and np.array_equal(g, expected_g)
+            else:
+                assert f == pytest.approx(expected_f, rel=1e-12)
+                assert np.linalg.norm(g - expected_g) <= 1e-12 * np.linalg.norm(expected_g)
 
 
 class TestRzfOneShot:
@@ -470,6 +497,62 @@ class TestOptimizerConfig:
         with pytest.raises(InvalidInput):
             OptimizerConfig(objective_tolerance=0.0)
 
+    def test_integer_like_counts_accepted(self):
+        cfg = OptimizerConfig(max_iterations=np.int64(3), lbfgs_memory=np.int32(2), objective_tolerance=1e-300)
+        rng = np.random.default_rng(79)
+        assert qnm_manifold(unit_instance(rng, n=4), FULL, cfg).iterations <= 3
+
+
+class TestStopReason:
+    """Each optimizer records why it stopped; ``converged`` keeps its own meaning."""
+
+    SOLVERS = [ao_manifold, qnm_manifold]
+
+    @pytest.mark.parametrize("solver", SOLVERS, ids=["ao", "qnm"])
+    def test_stationary(self, solver):
+        from bdris.architectures import optimal_fully_connected_single_tag
+
+        real, _ = single_tag_instance(np.random.default_rng(7), n=5)
+        theta_star, _ = optimal_fully_connected_single_tag(real.ris_device[0], real.bs_ris[:, 0])
+        result = solver(real, FULL, OptimizerConfig(seed=8), initial_theta=theta_star.entries)
+        assert (result.stop_reason, result.converged, result.iterations) == ("stationary", True, 1)
+
+    @pytest.mark.parametrize("solver", SOLVERS, ids=["ao", "qnm"])
+    def test_stalled(self, solver, monkeypatch):
+        """A line search that finds no increase ends the run after its first iteration."""
+        monkeypatch.setattr(optim, "_armijo_search", lambda *args: (None, None, None))
+        reals = unit_instance(np.random.default_rng(80), n=4)
+        result = solver(reals, FULL, OptimizerConfig(seed=81))
+        assert (result.stop_reason, result.converged, result.iterations) == ("stalled", False, 1)
+        assert len(result.objective_trace) == 1
+
+    @pytest.mark.parametrize("solver", SOLVERS, ids=["ao", "qnm"])
+    def test_plateau(self, solver):
+        reals = unit_instance(np.random.default_rng(0), n=4)
+        result = solver(reals, FULL, OptimizerConfig(seed=0))
+        assert result.stop_reason == "plateau"
+        assert result.iterations < 500
+        trace = np.array(result.objective_trace)
+        assert np.all(np.abs(np.diff(trace[-3:])) / trace[-3:-1] < 1e-6)
+
+    @pytest.mark.parametrize("solver", SOLVERS + [fp_sum_rate], ids=["ao", "qnm", "fp"])
+    def test_max_iterations(self, solver):
+        # FP's first outer step moves on this instance; on most small ones it keeps its warm start
+        reals = unit_instance(np.random.default_rng(27), l=3, m=2, n=4, snapshots=2)
+        result = solver(reals, FULL, OptimizerConfig(seed=27, max_iterations=1, objective_tolerance=1e-300))
+        assert result.objective_trace[1] > result.objective_trace[0]
+        assert (result.stop_reason, result.converged, result.iterations) == ("max_iterations", False, 1)
+
+    def test_fp_plateau(self):
+        reals = unit_instance(np.random.default_rng(0), n=4)
+        result = fp_sum_rate(reals, FULL, OptimizerConfig(seed=0))
+        assert (result.stop_reason, result.converged) == ("plateau", True)
+        assert result.iterations < 500
+
+    def test_rzf_closed_form(self):
+        result = rzf_one_shot(unit_instance(np.random.default_rng(84), n=4), FULL, OptimizerConfig(seed=85))
+        assert (result.stop_reason, result.converged, result.iterations) == ("closed_form", True, 1)
+
 
 class TestGroupConnected:
     def test_ao_respects_group_structure(self):
@@ -535,7 +618,7 @@ class TestBatchedFeasibleSet:
         grad = random_complex(rng, self.N, self.N)
         theta = feas.project(m)
         assert np.array_equal(theta, self.per_block(arch, polar_factor, m))
-        body = feas.tangent(grad, theta)
+        body = tangent(feas, grad, theta)
         assert np.array_equal(body, self.per_block(arch, lambda t, g: skew_part(t.conj().T @ g), theta, grad))
         # mapped back by theta, the body vector is the ambient Riemannian gradient
         ambient = self.per_block(arch, lambda t, g: t @ skew_part(t.conj().T @ g), theta, grad)
@@ -589,7 +672,8 @@ class TestBodyCoordinateRules:
     """The direction rules, fed body vectors and the block rotation W, compute the ambient quantities.
 
     The reference evaluates the same quantities on the ambient vectors
-    theta * Omega and the two iterates.
+    theta * Omega and the two iterates.  The instance is built and checked
+    as N x N matrices; the rules get their packed forms.
     """
 
     N = 8
@@ -598,10 +682,11 @@ class TestBodyCoordinateRules:
 
     def step_instance(self, arch, rng, s=0.7):
         feas = optim._Feasible(arch, self.N)
+        pack, unpack = feas.structure.pack, feas.structure.unpack
         theta = feas.random_point(rng)
-        direction = feas.tangent(random_complex(rng, self.N, self.N), theta)
-        step, rotation = feas.retract(theta, direction)
-        return feas, theta, step(s), direction, rotation(s), s
+        direction = tangent(feas, random_complex(rng, self.N, self.N), theta)
+        step, rotation = feas.retract(pack(theta), pack(direction))
+        return feas, theta, unpack(step(s)), direction, unpack(rotation(s)), s
 
     def ambient_tangent(self, x, frame):
         return frame @ skew_part(frame.conj().T @ x)
@@ -612,9 +697,9 @@ class TestBodyCoordinateRules:
         feas, theta, theta_new, direction, w, s = self.step_instance(arch, rng)
         g_old = random_complex(rng, self.N, self.N)
         g_new = g_old - 3.0 * (theta_new - theta)  # concave along the step: positive curvature estimate
-        riem, riem_new = feas.tangent(g_old, theta), feas.tangent(g_new, theta_new)
+        riem, riem_new = tangent(feas, g_old, theta), tangent(feas, g_new, theta_new)
         rule = optim._BarzilaiBorwein(feas, OptimizerConfig())
-        rule.accepted(w, riem, riem_new, direction, s)
+        rule.accepted(*map(feas.structure.pack, (w, riem, riem_new, direction)), s)
         delta = theta_new - theta
         denom = -np.vdot(delta, theta_new @ riem_new - theta @ riem).real
         assert denom > 0
@@ -627,22 +712,23 @@ class TestBodyCoordinateRules:
         rule = optim._LimitedMemoryBfgs(feas, OptimizerConfig(lbfgs_memory=4))
         pairs = []
         for _ in range(3):
-            s_i = feas.tangent(random_complex(rng, self.N, self.N), theta)
-            y_i = s_i + 0.1 * feas.tangent(random_complex(rng, self.N, self.N), theta)
+            s_i = tangent(feas, random_complex(rng, self.N, self.N), theta)
+            y_i = s_i + 0.1 * tangent(feas, random_complex(rng, self.N, self.N), theta)
             pairs.append((s_i, y_i))
-        rule.memory = [(a, b, 1.0 / optim._inner(a, b)) for a, b in pairs]
+        pack, unpack = feas.structure.pack, feas.structure.unpack
+        rule.memory = [(pack(a), pack(b), 1.0 / optim._inner(a, b)) for a, b in pairs]
         rule.used_fallback = False
-        riem = feas.tangent(random_complex(rng, self.N, self.N), theta)
-        riem_new = feas.tangent(random_complex(rng, self.N, self.N), theta_new)
-        rule.accepted(w, riem, riem_new, direction, s)
+        riem = tangent(feas, random_complex(rng, self.N, self.N), theta)
+        riem_new = tangent(feas, random_complex(rng, self.N, self.N), theta_new)
+        rule.accepted(*map(pack, (w, riem, riem_new, direction)), s)
         mask = _support_mask(arch, self.N)  # theta_new is block diagonal: project, then keep the blocks
         p = lambda x: np.where(mask, self.ambient_tangent(x, theta_new), 0.0)
         expected = [(p(theta @ a), p(theta @ b)) for a, b in pairs]
         expected.append((p(s * theta @ direction), p(theta @ riem) - theta_new @ riem_new))
         assert len(rule.memory) == len(expected)
         for (a, b, rho), (ea, eb) in zip(rule.memory, expected):
-            assert np.max(np.abs(theta_new @ a - ea)) <= 1e-12
-            assert np.max(np.abs(theta_new @ b - eb)) <= 1e-12
+            assert np.max(np.abs(theta_new @ unpack(a) - ea)) <= 1e-12
+            assert np.max(np.abs(theta_new @ unpack(b) - eb)) <= 1e-12
             assert rho == pytest.approx(1.0 / np.vdot(ea, eb).real, rel=1e-10)
 
 
@@ -721,6 +807,16 @@ class TestInitialTheta:
 
 GUARDS = [
     pytest.param(lambda: benchmark(["rzf"], [2], trials=0), InvalidInput, "trials", id="no_trials"),
+    pytest.param(lambda: OptimizerConfig(objective_tolerance=float("nan")), InvalidInput,
+                 "objective_tolerance must be finite", id="nan_tolerance"),
+    pytest.param(lambda: OptimizerConfig(objective_tolerance=float("inf")), InvalidInput,
+                 "objective_tolerance must be finite", id="inf_tolerance"),
+    pytest.param(lambda: OptimizerConfig(max_iterations=2.5), InvalidInput, "must be integers", id="fractional_cap"),
+    pytest.param(lambda: OptimizerConfig(lbfgs_memory=True), InvalidInput, "must be integers", id="boolean_memory"),
+    pytest.param(lambda: mean_sum_rate(np.eye(3), unit_instance(np.random.default_rng(86)), tx_snr_db=float("nan")),
+                 InvalidInput, "tx_snr_db must be finite", id="nan_snr_override"),
+    pytest.param(lambda: mean_sum_rate(np.eye(3), unit_instance(np.random.default_rng(86)), tx_snr_db=float("inf")),
+                 InvalidInput, "tx_snr_db must be finite", id="inf_snr_override"),
 ]
 
 
