@@ -174,7 +174,7 @@ class ChannelStack:
     """One realization or a non-empty sequence of them, stacked to (P, ...) arrays.
 
     Every snapshot must agree on the device, element and antenna counts
-    (L, N, M) and on the transmit SNR; the transposed copies serve gradients.
+    (L, N, M) and on the transmit SNR.
     """
 
     def __init__(self, realizations: ChannelRealization | Sequence[ChannelRealization]):
@@ -190,8 +190,6 @@ class ChannelStack:
         self.direct = np.stack([r.direct for r in realizations])          # (P, L, M)
         self.ris_device = np.stack([r.ris_device for r in realizations])  # (P, L, N)
         self.bs_ris = np.stack([r.bs_ris for r in realizations])          # (P, N, M)
-        self.ris_device_t = self.ris_device.transpose(0, 2, 1).copy()     # (P, N, L)
-        self.bs_ris_dag = np.conj(self.bs_ris).transpose(0, 2, 1).copy()  # (P, M, N)
         self.count = len(realizations)
         self.num_devices = first.num_devices
         self.num_elements = first.num_elements

@@ -20,7 +20,8 @@ entries of the blocks, one 1-D array), holds every tangent vector in body
 coordinates (Omega with Theta Omega the ambient vector, skew-Hermitian per
 block), retracts in closed form (one ``eigh`` per block size and step, one
 block product per trial step) and transports by projection at one block
-product per vector.  FP still works on dense N x N matrices.
+product per vector.  FP runs on the same packed arrays: its surrogate's
+gradient and curvature are ``_GainProblem.adjoint`` and ``reflected``.
 RZF/AO/QNM maximize the channel-gain objective and are judged by the sum
 rate afterwards; FP maximizes the sum rate directly.  All optimizers keep
 every iterate feasible for the requested architecture and report a monotone
@@ -62,12 +63,14 @@ class OptimizerConfig:
 
     def __post_init__(self):
         counts = (self.max_iterations, self.lbfgs_memory)
-        if not all(isinstance(c, numbers.Integral) and not isinstance(c, bool) for c in counts):
-            raise InvalidInput("max_iterations and lbfgs_memory must be integers")
+        if not all(isinstance(c, numbers.Integral) and not isinstance(c, bool) for c in (*counts, self.seed)):
+            raise InvalidInput("max_iterations, lbfgs_memory and seed must be integers")
         if min(counts) < 1:
             raise InvalidInput("iteration counts must be positive")
         if not (math.isfinite(self.objective_tolerance) and self.objective_tolerance > 0):
             raise InvalidInput("objective_tolerance must be finite and positive")
+        if not 0 <= self.seed < 2**64:
+            raise InvalidInput(f"seed must be in [0, 2**64), got {self.seed}")
 
 
 @dataclass
@@ -182,14 +185,16 @@ class _Feasible:
 
 
 class _GainProblem:
-    """Channel-gain objective summed over devices and snapshots, plus gradient, in packed coordinates.
+    """The channels' linear maps in packed Theta, and the channel-gain objective and gradient.
 
-    With R the surface-to-device links (P, L, N), B the conjugated
-    BS-to-surface links (P, N, M) and Theta_g the blocks, the channels are
-    h = a + sum_g R_g conj(Theta_g) B_g and the conjugate gradient's block g
-    is sum_p R_g^T conj(h_p) B_g†.  The links are gathered per block size
-    once, so no N x N matrix is formed; on the fully-connected surface every
-    product is the whole-matrix one.
+    With R the surface-to-device links (P, L, N), B the BS-to-surface links
+    (P, N, M) and Theta_g the blocks, h = a + reflected(Theta) with
+    ``reflected`` = sum_g R_g conj(Theta_g) conj(B_g), and ``adjoint`` maps
+    (P, L, M) rows X to the blocks sum_p R_g^T X_p B_g†, so that
+    Re sum(X * reflected(D)) = <adjoint(X), D>; the gain's conjugate gradient
+    is adjoint(conj(h)).  The links are gathered per block size once, so no
+    N x N matrix is formed; on the fully-connected surface every product is
+    the whole-matrix one.
     """
 
     def __init__(self, stack: ChannelStack, structure: BlockStructure):
@@ -197,35 +202,39 @@ class _GainProblem:
         self.direct = stack.direct
         ports = [g.rows[:, :, 0] for g in structure.gather]  # (G, k) per size
         order = np.concatenate([idx.reshape(-1) for idx in ports])
-        # R_g as (P, G, L, k) and B_g† as (P, G, M, k) per size; B and R^T with ports in packed order
+        self.rows = [slice(end - idx.size, end) for idx, end in zip(ports, np.cumsum([idx.size for idx in ports]))]
+        # R_g as (P, G, L, k) and B_g† as (P, G, M, k) per size; conj(B) and R^T with ports in packed
+        # order, each size's ports a run of rows (``self.rows``)
         self.device = [np.ascontiguousarray(stack.ris_device[:, :, idx].transpose(0, 2, 1, 3)) for idx in ports]
-        self.bs_dag = [np.ascontiguousarray(stack.bs_ris_dag[:, :, idx].transpose(0, 2, 1, 3)) for idx in ports]
+        self.bs_dag = [np.ascontiguousarray(np.conj(stack.bs_ris[:, idx]).swapaxes(-1, -2)) for idx in ports]
         self.bs = np.conj(stack.bs_ris)[:, order, :]  # (P, N, M)
-        self.device_t = stack.ris_device_t[:, order, :]  # (P, N, L)
+        self.device_t = np.ascontiguousarray(stack.ris_device[:, :, order].swapaxes(-1, -2))  # (P, N, L)
 
-    def _channels(self, theta: np.ndarray) -> np.ndarray:
-        """Effective channels as rows, (P, L, M)."""
+    def reflected(self, theta: np.ndarray) -> np.ndarray:
+        """The surface's share of the channels as rows, (P, L, M)."""
         p, l = self.direct.shape[:2]
         scaled = [
             (r @ np.conj(t)).transpose(0, 2, 1, 3).reshape(p, l, -1)
             for r, t in zip(self.device, self.structure.parts(theta))
         ]
-        return self.direct + _joined(scaled, axis=2) @ self.bs
+        return _joined(scaled, axis=2) @ self.bs
+
+    def adjoint(self, rows: np.ndarray) -> np.ndarray:
+        """Packed blocks sum_p R_g^T rows_p B_g† of (P, L, M) rows."""
+        left = self.device_t @ rows  # (P, N, M); one size's rows reshape to (P, G, k, M)
+        return _joined([np.sum(left[:, r].reshape(b.shape[:2] + (-1, b.shape[2])) @ b, axis=0).reshape(-1)
+                        for r, b in zip(self.rows, self.bs_dag)])
+
+    def channels(self, theta: np.ndarray) -> np.ndarray:
+        """Effective channels as rows, (P, L, M)."""
+        return self.direct + self.reflected(theta)
 
     def value(self, theta: np.ndarray) -> float:
-        return float(np.sum(np.abs(self._channels(theta)) ** 2))
+        return float(np.sum(np.abs(self.channels(theta)) ** 2))
 
     def value_and_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
-        h = self._channels(theta)
-        left = self.device_t @ np.conj(h)  # (P, N, M), rows in packed order
-        p, _, m = left.shape
-        grad, start = [], 0
-        for b in self.bs_dag:
-            count, k = b.shape[1], b.shape[3]
-            part = left[:, start : start + count * k].reshape(p, count, k, m)
-            grad.append(np.sum(part @ b, axis=0).reshape(-1))
-            start += count * k
-        return float(np.sum(np.abs(h) ** 2)), _joined(grad)
+        h = self.channels(theta)
+        return float(np.sum(np.abs(h) ** 2)), self.adjoint(np.conj(h))
 
 
 def _whole_matrix(realizations, theta) -> tuple[_GainProblem, np.ndarray]:
@@ -282,12 +291,13 @@ def _start(feas: _Feasible, cfg: OptimizerConfig, initial_theta, iterate_callbac
 def _align_cross_term(stack: ChannelStack, feas: _Feasible, rng: np.random.Generator) -> tuple[np.ndarray, bool]:
     """Feasible matrix maximizing Re tr(Theta† C) for the direct-path cross term.
 
-    C sums b a† C† over devices and snapshots; the maximizer is its aligned
+    C sums b a† C† over devices and snapshots, taken on the whole matrix
+    (per-block products round differently); the maximizer is its aligned
     unitary (``manifold.aligned_unitary``).  Only a fully degenerate block
     falls back to a Haar sample, drawn from ``rng`` in block order (second
     return flags any fallback).
     """
-    cross = np.sum(stack.ris_device_t @ np.conj(stack.direct) @ stack.bs_ris_dag, axis=0)
+    cross = _GainProblem(stack, BlockStructure((feas.n,))).adjoint(np.conj(stack.direct)).reshape(feas.n, -1)
     theta, degenerate = aligned_unitary(cross, feas.structure)
     blocks = feas.structure.block_indices()
     for i in degenerate:
@@ -530,8 +540,17 @@ def qnm_manifold(
     return _ascend(realizations, arch, cfg, iterate_callback, initial_theta, _LimitedMemoryBfgs)
 
 
-def _rzf_precoder_batch(h_stack: np.ndarray, rho: float) -> np.ndarray:
-    """Regularized zero-forcing precoders, unit total power per snapshot: (P, M, L).
+def _rates_from_cross(cross: np.ndarray, rho: float) -> float:
+    diag = np.diagonal(cross, axis1=1, axis2=2)
+    diag_power = np.abs(diag) ** 2
+    signal = rho * diag_power
+    interference = rho * (np.sum(np.abs(cross) ** 2, axis=2) - diag_power)
+    per_snapshot = np.sum(np.log1p(signal / (interference + 1.0)), axis=1) / LOG2
+    return float(np.mean(per_snapshot))
+
+
+def _rzf_rate(h_stack: np.ndarray, rho: float) -> tuple[np.ndarray, float]:
+    """Regularized zero-forcing precoders, unit total power per snapshot, (P, M, L), and their mean sum rate.
 
     Column l of each precoder serves device l; ``h_stack`` holds the
     effective channels as rows, (P, L, M).
@@ -541,21 +560,8 @@ def _rzf_precoder_batch(h_stack: np.ndarray, rho: float) -> np.ndarray:
     gram = h_cols.conj().transpose(0, 2, 1) @ h_cols + (l / rho) * np.eye(l)
     w = h_cols @ np.linalg.inv(gram)
     norms = np.linalg.norm(w, axis=(1, 2), keepdims=True)
-    return np.divide(w, norms, out=np.zeros_like(w), where=norms > 0)
-
-
-def _cross_products(stack: ChannelStack, theta, w_stack) -> np.ndarray:
-    """(P, L, L) matrices of h_l† w_j per snapshot."""
-    return np.conj(effective_channel_matrix(stack, theta)) @ w_stack
-
-
-def _rates_from_cross(cross: np.ndarray, rho: float) -> float:
-    diag = np.diagonal(cross, axis1=1, axis2=2)
-    diag_power = np.abs(diag) ** 2
-    signal = rho * diag_power
-    interference = rho * (np.sum(np.abs(cross) ** 2, axis=2) - diag_power)
-    per_snapshot = np.sum(np.log1p(signal / (interference + 1.0)), axis=1) / LOG2
-    return float(np.mean(per_snapshot))
+    w = np.divide(w, norms, out=np.zeros_like(w), where=norms > 0)
+    return w, _rates_from_cross(np.conj(h_stack) @ w, rho)
 
 
 def mean_sum_rate(theta, realizations, tx_snr_db: float | None = None) -> float:
@@ -571,8 +577,7 @@ def mean_sum_rate(theta, realizations, tx_snr_db: float | None = None) -> float:
         raise InvalidInput(f"tx_snr_db must be finite, got {tx_snr_db!r}")
     stack = ChannelStack(realizations)
     rho = 10.0 ** ((stack.tx_snr_db if tx_snr_db is None else tx_snr_db) / 10.0)
-    h = effective_channel_matrix(stack, theta)
-    return _rates_from_cross(np.conj(h) @ _rzf_precoder_batch(h, rho), rho)
+    return _rzf_rate(effective_channel_matrix(stack, theta), rho)[1]
 
 
 class _SumRateSurrogate:
@@ -580,11 +585,12 @@ class _SumRateSurrogate:
 
     With the auxiliaries refreshed at the current point the surrogate equals
     the true (precoder-fixed) sum rate there and minorizes it everywhere
-    else, which is what makes the outer trace monotone.
+    else, which is what makes the outer trace monotone.  Points are packed.
     """
 
-    def __init__(self, stack: ChannelStack, rho: float):
-        self.stack = stack
+    def __init__(self, problem: _GainProblem, rho: float):
+        self.problem = problem
+        self.count = problem.direct.shape[0]
         self.rho = rho
         self.sqrt_rho = float(np.sqrt(rho))
         self.gamma = None  # (P, L)
@@ -593,7 +599,7 @@ class _SumRateSurrogate:
 
     def refresh(self, theta, w_stack):
         """Closed-form SINR (gamma) and quadratic-transform (y) auxiliaries."""
-        cross = _cross_products(self.stack, theta, w_stack)
+        cross = np.conj(self.problem.channels(theta)) @ w_stack  # h_l† w_j, (P, L, L)
         diag = np.diagonal(cross, axis1=1, axis2=2)
         diag_power = np.abs(diag) ** 2
         row_power = np.sum(np.abs(cross) ** 2, axis=2)
@@ -602,23 +608,20 @@ class _SumRateSurrogate:
         self.const = np.log1p(self.gamma) - self.gamma
 
     def value(self, theta, w_stack) -> float:
-        cross = _cross_products(self.stack, theta, w_stack)
+        cross = np.conj(self.problem.channels(theta)) @ w_stack
         diag = np.diagonal(cross, axis1=1, axis2=2)
         row_power = np.sum(np.abs(cross) ** 2, axis=2)
         lin = 2.0 * np.real(np.conj(self.y) * (self.sqrt_rho * diag))
         quad = np.abs(self.y) ** 2 * (self.rho * row_power + 1.0)
         total = float(np.sum(self.const + (1.0 + self.gamma) * (lin - quad)))
-        return total / self.stack.count / LOG2
+        return total / self.count / LOG2
 
     def gradient(self, theta, w_stack) -> np.ndarray:
-        cross = _cross_products(self.stack, theta, w_stack)
+        cross = np.conj(self.problem.channels(theta)) @ w_stack
         w_rows = w_stack.conj().transpose(0, 2, 1)  # (P, L, M), row l is w_l†
         lin_rows = (self.sqrt_rho * (1.0 + self.gamma) * self.y)[:, :, None] * w_rows
-        quad_rows = (self.rho * (1.0 + self.gamma) * np.abs(self.y) ** 2)[:, :, None] * (
-            cross @ w_rows
-        )
-        grad = np.sum(self.stack.ris_device_t @ (lin_rows - quad_rows) @ self.stack.bs_ris_dag, axis=0)
-        return grad / self.stack.count / LOG2
+        quad_rows = (self.rho * (1.0 + self.gamma) * np.abs(self.y) ** 2)[:, :, None] * (cross @ w_rows)
+        return self.problem.adjoint(lin_rows - quad_rows) / self.count / LOG2
 
     def curvature_along(self, direction, w_stack) -> float:
         """Magnitude of the (negative) quadratic coefficient of g along a line.
@@ -627,22 +630,21 @@ class _SumRateSurrogate:
         the surrogate is quadratic in the matrix; used for the optimal
         unconstrained step slope / (2 * coef).
         """
-        dcross = (np.conj(self.stack.ris_device) @ direction) @ self.stack.bs_ris @ w_stack
+        dcross = np.conj(self.problem.reflected(direction)) @ w_stack
         weights = (1.0 + self.gamma) * np.abs(self.y) ** 2
         coef = float(self.rho * np.sum(weights * np.sum(np.abs(dcross) ** 2, axis=2)))
-        return coef / self.stack.count / LOG2
+        return coef / self.count / LOG2
 
 
-def _surrogate_cg(surrogate, w_stack, theta0, max_steps):
+def _surrogate_cg(surrogate, w_stack, x, max_steps):
     """Unconstrained maximizer of the quadratic surrogate by conjugate gradients.
 
     The surrogate is an exactly quadratic concave function of the matrix, so
     Fletcher-Reeves with exact steps is plain linear CG.  Along directions of
     (numerically) zero curvature the maximum sits at infinity; since the
     later polar projection is scale invariant, a single long jump captures
-    it.  Works in the ambient space; feasibility is restored by the caller.
+    it.  Moves the packed block entries off the manifold; the caller projects.
     """
-    x = theta0.astype(complex)
     g = surrogate.gradient(x, w_stack)
     gg = _inner(g, g)
     if gg <= 1e-300:
@@ -656,8 +658,7 @@ def _surrogate_cg(surrogate, w_stack, theta0, max_steps):
             break
         d_norm = float(np.linalg.norm(d))
         step_limit = 1e8 * scale / max(d_norm, 1e-300)
-        step = slope / (2.0 * coef) if coef > 0.0 else step_limit
-        step = min(step, step_limit)
+        step = min(slope / (2.0 * coef), step_limit) if coef > 0.0 else step_limit
         x = x + step * d
         if step >= step_limit:
             break
@@ -670,7 +671,7 @@ def _surrogate_cg(surrogate, w_stack, theta0, max_steps):
     return x
 
 
-def _surrogate_inner_update(surrogate, w_stack, theta, feas, g_start):
+def _surrogate_inner_update(surrogate, w_stack, theta, feas):
     """One feasible surrogate-ascent move: CG jump, projected, with damping.
 
     The projected full jump is tried first; if it regresses, the move toward
@@ -680,22 +681,22 @@ def _surrogate_inner_update(surrogate, w_stack, theta, feas, g_start):
     """
     target = _surrogate_cg(surrogate, w_stack, theta, FP_INNER_THETA_STEPS)
     if not np.all(np.isfinite(target.view(float))):
-        return theta, g_start
+        return theta
     delta = target - theta
     delta_norm = float(np.linalg.norm(delta))
     if delta_norm <= 1e-300:
-        return theta, g_start
+        return theta
+    g_start = surrogate.value(theta, w_stack)
     scale = np.sqrt(feas.n)
     lengths = [delta_norm] + [c * scale for c in (2.0, 0.5, 0.1, 0.02) if c * scale < delta_norm]
     for length in lengths:
         try:
-            candidate = feas.project(theta + (length / delta_norm) * delta)
+            candidate = feas._map(polar_factor, theta + (length / delta_norm) * delta)
         except RankDeficient:
             continue
-        g_new = surrogate.value(candidate, w_stack)
-        if g_new > g_start:
-            return candidate, g_new
-    return theta, g_start
+        if surrogate.value(candidate, w_stack) > g_start:
+            return candidate
+    return theta
 
 
 def fp_sum_rate(
@@ -721,41 +722,39 @@ def fp_sum_rate(
     stack = ChannelStack(realizations)
     rho = 10.0 ** (stack.tx_snr_db / 10.0)
     feas = _Feasible(arch, stack.num_elements)
+    unpack = feas.structure.unpack
+    problem = _GainProblem(stack, feas.structure)
     # warm start from the one-shot cross-term alignment: the alternation
     # is monotone from any start but random starts fall into noticeably
     # weaker fixed points at case-study SNR scales
-    theta = _start(
+    theta = feas.structure.pack(_start(
         feas, cfg, initial_theta, iterate_callback,
         warm=lambda: _align_cross_term(stack, feas, np.random.default_rng(cfg.seed))[0],
-    )
-    surrogate = _SumRateSurrogate(stack, rho)
-    precoders = _rzf_precoder_batch(effective_channel_matrix(stack, theta), rho)
-    rate = _rates_from_cross(_cross_products(stack, theta, precoders), rho)
+    ))
+    surrogate = _SumRateSurrogate(problem, rho)
+    precoders, rate = _rzf_rate(problem.channels(theta), rho)
     trace = [rate]
     converged, reason = False, "max_iterations"
     iterations = 0
     for iterations in range(1, cfg.max_iterations + 1):
         rate_at_start = rate
-        fresh = _rzf_precoder_batch(effective_channel_matrix(stack, theta), rho)
-        fresh_rate = _rates_from_cross(_cross_products(stack, theta, fresh), rho)
+        fresh, fresh_rate = _rzf_rate(problem.channels(theta), rho)
         if fresh_rate >= rate:
             precoders, rate = fresh, fresh_rate
         surrogate.refresh(theta, precoders)
-        g_start = surrogate.value(theta, precoders)
-        candidate, _ = _surrogate_inner_update(surrogate, precoders, theta, feas, g_start)
-        cand_rate = _rates_from_cross(_cross_products(stack, candidate, precoders), rho)
+        candidate = _surrogate_inner_update(surrogate, precoders, theta, feas)
+        cand_rate = _rates_from_cross(np.conj(problem.channels(candidate)) @ precoders, rho)
         if cand_rate >= rate:
-            theta = candidate
-            rate = cand_rate
+            theta, rate = candidate, cand_rate
             if iterate_callback:
-                iterate_callback(theta)
+                iterate_callback(unpack(theta))
         trace.append(rate)
         # progress of the whole precoder/auxiliary/matrix cycle
         rel_change = (rate - rate_at_start) / max(abs(rate_at_start), 1e-300)
         if rel_change < cfg.objective_tolerance:
             converged, reason = True, "plateau"
             break
-    return OptimizerResult(theta, trace, time.perf_counter() - start, iterations, converged, reason)
+    return OptimizerResult(unpack(theta), trace, time.perf_counter() - start, iterations, converged, reason)
 
 
 ALGORITHMS = {
@@ -786,6 +785,8 @@ def benchmark(
     """
     if trials < 1:
         raise InvalidInput("trials must be >= 1")
+    if isinstance(threads, bool) or not isinstance(threads, numbers.Integral) or threads < 1:
+        raise InvalidInput(f"threads must be an integer >= 1, got {threads!r}")
     unknown = [a for a in algorithms if a not in ALGORITHMS]
     if unknown:
         raise InvalidInput(f"unknown algorithms: {unknown}")

@@ -157,6 +157,65 @@ class TestPackedGainProblem:
             else:
                 assert f == pytest.approx(expected_f, rel=1e-12)
                 assert np.linalg.norm(g - expected_g) <= 1e-12 * np.linalg.norm(expected_g)
+        # the two linear maps against their dense forms: sum_p R_p^T X_p B_p† and R conj(D) conj(B)
+        stack = ChannelStack(reals)
+        rows = random_complex(rng, *stack.direct.shape)
+        d = structure.unpack(structure.pack(random_complex(rng, 8, 8)))
+        device_t = stack.ris_device.transpose(0, 2, 1).copy()
+        bs_dag = np.conj(stack.bs_ris).transpose(0, 2, 1).copy()
+        pairs = [
+            (problem.adjoint(rows), structure.pack(np.sum(device_t @ rows @ bs_dag, axis=0))),
+            (problem.reflected(structure.pack(d)), stack.ris_device @ np.conj(d) @ np.conj(stack.bs_ris)),
+        ]
+        for got, want in pairs:
+            if arch is FULL:
+                assert np.array_equal(got, want)
+            else:
+                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+class TestSumRateSurrogate:
+    """FP's quadratic-transform surrogate on packed blocks: its gradient and its exact line curvature."""
+
+    ARCHS = [FULL, DIAG, BLOCK_ARCHS[3]]
+    IDS = ["full", "diag", "permuted"]
+
+    def instance(self, arch, seed):
+        """Surrogate refreshed at a feasible point, its precoders, the point and a packed direction."""
+        rng = np.random.default_rng(seed)
+        feas = optim._Feasible(arch, 8)
+        problem = optim._GainProblem(ChannelStack(unit_instance(rng, l=3, m=2, n=8)), feas.structure)
+        rho = 10.0 ** 1.8
+        theta = feas.structure.pack(feas.random_point(rng))
+        w = optim._rzf_rate(problem.channels(theta), rho)[0]
+        surrogate = optim._SumRateSurrogate(problem, rho)
+        surrogate.refresh(theta, w)
+        return surrogate, w, theta, feas.structure.pack(random_complex(rng, 8, 8))
+
+    @pytest.mark.parametrize("arch", ARCHS, ids=IDS)
+    def test_gradient_matches_central_finite_differences(self, arch):
+        surrogate, w, theta, _ = self.instance(arch, 90)
+        g = surrogate.gradient(theta, w)
+        h = 1e-3  # the surrogate is quadratic: central differences are exact up to rounding
+        fd = np.zeros((theta.size, 2))
+        for i in range(theta.size):
+            for part, unit in enumerate((1.0, 1j)):
+                e = np.zeros_like(theta)
+                e[i] = unit * h
+                fd[i, part] = (surrogate.value(theta + e, w) - surrogate.value(theta - e, w)) / (2 * h)
+        analytic = np.stack([2 * np.real(g), 2 * np.imag(g)], axis=1)
+        assert np.linalg.norm(analytic - fd) <= 1e-6 * np.linalg.norm(analytic)
+
+    @pytest.mark.parametrize("arch", ARCHS, ids=IDS)
+    def test_curvature_is_exact_along_a_line(self, arch):
+        surrogate, w, theta, d = self.instance(arch, 91)
+        g0 = surrogate.value(theta, w)
+        slope = 2.0 * optim._inner(surrogate.gradient(theta, w), d)
+        coef = surrogate.curvature_along(d, w)
+        assert coef > 0.0
+        for s in (0.3, -1.1, 2.5):
+            predicted = g0 + slope * s - coef * s * s
+            assert surrogate.value(theta + s * d, w) == pytest.approx(predicted, rel=1e-10)
 
 
 class TestRzfOneShot:
@@ -813,6 +872,15 @@ GUARDS = [
                  "objective_tolerance must be finite", id="inf_tolerance"),
     pytest.param(lambda: OptimizerConfig(max_iterations=2.5), InvalidInput, "must be integers", id="fractional_cap"),
     pytest.param(lambda: OptimizerConfig(lbfgs_memory=True), InvalidInput, "must be integers", id="boolean_memory"),
+    pytest.param(lambda: OptimizerConfig(seed=1.5), InvalidInput, "must be integers", id="fractional_seed"),
+    pytest.param(lambda: OptimizerConfig(seed=True), InvalidInput, "must be integers", id="boolean_seed"),
+    pytest.param(lambda: OptimizerConfig(seed=-1), InvalidInput, r"seed must be in \[0, 2\*\*64\)", id="negative_seed"),
+    pytest.param(lambda: OptimizerConfig(seed=2**64), InvalidInput, r"seed must be in \[0, 2\*\*64\)",
+                 id="seed_past_64_bits"),
+    pytest.param(lambda: benchmark(["rzf"], [2], trials=1, threads=0), InvalidInput, "threads", id="no_threads"),
+    pytest.param(lambda: benchmark(["rzf"], [2], trials=1, threads=-2), InvalidInput, "threads", id="negative_threads"),
+    pytest.param(lambda: benchmark(["rzf"], [2], trials=1, threads=2.5), InvalidInput, "threads",
+                 id="fractional_threads"),
     pytest.param(lambda: mean_sum_rate(np.eye(3), unit_instance(np.random.default_rng(86)), tx_snr_db=float("nan")),
                  InvalidInput, "tx_snr_db must be finite", id="nan_snr_override"),
     pytest.param(lambda: mean_sum_rate(np.eye(3), unit_instance(np.random.default_rng(86)), tx_snr_db=float("inf")),

@@ -75,6 +75,29 @@ def test_feasible_set_calls_through_optim_namespace(name, arch, monkeypatch):
         assert calls["skew_part"] > 0
 
 
+def test_effective_channel_span_counts_scoring_only(monkeypatch):
+    """The tracer's ``architectures.effective_channel_matrix`` span sees sum-rate scoring only.
+
+    It rebinds the name in ``bdris.optim``, where ``mean_sum_rate`` looks it
+    up; every optimizer, FP included, computes its channels on packed blocks
+    in ``optim._GainProblem`` and never calls it.
+    """
+    calls = []
+    original = optim.effective_channel_matrix
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(optim, "effective_channel_matrix", counting)
+    reals = scenario_realizations(ScenarioConfig(), 8, np.random.default_rng(3))
+    for name, solver in optim.ALGORITHMS.items():
+        theta = solver(reals, BdRisArchitecture.diagonal(), optim.OptimizerConfig(seed=4, max_iterations=5)).theta
+        assert not calls, name
+    optim.mean_sum_rate(theta, reals)
+    assert len(calls) == 1
+
+
 def test_training_calls_logits_twice_per_epoch(monkeypatch):
     """perfbench's EpochClock closes an epoch on every second ``bdris.qml.hybrid_logits`` call.
 
