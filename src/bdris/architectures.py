@@ -5,9 +5,9 @@ circuit topology dictates which entries may be nonzero and which sub-blocks
 must be unitary: a diagonal matrix for conventional single-connected
 surfaces, unitary blocks for group-connected ones and a full unitary matrix
 for fully-connected ones.  These are the three kinds the optimizers move on.
-This module validates matrices against those patterns, composes the
-effective channels, and provides the closed-form optimal configurations and
-amplitudes for a single backscatter tag.
+This module validates matrices against those patterns and provides the
+closed-form optimal configurations and amplitudes for a single backscatter
+tag; the effective channels live in ``channel``.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelRealization, ChannelStack
 from .errors import DimensionMismatch, InvalidInput, ZeroChannel
 from .manifold import BlockStructure, UnitaryMatrix, aligned_unitary, unitarity_defect
 
@@ -112,15 +111,6 @@ def validate(theta, arch: BdRisArchitecture, tolerance: float = STRUCT_TOL) -> V
         if defect > tolerance:
             violations.append(f"unitarity defect {defect:.3e} > {tolerance:.1e}")
     return ValidationReport(tuple(violations))
-
-
-def effective_channel_matrix(channels: ChannelRealization | ChannelStack, theta) -> np.ndarray:
-    """Effective channels h_l = a_l + C†Θ†b_l as rows: (L, M) for a realization, (P, L, M) for a stack of P."""
-    t = np.asarray(theta, dtype=complex)
-    n = channels.num_elements
-    if t.shape != (n, n):
-        raise DimensionMismatch(f"theta shape {t.shape} != ({n}, {n})")
-    return channels.direct + channels.ris_device @ np.conj(t) @ np.conj(channels.bs_ris)
 
 
 def _single_tag_channels(b, c) -> tuple[np.ndarray, np.ndarray]:

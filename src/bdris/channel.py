@@ -1,10 +1,11 @@
-"""Geometric multi-user channel generation.
+"""Geometric multi-user channel generation and the effective channel.
 
 Distance-based path loss, Rician/Rayleigh small-scale fading and
 random-waypoint device mobility, matched to the case-study defaults:
 -30 dB reference loss at 1 m, exponents 3.5 / 2.2 / 2.0 for the
 device-BS / device-RIS / BS-RIS links, -80 dBm noise, 18 dB transmit SNR,
 4 BS antennas, a 100 m BS-RIS backbone and a 25 x 25 m movement area.
+``CascadedChannels`` maps a packed surface matrix to the effective channels.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import BelowReferenceDistance, DimensionMismatch, InvalidInput
+from .manifold import BlockStructure, _joined
 
 
 @dataclass(frozen=True)
@@ -194,6 +196,78 @@ class ChannelStack:
         self.num_devices = first.num_devices
         self.num_elements = first.num_elements
         self.tx_snr_db = first.tx_snr_db
+
+
+class CascadedChannels:
+    """The effective channels as linear maps of a packed surface matrix, and their total gain.
+
+    With R the surface-to-device links (P, L, N), B the BS-to-surface links
+    (P, N, M) and Theta_g the blocks of ``structure`` (packed as in
+    ``BlockStructure.pack``), the channels are h = a + reflected(Theta) with
+    ``reflected`` = sum_g R_g conj(Theta_g) conj(B_g), and ``adjoint`` maps
+    (P, L, M) rows X to the blocks sum_p R_g^T X_p B_g†, so that
+    Re sum(X * reflected(D)) = <adjoint(X), D>; ``value`` is the channel
+    gain |h|^2 and its conjugate gradient is adjoint(conj(h)).  The links
+    are gathered per block size once, so no N x N matrix is formed.  With no
+    ``structure`` the maps are on one N x N block, where a packed point is
+    the matrix's row-major entries and every product is the whole-matrix one.
+    ``channels`` is a ``ChannelStack`` or what ``ChannelStack`` takes.
+    """
+
+    def __init__(self, channels, structure: BlockStructure | None = None):
+        stack = channels if isinstance(channels, ChannelStack) else ChannelStack(channels)
+        self.structure = structure = structure or BlockStructure((stack.num_elements,))
+        self.direct = stack.direct
+        ports = [g.rows[:, :, 0] for g in structure.gather]  # (G, k) per size
+        order = np.concatenate([idx.reshape(-1) for idx in ports])
+        self.rows = [slice(end - idx.size, end) for idx, end in zip(ports, np.cumsum([idx.size for idx in ports]))]
+        # R_g as (P, G, L, k) and B_g† as (P, G, M, k) per size; conj(B) and R^T with ports in packed
+        # order, each size's ports a run of rows (``self.rows``)
+        self.device = [np.ascontiguousarray(stack.ris_device[:, :, idx].transpose(0, 2, 1, 3)) for idx in ports]
+        self.bs_dag = [np.ascontiguousarray(np.conj(stack.bs_ris[:, idx]).swapaxes(-1, -2)) for idx in ports]
+        self.bs = np.conj(stack.bs_ris)[:, order, :]  # (P, N, M)
+        self.device_t = np.ascontiguousarray(stack.ris_device[:, :, order].swapaxes(-1, -2))  # (P, N, L)
+
+    def flat(self, theta) -> np.ndarray:
+        """An N x N ``theta`` as a packed point of the whole-matrix maps; DimensionMismatch otherwise."""
+        n = self.structure.dimension
+        t = np.asarray(theta, dtype=complex)
+        if t.shape != (n, n):
+            raise DimensionMismatch(f"theta shape {t.shape} != ({n}, {n})")
+        return t.reshape(-1)
+
+    def reflected(self, theta: np.ndarray) -> np.ndarray:
+        """The surface's share of the channels as rows, (P, L, M)."""
+        p, l = self.direct.shape[:2]
+        scaled = [
+            (r @ np.conj(t)).transpose(0, 2, 1, 3).reshape(p, l, -1)
+            for r, t in zip(self.device, self.structure.parts(theta))
+        ]
+        return _joined(scaled, axis=2) @ self.bs
+
+    def adjoint(self, rows: np.ndarray) -> np.ndarray:
+        """Packed blocks sum_p R_g^T rows_p B_g† of (P, L, M) rows."""
+        left = self.device_t @ rows  # (P, N, M); one size's rows reshape to (P, G, k, M)
+        return _joined([np.sum(left[:, r].reshape(b.shape[:2] + (-1, b.shape[2])) @ b, axis=0).reshape(-1)
+                        for r, b in zip(self.rows, self.bs_dag)])
+
+    def channels(self, theta: np.ndarray) -> np.ndarray:
+        """Effective channels as rows, (P, L, M)."""
+        return self.direct + self.reflected(theta)
+
+    def value(self, theta: np.ndarray) -> float:
+        return float(np.sum(np.abs(self.channels(theta)) ** 2))
+
+    def value_and_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
+        h = self.channels(theta)
+        return float(np.sum(np.abs(h) ** 2)), self.adjoint(np.conj(h))
+
+
+def effective_channel_matrix(channels: ChannelRealization | ChannelStack, theta) -> np.ndarray:
+    """Effective channels h_l = a_l + C†Θ†b_l as rows: (L, M) for a realization, (P, L, M) for a stack of P."""
+    whole = CascadedChannels(channels)
+    h = whole.channels(whole.flat(theta))
+    return h[0] if isinstance(channels, ChannelRealization) else h
 
 
 def path_loss_db(distance_m: float, exponent: float, model: PathLossModel = PathLossModel()) -> float:

@@ -161,6 +161,11 @@ class BlockStructure:
         return out
 
 
+def _joined(per_size: list[np.ndarray], axis: int = 0) -> np.ndarray:
+    """Per-block-size results concatenated; a single one is returned as it is."""
+    return per_size[0] if len(per_size) == 1 else np.concatenate(per_size, axis=axis)
+
+
 def polar_factor(matrix: np.ndarray) -> np.ndarray:
     """Unitary polar factor UV† of a full-rank square matrix, or of each in a stack.
 

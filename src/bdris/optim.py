@@ -20,8 +20,8 @@ entries of the blocks, one 1-D array), holds every tangent vector in body
 coordinates (Omega with Theta Omega the ambient vector, skew-Hermitian per
 block), retracts in closed form (one ``eigh`` per block size and step, one
 block product per trial step) and transports by projection at one block
-product per vector.  FP runs on the same packed arrays: its surrogate's
-gradient and curvature are ``_GainProblem.adjoint`` and ``reflected``.
+product per vector.  FP runs on the same packed arrays.  Every optimizer
+takes its channels and gradients from ``channel.CascadedChannels``.
 RZF/AO/QNM maximize the channel-gain objective and are judged by the sum
 rate afterwards; FP maximizes the sum rate directly.  All optimizers keep
 every iterate feasible for the requested architecture and report a monotone
@@ -39,10 +39,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .architectures import BdRisArchitecture, effective_channel_matrix
-from .channel import ChannelStack, ScenarioConfig, scenario_realizations
+from .architectures import BdRisArchitecture
+from .channel import CascadedChannels, ChannelStack, ScenarioConfig, effective_channel_matrix, scenario_realizations
 from .errors import DimensionMismatch, InvalidInput, RankDeficient, RankDeficientWarning
-from .manifold import BlockStructure, aligned_unitary, polar_factor, random_unitary, skew_part
+from .manifold import _joined, aligned_unitary, polar_factor, random_unitary, skew_part
 from .seeding import derive_seed, derived_rng
 
 LOG2 = float(np.log(2.0))
@@ -105,11 +105,6 @@ def _tangent(frame: np.ndarray, x: np.ndarray) -> np.ndarray:
 def _times_adjoint(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a b† for a matrix or a (G, k, k) stack of blocks."""
     return a @ b.conj().swapaxes(-1, -2)
-
-
-def _joined(per_size: list[np.ndarray], axis: int = 0) -> np.ndarray:
-    """Per-block-size results concatenated; a single one is returned as it is."""
-    return per_size[0] if len(per_size) == 1 else np.concatenate(per_size, axis=axis)
 
 
 class _Feasible:
@@ -184,74 +179,10 @@ class _Feasible:
         return self.project(z)
 
 
-class _GainProblem:
-    """The channels' linear maps in packed Theta, and the channel-gain objective and gradient.
-
-    With R the surface-to-device links (P, L, N), B the BS-to-surface links
-    (P, N, M) and Theta_g the blocks, h = a + reflected(Theta) with
-    ``reflected`` = sum_g R_g conj(Theta_g) conj(B_g), and ``adjoint`` maps
-    (P, L, M) rows X to the blocks sum_p R_g^T X_p B_g†, so that
-    Re sum(X * reflected(D)) = <adjoint(X), D>; the gain's conjugate gradient
-    is adjoint(conj(h)).  The links are gathered per block size once, so no
-    N x N matrix is formed; on the fully-connected surface every product is
-    the whole-matrix one.
-    """
-
-    def __init__(self, stack: ChannelStack, structure: BlockStructure):
-        self.structure = structure
-        self.direct = stack.direct
-        ports = [g.rows[:, :, 0] for g in structure.gather]  # (G, k) per size
-        order = np.concatenate([idx.reshape(-1) for idx in ports])
-        self.rows = [slice(end - idx.size, end) for idx, end in zip(ports, np.cumsum([idx.size for idx in ports]))]
-        # R_g as (P, G, L, k) and B_g† as (P, G, M, k) per size; conj(B) and R^T with ports in packed
-        # order, each size's ports a run of rows (``self.rows``)
-        self.device = [np.ascontiguousarray(stack.ris_device[:, :, idx].transpose(0, 2, 1, 3)) for idx in ports]
-        self.bs_dag = [np.ascontiguousarray(np.conj(stack.bs_ris[:, idx]).swapaxes(-1, -2)) for idx in ports]
-        self.bs = np.conj(stack.bs_ris)[:, order, :]  # (P, N, M)
-        self.device_t = np.ascontiguousarray(stack.ris_device[:, :, order].swapaxes(-1, -2))  # (P, N, L)
-
-    def reflected(self, theta: np.ndarray) -> np.ndarray:
-        """The surface's share of the channels as rows, (P, L, M)."""
-        p, l = self.direct.shape[:2]
-        scaled = [
-            (r @ np.conj(t)).transpose(0, 2, 1, 3).reshape(p, l, -1)
-            for r, t in zip(self.device, self.structure.parts(theta))
-        ]
-        return _joined(scaled, axis=2) @ self.bs
-
-    def adjoint(self, rows: np.ndarray) -> np.ndarray:
-        """Packed blocks sum_p R_g^T rows_p B_g† of (P, L, M) rows."""
-        left = self.device_t @ rows  # (P, N, M); one size's rows reshape to (P, G, k, M)
-        return _joined([np.sum(left[:, r].reshape(b.shape[:2] + (-1, b.shape[2])) @ b, axis=0).reshape(-1)
-                        for r, b in zip(self.rows, self.bs_dag)])
-
-    def channels(self, theta: np.ndarray) -> np.ndarray:
-        """Effective channels as rows, (P, L, M)."""
-        return self.direct + self.reflected(theta)
-
-    def value(self, theta: np.ndarray) -> float:
-        return float(np.sum(np.abs(self.channels(theta)) ** 2))
-
-    def value_and_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
-        h = self.channels(theta)
-        return float(np.sum(np.abs(h) ** 2)), self.adjoint(np.conj(h))
-
-
-def _whole_matrix(realizations, theta) -> tuple[_GainProblem, np.ndarray]:
-    """The gain problem on one N x N block, and ``theta`` in its packed form (its flat entries)."""
-    stack = ChannelStack(realizations)
-    n = stack.num_elements
-    problem = _GainProblem(stack, BlockStructure((n,)))
-    t = np.asarray(theta, dtype=complex)
-    if t.shape != (n, n):
-        raise DimensionMismatch(f"theta shape {t.shape} != ({n}, {n})")
-    return problem, t.reshape(-1)
-
-
 def channel_gain_objective(theta, realizations) -> float:
     """Total squared effective-channel norm over devices and location snapshots."""
-    problem, packed = _whole_matrix(realizations, theta)
-    return problem.value(packed)
+    whole = CascadedChannels(realizations)
+    return whole.value(whole.flat(theta))
 
 
 def euclidean_gradient(theta: np.ndarray, realizations) -> np.ndarray:
@@ -261,8 +192,8 @@ def euclidean_gradient(theta: np.ndarray, realizations) -> np.ndarray:
     df = 2 Re tr(G† dTheta); the manifold ascent direction is the tangent
     projection of G.
     """
-    problem, packed = _whole_matrix(realizations, theta)
-    return problem.value_and_grad(packed)[1].reshape(problem.structure.dimension, -1)
+    whole = CascadedChannels(realizations)
+    return whole.value_and_grad(whole.flat(theta))[1].reshape(whole.structure.dimension, -1)
 
 
 def _start(feas: _Feasible, cfg: OptimizerConfig, initial_theta, iterate_callback, warm=None) -> np.ndarray:
@@ -288,16 +219,16 @@ def _start(feas: _Feasible, cfg: OptimizerConfig, initial_theta, iterate_callbac
     return theta
 
 
-def _align_cross_term(stack: ChannelStack, feas: _Feasible, rng: np.random.Generator) -> tuple[np.ndarray, bool]:
+def _align_cross_term(whole: CascadedChannels, feas: _Feasible, rng: np.random.Generator) -> tuple[np.ndarray, bool]:
     """Feasible matrix maximizing Re tr(Theta† C) for the direct-path cross term.
 
     C sums b a† C† over devices and snapshots, taken on the whole matrix
-    (per-block products round differently); the maximizer is its aligned
-    unitary (``manifold.aligned_unitary``).  Only a fully degenerate block
-    falls back to a Haar sample, drawn from ``rng`` in block order (second
-    return flags any fallback).
+    by the ``whole`` maps (per-block products round differently); the
+    maximizer is its aligned unitary (``manifold.aligned_unitary``).  Only
+    a fully degenerate block falls back to a Haar sample, drawn from ``rng``
+    in block order (second return flags any fallback).
     """
-    cross = _GainProblem(stack, BlockStructure((feas.n,))).adjoint(np.conj(stack.direct)).reshape(feas.n, -1)
+    cross = whole.adjoint(np.conj(whole.direct)).reshape(feas.n, -1)
     theta, degenerate = aligned_unitary(cross, feas.structure)
     blocks = feas.structure.block_indices()
     for i in degenerate:
@@ -318,16 +249,16 @@ def rzf_one_shot(
     the cross matrix is degenerate (no direct paths at all).
     """
     start = time.perf_counter()
-    stack = ChannelStack(realizations)
-    feas = _Feasible(arch, stack.num_elements)
-    theta, fell_back = _align_cross_term(stack, feas, np.random.default_rng(cfg.seed))
+    whole = CascadedChannels(realizations)
+    feas = _Feasible(arch, whole.structure.dimension)
+    theta, fell_back = _align_cross_term(whole, feas, np.random.default_rng(cfg.seed))
     if fell_back:
         warnings.warn(
             "cross matrix is rank deficient; fell back to a random feasible point",
             RankDeficientWarning,
             stacklevel=2,
         )
-    value = _GainProblem(stack, BlockStructure((feas.n,))).value(theta.reshape(-1))
+    value = whole.value(theta.reshape(-1))
     return OptimizerResult(theta, [value], time.perf_counter() - start, 1, True, "closed_form")
 
 
@@ -469,7 +400,7 @@ def _ascend(realizations, arch, cfg, iterate_callback, initial_theta, rule) -> O
     stack = ChannelStack(realizations)
     feas = _Feasible(arch, stack.num_elements)
     unpack = feas.structure.unpack
-    problem = _GainProblem(stack, feas.structure)
+    problem = CascadedChannels(stack, feas.structure)
     rule = rule(feas, cfg)
     theta = feas.structure.pack(_start(feas, cfg, initial_theta, iterate_callback))
     f, grad = problem.value_and_grad(theta)
@@ -540,12 +471,18 @@ def qnm_manifold(
     return _ascend(realizations, arch, cfg, iterate_callback, initial_theta, _LimitedMemoryBfgs)
 
 
-def _rates_from_cross(cross: np.ndarray, rho: float) -> float:
+def _sinr(h_stack: np.ndarray, w_stack: np.ndarray, rho: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(SINR, d, row) per device: rho |d|^2 / (rho (row - |d|^2) + 1), d = h_l† w_l, row = sum_j |h_l† w_j|^2."""
+    cross = np.conj(h_stack) @ w_stack  # h_l† w_j, (P, L, L)
     diag = np.diagonal(cross, axis1=1, axis2=2)
     diag_power = np.abs(diag) ** 2
-    signal = rho * diag_power
-    interference = rho * (np.sum(np.abs(cross) ** 2, axis=2) - diag_power)
-    per_snapshot = np.sum(np.log1p(signal / (interference + 1.0)), axis=1) / LOG2
+    row_power = np.sum(np.abs(cross) ** 2, axis=2)
+    return rho * diag_power / (rho * (row_power - diag_power) + 1.0), diag, row_power
+
+
+def _mean_rate(h_stack: np.ndarray, w_stack: np.ndarray, rho: float) -> float:
+    """Snapshot-mean sum rate in bits/s/Hz of channel rows (P, L, M) under precoders (P, M, L)."""
+    per_snapshot = np.sum(np.log1p(_sinr(h_stack, w_stack, rho)[0]), axis=1) / LOG2
     return float(np.mean(per_snapshot))
 
 
@@ -561,7 +498,7 @@ def _rzf_rate(h_stack: np.ndarray, rho: float) -> tuple[np.ndarray, float]:
     w = h_cols @ np.linalg.inv(gram)
     norms = np.linalg.norm(w, axis=(1, 2), keepdims=True)
     w = np.divide(w, norms, out=np.zeros_like(w), where=norms > 0)
-    return w, _rates_from_cross(np.conj(h_stack) @ w, rho)
+    return w, _mean_rate(h_stack, w, rho)
 
 
 def mean_sum_rate(theta, realizations, tx_snr_db: float | None = None) -> float:
@@ -588,7 +525,7 @@ class _SumRateSurrogate:
     else, which is what makes the outer trace monotone.  Points are packed.
     """
 
-    def __init__(self, problem: _GainProblem, rho: float):
+    def __init__(self, problem: CascadedChannels, rho: float):
         self.problem = problem
         self.count = problem.direct.shape[0]
         self.rho = rho
@@ -599,18 +536,12 @@ class _SumRateSurrogate:
 
     def refresh(self, theta, w_stack):
         """Closed-form SINR (gamma) and quadratic-transform (y) auxiliaries."""
-        cross = np.conj(self.problem.channels(theta)) @ w_stack  # h_l† w_j, (P, L, L)
-        diag = np.diagonal(cross, axis1=1, axis2=2)
-        diag_power = np.abs(diag) ** 2
-        row_power = np.sum(np.abs(cross) ** 2, axis=2)
-        self.gamma = self.rho * diag_power / (self.rho * (row_power - diag_power) + 1.0)
+        self.gamma, diag, row_power = _sinr(self.problem.channels(theta), w_stack, self.rho)
         self.y = self.sqrt_rho * diag / (self.rho * row_power + 1.0)
         self.const = np.log1p(self.gamma) - self.gamma
 
     def value(self, theta, w_stack) -> float:
-        cross = np.conj(self.problem.channels(theta)) @ w_stack
-        diag = np.diagonal(cross, axis1=1, axis2=2)
-        row_power = np.sum(np.abs(cross) ** 2, axis=2)
+        _, diag, row_power = _sinr(self.problem.channels(theta), w_stack, self.rho)
         lin = 2.0 * np.real(np.conj(self.y) * (self.sqrt_rho * diag))
         quad = np.abs(self.y) ** 2 * (self.rho * row_power + 1.0)
         total = float(np.sum(self.const + (1.0 + self.gamma) * (lin - quad)))
@@ -723,13 +654,13 @@ def fp_sum_rate(
     rho = 10.0 ** (stack.tx_snr_db / 10.0)
     feas = _Feasible(arch, stack.num_elements)
     unpack = feas.structure.unpack
-    problem = _GainProblem(stack, feas.structure)
+    problem = CascadedChannels(stack, feas.structure)
     # warm start from the one-shot cross-term alignment: the alternation
     # is monotone from any start but random starts fall into noticeably
     # weaker fixed points at case-study SNR scales
     theta = feas.structure.pack(_start(
         feas, cfg, initial_theta, iterate_callback,
-        warm=lambda: _align_cross_term(stack, feas, np.random.default_rng(cfg.seed))[0],
+        warm=lambda: _align_cross_term(CascadedChannels(stack), feas, np.random.default_rng(cfg.seed))[0],
     ))
     surrogate = _SumRateSurrogate(problem, rho)
     precoders, rate = _rzf_rate(problem.channels(theta), rho)
@@ -743,7 +674,7 @@ def fp_sum_rate(
             precoders, rate = fresh, fresh_rate
         surrogate.refresh(theta, precoders)
         candidate = _surrogate_inner_update(surrogate, precoders, theta, feas)
-        cand_rate = _rates_from_cross(np.conj(problem.channels(candidate)) @ precoders, rho)
+        cand_rate = _mean_rate(problem.channels(candidate), precoders, rho)
         if cand_rate >= rate:
             theta, rate = candidate, cand_rate
             if iterate_callback:
@@ -783,10 +714,9 @@ def benchmark(
     optimizer call only; run single-threaded when timings must be
     comparable.
     """
-    if trials < 1:
-        raise InvalidInput("trials must be >= 1")
-    if isinstance(threads, bool) or not isinstance(threads, numbers.Integral) or threads < 1:
-        raise InvalidInput(f"threads must be an integer >= 1, got {threads!r}")
+    for name, count in (("trials", trials), ("threads", threads), *(("element count", n) for n in element_counts)):
+        if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
+            raise InvalidInput(f"{name} must be an integer >= 1, got {count!r}")
     unknown = [a for a in algorithms if a not in ALGORITHMS]
     if unknown:
         raise InvalidInput(f"unknown algorithms: {unknown}")

@@ -8,14 +8,13 @@ from bdris.architectures import (
     ArchitectureKind,
     BdRisArchitecture,
     diagonal_single_tag_amplitude,
-    effective_channel_matrix,
     fully_connected_single_tag_amplitude,
     optimal_diagonal_single_tag,
     optimal_fully_connected_single_tag,
     _support_mask,
     validate,
 )
-from bdris.channel import ChannelRealization, ChannelStack
+from bdris.channel import ChannelRealization, ChannelStack, effective_channel_matrix
 from bdris.errors import DimensionMismatch, InvalidInput, ZeroChannel
 from bdris.manifold import BlockStructure, random_unitary
 from bdris.optim import channel_gain_objective

@@ -1,11 +1,16 @@
-"""Path loss, fading moments, realization generation and mobility."""
+"""Path loss, fading moments, realization generation, mobility and the cascaded-channel maps."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from bdris import optim
+from bdris.architectures import BdRisArchitecture
 from bdris.channel import (
+    CascadedChannels,
     ChannelRealization,
     ChannelStack,
     Device,
@@ -21,9 +26,12 @@ from bdris.channel import (
     path_loss_linear,
     random_waypoint_step,
     sample_fading,
+    scenario_realizations,
 )
 from bdris.errors import BelowReferenceDistance, DimensionMismatch, InvalidInput
 from bdris.harness import realization_csv_rows, write_realization_csv
+from bdris.manifold import BlockStructure
+from bdris.optim import channel_gain_objective, euclidean_gradient
 from bdris.seeding import derive_seed, derived_rng
 
 
@@ -196,6 +204,93 @@ class TestChannelStack:
         rng = np.random.default_rng(33)
         with pytest.raises(InvalidInput, match="tx_snr_db"):
             ChannelStack([random_realization(rng), random_realization(rng, tx_snr_db=10.0)])
+
+
+FULL = BdRisArchitecture.fully_connected()
+# diagonal, equal groups, unequal groups, and unequal groups through a permutation
+BLOCK_ARCHS = [
+    BdRisArchitecture.diagonal(),
+    BdRisArchitecture.group_connected(BlockStructure((4, 4))),
+    BdRisArchitecture.group_connected(BlockStructure((2, 1, 3, 2))),
+    BdRisArchitecture.group_connected(BlockStructure((2, 1, 3, 2), permutation=(7, 0, 5, 2, 4, 1, 6, 3))),
+]
+BLOCK_IDS = ["diag", "equal", "unequal", "permuted"]
+
+
+def random_complex(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+class TestCascadedChannels:
+    """``CascadedChannels`` on packed blocks equals the whole-matrix objective and gradient."""
+
+    @pytest.mark.parametrize("arch", [FULL] + BLOCK_ARCHS, ids=["full"] + BLOCK_IDS)
+    def test_matches_whole_matrix_forms(self, arch):
+        rng = np.random.default_rng(78)
+        reals = scenario_realizations(ScenarioConfig(), 8, rng)
+        structure = optim._Feasible(arch, 8).structure
+        problem = CascadedChannels(ChannelStack(reals), structure)
+        for theta in (optim._Feasible(arch, 8).random_point(rng), structure.unpack(structure.pack(random_complex(rng, 8, 8)))):
+            f, g = problem.value_and_grad(structure.pack(theta))
+            expected_f = channel_gain_objective(theta, reals)
+            expected_g = structure.pack(euclidean_gradient(theta, reals))
+            assert problem.value(structure.pack(theta)) == f
+            if arch is FULL:
+                assert f == expected_f and np.array_equal(g, expected_g)
+            else:
+                assert f == pytest.approx(expected_f, rel=1e-12)
+                assert np.linalg.norm(g - expected_g) <= 1e-12 * np.linalg.norm(expected_g)
+        # the two linear maps against their dense forms: sum_p R_p^T X_p B_p† and R conj(D) conj(B)
+        stack = ChannelStack(reals)
+        rows = random_complex(rng, *stack.direct.shape)
+        d = structure.unpack(structure.pack(random_complex(rng, 8, 8)))
+        device_t = stack.ris_device.transpose(0, 2, 1).copy()
+        bs_dag = np.conj(stack.bs_ris).transpose(0, 2, 1).copy()
+        pairs = [
+            (problem.adjoint(rows), structure.pack(np.sum(device_t @ rows @ bs_dag, axis=0))),
+            (problem.reflected(structure.pack(d)), stack.ris_device @ np.conj(d) @ np.conj(stack.bs_ris)),
+        ]
+        for got, want in pairs:
+            if arch is FULL:
+                assert np.array_equal(got, want)
+            else:
+                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def _link_products(source: str) -> list[int]:
+    """Lines of ``source`` with a matrix product (``@``, matmul, dot, einsum, ...) on ``ris_device`` or ``bs_ris``."""
+    products = {"matmul", "dot", "vdot", "inner", "einsum", "tensordot", "multi_dot"}
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+            operands = [node.left, node.right]
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) in products:
+            operands = [node.func, *node.args]
+        else:
+            continue
+        names = {getattr(n, "attr", getattr(n, "id", None)) for o in operands for n in ast.walk(o)}
+        if names & {"ris_device", "bs_ris"}:
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_only_channel_applies_the_links():
+    """No module of ``src/bdris`` but ``channel`` applies a matrix product to ``ris_device`` or ``bs_ris``.
+
+    ``CascadedChannels`` is the one implementation of the cascaded channel
+    h = a + R conj(Theta) conj(B); a product on the links anywhere else is
+    a second copy of it.
+    """
+    dense = "h = r.direct + r.ris_device @ np.conj(t) @ np.conj(r.bs_ris)\nc = np.einsum('pln,pnm->plm', ris_device, x)"
+    assert _link_products(dense) == [1, 2]
+    src = Path(__file__).resolve().parents[1] / "src" / "bdris"
+    found = [
+        (path.name, lineno)
+        for path in sorted(src.glob("*.py"))
+        if path.name != "channel.py"
+        for lineno in _link_products(path.read_text(encoding="utf-8"))
+    ]
+    assert not found, found
 
 
 class TestScenarioClearance:

@@ -7,7 +7,7 @@ import pytest
 
 from bdris import optim
 from bdris.architectures import ArchitectureKind, BdRisArchitecture, _support_mask, validate
-from bdris.channel import ChannelRealization, ChannelStack, ScenarioConfig, scenario_realizations
+from bdris.channel import CascadedChannels, ChannelRealization, ChannelStack, ScenarioConfig, scenario_realizations
 from bdris.errors import DimensionMismatch, InvalidInput, RankDeficient, RankDeficientWarning
 from bdris.manifold import BlockStructure, polar_factor, skew_part, unitarity_defect
 from bdris.optim import (
@@ -138,42 +138,6 @@ class TestEuclideanGradient:
             euclidean_gradient(np.eye(4), unit_instance(rng, n=3))
 
 
-class TestPackedGainProblem:
-    """``_GainProblem`` on packed blocks equals the whole-matrix objective and gradient."""
-
-    @pytest.mark.parametrize("arch", [FULL] + BLOCK_ARCHS, ids=["full"] + BLOCK_IDS)
-    def test_matches_whole_matrix_forms(self, arch):
-        rng = np.random.default_rng(78)
-        reals = scenario_realizations(ScenarioConfig(), 8, rng)
-        structure = optim._Feasible(arch, 8).structure
-        problem = optim._GainProblem(ChannelStack(reals), structure)
-        for theta in (optim._Feasible(arch, 8).random_point(rng), structure.unpack(structure.pack(random_complex(rng, 8, 8)))):
-            f, g = problem.value_and_grad(structure.pack(theta))
-            expected_f = channel_gain_objective(theta, reals)
-            expected_g = structure.pack(euclidean_gradient(theta, reals))
-            assert problem.value(structure.pack(theta)) == f
-            if arch is FULL:
-                assert f == expected_f and np.array_equal(g, expected_g)
-            else:
-                assert f == pytest.approx(expected_f, rel=1e-12)
-                assert np.linalg.norm(g - expected_g) <= 1e-12 * np.linalg.norm(expected_g)
-        # the two linear maps against their dense forms: sum_p R_p^T X_p B_p† and R conj(D) conj(B)
-        stack = ChannelStack(reals)
-        rows = random_complex(rng, *stack.direct.shape)
-        d = structure.unpack(structure.pack(random_complex(rng, 8, 8)))
-        device_t = stack.ris_device.transpose(0, 2, 1).copy()
-        bs_dag = np.conj(stack.bs_ris).transpose(0, 2, 1).copy()
-        pairs = [
-            (problem.adjoint(rows), structure.pack(np.sum(device_t @ rows @ bs_dag, axis=0))),
-            (problem.reflected(structure.pack(d)), stack.ris_device @ np.conj(d) @ np.conj(stack.bs_ris)),
-        ]
-        for got, want in pairs:
-            if arch is FULL:
-                assert np.array_equal(got, want)
-            else:
-                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
-
-
 class TestSumRateSurrogate:
     """FP's quadratic-transform surrogate on packed blocks: its gradient and its exact line curvature."""
 
@@ -184,7 +148,7 @@ class TestSumRateSurrogate:
         """Surrogate refreshed at a feasible point, its precoders, the point and a packed direction."""
         rng = np.random.default_rng(seed)
         feas = optim._Feasible(arch, 8)
-        problem = optim._GainProblem(ChannelStack(unit_instance(rng, l=3, m=2, n=8)), feas.structure)
+        problem = CascadedChannels(ChannelStack(unit_instance(rng, l=3, m=2, n=8)), feas.structure)
         rho = 10.0 ** 1.8
         theta = feas.structure.pack(feas.random_point(rng))
         w = optim._rzf_rate(problem.channels(theta), rho)[0]
@@ -393,7 +357,7 @@ class TestSumRate:
             tx_snr_db=18.0,
         )
         theta = np.eye(4)
-        from bdris.architectures import effective_channel_matrix
+        from bdris.channel import effective_channel_matrix
 
         h = effective_channel_matrix(real, theta)[0]
         rho = 10.0 ** 1.8
@@ -881,6 +845,11 @@ GUARDS = [
     pytest.param(lambda: benchmark(["rzf"], [2], trials=1, threads=-2), InvalidInput, "threads", id="negative_threads"),
     pytest.param(lambda: benchmark(["rzf"], [2], trials=1, threads=2.5), InvalidInput, "threads",
                  id="fractional_threads"),
+    pytest.param(lambda: benchmark(["rzf"], [8], trials=2.5), InvalidInput, "trials", id="fractional_trials"),
+    pytest.param(lambda: benchmark(["rzf"], [2.5], trials=1), InvalidInput, "element count",
+                 id="fractional_element_count"),
+    pytest.param(lambda: benchmark(["rzf"], [True], trials=1), InvalidInput, "element count",
+                 id="boolean_element_count"),
     pytest.param(lambda: mean_sum_rate(np.eye(3), unit_instance(np.random.default_rng(86)), tx_snr_db=float("nan")),
                  InvalidInput, "tx_snr_db must be finite", id="nan_snr_override"),
     pytest.param(lambda: mean_sum_rate(np.eye(3), unit_instance(np.random.default_rng(86)), tx_snr_db=float("inf")),

@@ -78,9 +78,10 @@ def test_feasible_set_calls_through_optim_namespace(name, arch, monkeypatch):
 def test_effective_channel_span_counts_scoring_only(monkeypatch):
     """The tracer's ``architectures.effective_channel_matrix`` span sees sum-rate scoring only.
 
-    It rebinds the name in ``bdris.optim``, where ``mean_sum_rate`` looks it
-    up; every optimizer, FP included, computes its channels on packed blocks
-    in ``optim._GainProblem`` and never calls it.
+    The function lives in ``bdris.channel`` (the span keeps its old name).
+    The tracer rebinds the name in ``bdris.optim``, where ``mean_sum_rate``
+    looks it up; every optimizer, FP included, computes its channels on
+    packed blocks with ``channel.CascadedChannels`` and never calls it.
     """
     calls = []
     original = optim.effective_channel_matrix
