@@ -20,6 +20,8 @@ Every output file format lives here, and every value in them is written by
 
 from __future__ import annotations
 
+import os
+import platform
 import sys
 import time
 from dataclasses import dataclass, field, fields, replace
@@ -530,6 +532,38 @@ _SCHEMA_NOTES = {
 }
 
 
+# the variables that set the thread count of the common BLAS builds
+BLAS_THREAD_VARS = (
+    "OPENBLAS_NUM_THREADS",
+    "OMP_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "BLIS_NUM_THREADS",
+    "VECLIB_MAXIMUM_THREADS",
+    "NUMEXPR_NUM_THREADS",
+)
+
+
+def _environment_lines(threads: int) -> list[str]:
+    """``key: value`` lines naming what shapes the numbers: interpreter, numpy, BLAS, CPUs, threads."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas_text = f"{blas.get('name', 'unknown')} {blas.get('version', 'unknown')}"
+    except (TypeError, KeyError):
+        blas_text = "unknown"
+    try:
+        nproc = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        nproc = os.cpu_count()
+    return [
+        f"python: {platform.python_version()}",
+        f"numpy: {np.__version__}",
+        f"blas: {blas_text}",
+        *(f"{var}: {os.environ.get(var, 'unset')}" for var in BLAS_THREAD_VARS),
+        f"nproc: {nproc}",
+        f"threads: {threads}",
+    ]
+
+
 def _write(path: Path, lines_or_text) -> None:
     text = lines_or_text if isinstance(lines_or_text, str) else "\n".join(lines_or_text) + "\n"
     path.write_text(text, encoding="utf-8", newline="\n")
@@ -584,6 +618,7 @@ def run(
         f"experiment: {cfg.experiment}",
         f"seed: {cfg.seed}",
         f"started_utc: {started}",
+        *_environment_lines(threads),
         "child seeds:",
     ] + [f"  {i}: {seed}" for i, seed in enumerate(outputs["child_seeds"])]
     _write(out / "manifest.txt", manifest)

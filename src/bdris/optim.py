@@ -641,7 +641,8 @@ def fp_sum_rate(
 
     Starts from the one-shot cross-term alignment, then each outer iteration
     (i) refreshes the RZF precoders, keeping the old ones if the refresh
-    would lower the rate, (ii) recomputes the closed-form SINR and
+    would lower the rate (a theta's refresh is computed once and kept until
+    theta moves), (ii) recomputes the closed-form SINR and
     quadratic-transform auxiliaries, at which point the surrogate touches
     the true precoder-fixed sum rate, and (iii) maximizes the concave
     quadratic surrogate: up to ``FP_INNER_THETA_STEPS`` conjugate-gradient
@@ -664,18 +665,23 @@ def fp_sum_rate(
     ))
     surrogate = _SumRateSurrogate(problem, rho)
     precoders, rate = _rzf_rate(problem.channels(theta), rho)
+    # the RZF precoders and rate of the current theta, kept until theta moves
+    fresh, fresh_rate = precoders, rate
     trace = [rate]
     converged, reason = False, "max_iterations"
     iterations = 0
     for iterations in range(1, cfg.max_iterations + 1):
         rate_at_start = rate
-        fresh, fresh_rate = _rzf_rate(problem.channels(theta), rho)
+        if fresh is None:
+            fresh, fresh_rate = _rzf_rate(problem.channels(theta), rho)
         if fresh_rate >= rate:
             precoders, rate = fresh, fresh_rate
         surrogate.refresh(theta, precoders)
         candidate = _surrogate_inner_update(surrogate, precoders, theta, feas)
         cand_rate = _mean_rate(problem.channels(candidate), precoders, rho)
         if cand_rate >= rate:
+            if not np.array_equal(candidate, theta):
+                fresh = None
             theta, rate = candidate, cand_rate
             if iterate_callback:
                 iterate_callback(unpack(theta))

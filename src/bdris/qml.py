@@ -6,15 +6,22 @@ layers (per-qubit RY rotations followed by a ring of CNOTs), and per-qubit
 Pauli-Z expectations.  Those expectations are concatenated with the raw
 features and fed to a linear softmax head; everything trains by full-batch
 gradient descent.  Training simulates the batch on real float64 amplitudes
-(embedding, RY and CNOT never make them complex) and takes the circuit
-gradient by adjoint differentiation: one forward pass, then one backward
-sweep.  The exact parameter-shift rule stays as the oracle it is tested
-against.  A synthetic position-to-beam dataset stands in for field data.
+(embedding, RY and CNOT never make them complex) in batch-last layout: a
+(2^q, n) array with one state per column, so each RY is one real 2x2 product
+over contiguous runs of at least n amplitudes and the CNOT ring is one row
+gather.  The circuit gradient comes by adjoint differentiation: one forward
+pass, then one backward sweep that reads each angle's gradient before
+un-applying its gate, so an epoch makes 5 L q gate applications for L
+layers of q qubits (the forward pass, the two metric passes, and psi and
+lambda in the sweep).  The exact parameter-shift rule stays as the oracle
+it is tested against.  A synthetic position-to-beam dataset stands in for
+field data.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,13 +135,16 @@ class SyntheticBeamDataset:
 # ---------------------------------------------------------------------------
 # statevector primitives (batched over samples; single states are batch 1)
 #
-# Qubit 0 is the most significant bit of a basis index.  Embedding, RY and
-# CNOT keep amplitudes real, so the batched circuit runs on float64; the
-# helpers are dtype-generic, so the complex ``StateVector`` goes through them
-# unchanged.
+# A batch of states is one (2^q, n) array: column j is sample j's state, so
+# the batch is the last axis.  Qubit 0 is the most significant bit of a basis
+# index, and a gate on qubit k sees the (2^k, 2, 2^(q-k-1) n) view of the
+# batch, whose two half-views are runs of at least n contiguous amplitudes.
+# Embedding, RY and CNOT keep amplitudes real, so the batched circuit runs on
+# float64; the helpers are dtype-generic, so the complex ``StateVector`` goes
+# through them unchanged as a single column.
 
 def _embed_batch(x: np.ndarray, num_qubits: int) -> np.ndarray:
-    """Zero-pad feature rows to 2^q and normalize each to unit norm (real)."""
+    """Zero-pad feature rows to 2^q and normalize each to unit norm: one real column per row."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     dim = 2**num_qubits
     if x.shape[1] > dim:
@@ -146,29 +156,25 @@ def _embed_batch(x: np.ndarray, num_qubits: int) -> np.ndarray:
     norms = np.linalg.norm(x, axis=1)
     if np.any(norms == 0.0):
         raise ZeroVector("cannot amplitude-embed a zero vector")
-    states = np.zeros((x.shape[0], dim))
-    states[:, : x.shape[1]] = x / norms[:, None]
+    states = np.zeros((dim, x.shape[0]))
+    states[: x.shape[1]] = (x / norms[:, None]).T
     return states
 
 
 def _apply_ry_batch(states: np.ndarray, angle: float, qubit: int) -> np.ndarray:
-    shaped = states.reshape(states.shape[0], 2**qubit, 2, -1)
+    """RY(angle) on one qubit of every column: one real 2x2 product on the pair axis."""
     c, s = np.cos(angle / 2.0), np.sin(angle / 2.0)
-    out = np.empty_like(shaped)
-    out[:, :, 0, :] = c * shaped[:, :, 0, :] - s * shaped[:, :, 1, :]
-    out[:, :, 1, :] = s * shaped[:, :, 0, :] + c * shaped[:, :, 1, :]
-    return out.reshape(states.shape)
+    return np.matmul(np.array([[c, -s], [s, c]]), states.reshape(2**qubit, 2, -1)).reshape(states.shape)
 
 
 @functools.lru_cache(maxsize=None)
 def _ring_permutation(num_qubits: int) -> tuple[np.ndarray, np.ndarray]:
     """Index gathers of the CNOT ring and of its inverse.
 
-    ``states.take(forward, axis=1)`` applies CNOT(k, k+1 mod q) for
-    k = 0..q-1 in that order; ``take(inverse, axis=1)`` undoes it.  One qubit
-    has no ring (both are the identity).  ``take`` keeps the C order of the
-    batch; fancy indexing ``states[:, perm]`` returns an F-ordered array,
-    which changes the rounding of later sums.
+    ``states.take(forward, axis=0)`` applies CNOT(k, k+1 mod q) for
+    k = 0..q-1 in that order to every column; ``take(inverse, axis=0)``
+    undoes it.  One qubit has no ring (both are the identity).  The gather
+    moves whole rows of the batch and returns a C-ordered array.
     """
     index = np.arange(2**num_qubits)
     if num_qubits > 1:
@@ -195,15 +201,16 @@ def _z_signs(num_qubits: int) -> np.ndarray:
 def _layer_batch(states: np.ndarray, layer_angles: np.ndarray, num_qubits: int) -> np.ndarray:
     for k in range(num_qubits):
         states = _apply_ry_batch(states, float(layer_angles[k]), k)
-    return states.take(_ring_permutation(num_qubits)[0], axis=1)
+    return states.take(_ring_permutation(num_qubits)[0], axis=0)
 
 
 def _measure_z_batch(states: np.ndarray, num_qubits: int) -> np.ndarray:
-    return (np.abs(states) ** 2) @ _z_signs(num_qubits)
+    """Per-qubit Z expectations, one row per column of ``states``: (n, q)."""
+    return (np.abs(states) ** 2).T @ _z_signs(num_qubits)
 
 
 def _run_batch(angles: np.ndarray, x: np.ndarray, num_qubits: int) -> np.ndarray:
-    """Final (real) states of the circuit, one row per feature row."""
+    """Final (real) states of the circuit, one column per feature row."""
     states = _embed_batch(x, num_qubits)
     for layer in angles:
         states = _layer_batch(states, layer, num_qubits)
@@ -221,7 +228,7 @@ def amplitude_embed(x: np.ndarray, num_qubits: int) -> StateVector:
     """Encode a feature vector as normalized amplitudes (zero-padded)."""
     if not 1 <= num_qubits <= MAX_QUBITS:
         raise InvalidInput(f"qubit count must be in [1, {MAX_QUBITS}]")
-    return StateVector(_embed_batch(np.asarray(x, float).reshape(1, -1), num_qubits)[0])
+    return StateVector(_embed_batch(np.asarray(x, float).reshape(1, -1), num_qubits)[:, 0])
 
 
 def entangling_layer(state: StateVector, layer_angles: np.ndarray) -> StateVector:
@@ -230,13 +237,12 @@ def entangling_layer(state: StateVector, layer_angles: np.ndarray) -> StateVecto
     q = state.num_qubits
     if angles.shape[0] != q:
         raise DimensionMismatch(f"{angles.shape[0]} angles for {q} qubits")
-    out = _layer_batch(state.amplitudes[None, :], angles, q)[0]
-    return StateVector(out)
+    return StateVector(_layer_batch(state.amplitudes[:, None], angles, q)[:, 0])
 
 
 def measure_z(state: StateVector) -> np.ndarray:
     """Exact per-qubit Pauli-Z expectations."""
-    return _measure_z_batch(state.amplitudes[None, :], state.num_qubits)[0]
+    return _measure_z_batch(state.amplitudes[:, None], state.num_qubits)[0]
 
 
 def circuit_outputs(params: CircuitParams, x: np.ndarray) -> np.ndarray:
@@ -279,25 +285,31 @@ def parameter_shift_grad(params: CircuitParams, x: np.ndarray, loss_grad_z) -> n
 def _adjoint_grad(angles: np.ndarray, states: np.ndarray, dl_dz: np.ndarray, num_qubits: int) -> np.ndarray:
     """Sum over rows of dl_dz . dz/dtheta for every angle, by one backward sweep.
 
-    ``states`` are the final real states the forward pass left (one row per
-    row of ``dl_dz``); no gate is applied forwards again.  The sweep starts
-    from lambda = (sum_j dl_dz_j Z_j) psi and un-applies each gate, last
-    first, to psi and lambda.  Since dRY/dtheta = RY(theta + pi) / 2 and z is
-    quadratic in psi, an angle's gradient is <lambda|RY(theta + pi)|psi_before>
-    (adjoint differentiation: Jones & Gacon, arXiv:2009.02823).  The result
-    equals ``_shift_grad``, which stays as the oracle.
+    ``states`` are the final real states the forward pass left (one column
+    per row of ``dl_dz``); no gate is applied forwards again.  The sweep
+    starts from lambda = (sum_j dl_dz_j Z_j) psi and un-applies each gate,
+    last first, to psi and lambda.  Since dRY/dtheta = RY(theta + pi) / 2 and
+    z is quadratic in psi, an angle's gradient is
+    <lambda|RY(theta + pi)|psi_before> (adjoint differentiation: Jones &
+    Gacon, arXiv:2009.02823).  RY(theta + pi) psi_before = RY(pi) psi_after,
+    so it is read before the gate is un-applied, as sum(lambda_1 psi_0 -
+    lambda_0 psi_1) over the gate's two half-views: two gate applications per
+    angle.  The result equals ``_shift_grad``, which stays as the oracle.
     """
     inverse = _ring_permutation(num_qubits)[1]
     psi = states
-    lam = states * (dl_dz @ _z_signs(num_qubits).T)
+    lam = states * (_z_signs(num_qubits) @ dl_dz.T)
     grad = np.zeros_like(angles)
     for l in range(angles.shape[0] - 1, -1, -1):
-        psi = psi.take(inverse, axis=1)
-        lam = lam.take(inverse, axis=1)
+        psi = psi.take(inverse, axis=0)
+        lam = lam.take(inverse, axis=0)
         for k in range(num_qubits - 1, -1, -1):
+            pairs = 2**k
+            # [sum lambda_0 psi_1, sum lambda_1 psi_0]
+            cross = np.einsum("bim,bim->i", lam.reshape(pairs, 2, -1), psi.reshape(pairs, 2, -1)[:, ::-1])
+            grad[l, k] = cross[1] - cross[0]
             theta = float(angles[l, k])
             psi = _apply_ry_batch(psi, -theta, k)
-            grad[l, k] = np.vdot(lam, _apply_ry_batch(psi, theta + np.pi, k))
             lam = _apply_ry_batch(lam, -theta, k)
     return grad
 
@@ -413,12 +425,15 @@ def train_hybrid(
     a seeded permutation.  Head gradients are analytic.  Each epoch makes one
     forward pass of the training split on real amplitudes; its final states
     give both the outputs z and the start of the adjoint backward sweep
-    (``_adjoint_grad``) that yields every angle gradient.  Returns the
-    trained model and one trace row per (epoch, split) with loss and
+    (``_adjoint_grad``) that yields every angle gradient.  The learning
+    rate must be finite and >= 0 (0 leaves the model as it is).  Returns
+    the trained model and one trace row per (epoch, split) with loss and
     distance accuracies.
     """
     if epochs < 1:
         raise InvalidInput("epochs must be >= 1")
+    if not (math.isfinite(learning_rate) and learning_rate >= 0.0):
+        raise InvalidInput(f"learning_rate must be finite and >= 0, got {learning_rate!r}")
     n = dataset.features.shape[0]
     if n < 3:
         raise InvalidInput(f"need >= 3 samples for a train/validation split, got {n}")

@@ -3,6 +3,8 @@
 import ast
 import dataclasses
 import functools
+import os
+import platform
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +16,7 @@ from bdris.cli import main as cli_main
 from bdris.errors import ConfigError
 from bdris.harness import (
     _SECTIONS,
+    BLAS_THREAD_VARS,
     ExperimentConfig,
     csv_line,
     parse_config_text,
@@ -399,6 +402,18 @@ class TestRunArtifacts:
         manifest = (tmp_path / "out" / "manifest.txt").read_text()
         assert "seed: 0" in manifest
         assert manifest.count("\n  ") == 20  # one child seed per trial
+
+    def test_manifest_records_environment(self, tmp_path):
+        cfg = parse_config_text(POWER_CFG + f"output_dir = {tmp_path}/out\n")
+        run(cfg, threads=3)
+        lines = (tmp_path / "out" / "manifest.txt").read_text().splitlines()
+        fields = dict(line.split(": ", 1) for line in lines if not line.startswith(" ") and ": " in line)
+        assert fields["python"] == platform.python_version()
+        assert fields["numpy"] == np.__version__
+        assert fields["blas"]
+        assert all(fields[var] == os.environ.get(var, "unset") for var in BLAS_THREAD_VARS)
+        assert int(fields["nproc"]) >= 1
+        assert fields["threads"] == "3"
 
 
 class TestCli:

@@ -491,6 +491,22 @@ class TestFpSumRate:
         b = fp_sum_rate(reals, FULL, OptimizerConfig(seed=25, max_iterations=15))
         assert a.objective_trace == b.objective_trace
 
+    @pytest.mark.parametrize("n", [32, 128])
+    def test_precoders_computed_once_per_iterate(self, n, monkeypatch):
+        """RZF precoders are recomputed only after theta moves: no two calls see equal channels."""
+        seen = []
+        original = optim._rzf_rate
+
+        def recording(h_stack, rho):
+            seen.append(h_stack.copy())
+            return original(h_stack, rho)
+
+        monkeypatch.setattr(optim, "_rzf_rate", recording)
+        reals = scenario_realizations(ScenarioConfig(), n, np.random.default_rng(7))
+        fp_sum_rate(reals, DIAG, OptimizerConfig(max_iterations=30))
+        assert seen
+        assert not any(np.array_equal(a, b) for i, b in enumerate(seen) for a in seen[:i])
+
 
 class TestBenchmark:
     def test_smoke_and_determinism(self):

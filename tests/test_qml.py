@@ -170,18 +170,18 @@ class TestParameterShift:
 
 
 def _reference_ring(states, q):
-    """The CNOT ring as q single CNOTs, each a bit flip of the basis index."""
+    """The CNOT ring as q single CNOTs, each a bit flip of the basis index (rows of the batch)."""
     index = np.arange(2**q)
     for control in range(q):
         target = (control + 1) % q
         flipped = np.where((index >> (q - 1 - control)) & 1, index ^ (1 << (q - 1 - target)), index)
-        states = states[:, flipped]
+        states = states[flipped]
     return states
 
 
 class TestAdjointGradient:
     @pytest.mark.parametrize("layers", [1, 3])
-    @pytest.mark.parametrize("q", [1, 2, 4, 6])
+    @pytest.mark.parametrize("q", [1, 2, 4, 6, 8])
     def test_matches_shift_oracle(self, q, layers):
         rng = np.random.default_rng(100 * q + layers)
         angles = rng.uniform(-np.pi, np.pi, (layers, q))
@@ -195,14 +195,44 @@ class TestAdjointGradient:
     @pytest.mark.parametrize("q", range(2, 9))
     def test_gathered_ring_equals_single_cnots(self, q, dtype):
         rng = np.random.default_rng(q)
-        states = rng.standard_normal((5, 2**q)).astype(dtype)
+        states = rng.standard_normal((2**q, 5)).astype(dtype)
         if dtype is complex:
-            states += 1j * rng.standard_normal((5, 2**q))
+            states += 1j * rng.standard_normal((2**q, 5))
         # RY(0) is the identity to the bit, so a zero-angle layer is the ring alone
         ring = qml._layer_batch(states, np.zeros(q), q)
         assert ring.dtype == states.dtype and ring.flags.c_contiguous
         assert np.array_equal(ring, _reference_ring(states, q))
-        assert np.array_equal(ring.take(qml._ring_permutation(q)[1], axis=1), states)
+        assert np.array_equal(ring.take(qml._ring_permutation(q)[1], axis=0), states)
+
+    @pytest.mark.parametrize("q", [1, 3, 6, 12])
+    def test_batched_rows_equal_single_state_path(self, q):
+        """Column j of the batch is the circuit on row j alone, as the complex StateVector runs it."""
+        rng = np.random.default_rng(200 + q)
+        angles = rng.uniform(-np.pi, np.pi, (2, q))
+        x = rng.uniform(-1.0, 1.0, (6, min(2**q, 5)))
+        batched = qml._forward_batch(angles, x, q)
+        for row, z in zip(x, batched):
+            state = amplitude_embed(row, q)
+            for layer in angles:
+                state = entangling_layer(state, layer)
+            assert np.max(np.abs(z - measure_z(state))) <= 1e-14
+            assert np.max(np.abs(z - circuit_outputs(CircuitParams(angles), row))) <= 1e-14
+
+    def test_training_epoch_applies_five_gates_per_angle(self, monkeypatch):
+        """Forward pass, two metrics passes, and two un-applied gates per angle in the backward sweep."""
+        calls = []
+        original = qml._apply_ry_batch
+
+        def counting(states, angle, qubit):
+            calls.append(qubit)
+            return original(states, angle, qubit)
+
+        monkeypatch.setattr(qml, "_apply_ry_batch", counting)
+        layers, q, epochs = 3, 4, 2
+        data = generate_synthetic_dataset(20, 2, 0.01, np.random.default_rng(25))
+        model = init_hybrid_model(q, layers, 2, 2, np.random.default_rng(26))
+        train_hybrid(data, model, epochs, 0.5, np.random.default_rng(27))
+        assert len(calls) == 5 * layers * q * epochs
 
     def test_training_embeds_three_times_per_epoch(self, monkeypatch):
         """One forward pass for the gradient, one per metrics split; no shift rule."""
@@ -450,6 +480,16 @@ GUARDS = [
             init_hybrid_model(2, 1, 2, 2, np.random.default_rng(1)), 0, 1.0, np.random.default_rng(2),
         ),
         InvalidInput, "epochs", id="no_epochs",
+    ),
+    *(
+        pytest.param(
+            lambda lr=lr: train_hybrid(
+                generate_synthetic_dataset(8, 2, 0.0, np.random.default_rng(0)),
+                init_hybrid_model(2, 1, 2, 2, np.random.default_rng(1)), 1, lr, np.random.default_rng(2),
+            ),
+            InvalidInput, "learning_rate", id=f"learning_rate_{name}",
+        )
+        for name, lr in (("negative", -1.0), ("inf", math.inf), ("nan", math.nan))
     ),
 ]
 
