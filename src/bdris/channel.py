@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from .errors import BelowReferenceDistance, DimensionMismatch, InvalidInput
-from .manifold import BlockStructure, _joined
+from .manifold import BlockStructure
 
 
 @dataclass(frozen=True)
@@ -31,6 +31,7 @@ class PathLossModel:
     exponent_bs_ris: float = 2.0
 
     def __post_init__(self):
+        _require_finite(self, *(f.name for f in fields(self)))
         if self.reference_distance_m <= 0:
             raise InvalidInput("reference distance must be positive")
         for exp in (self.exponent_device_bs, self.exponent_device_ris, self.exponent_bs_ris):
@@ -48,6 +49,7 @@ class Rectangle:
     y_max: float
 
     def __post_init__(self):
+        _require_finite(self, "x_min", "x_max", "y_min", "y_max")
         if self.x_max <= self.x_min or self.y_max <= self.y_min:
             raise InvalidInput("rectangle must have positive side lengths")
 
@@ -81,6 +83,8 @@ class NetworkGeometry:
         ris = np.asarray(self.ris_position, dtype=float)
         object.__setattr__(self, "bs_position", bs)
         object.__setattr__(self, "ris_position", ris)
+        if not (np.all(np.isfinite(bs)) and np.all(np.isfinite(ris)) and math.isfinite(self.bs_ris_distance_m)):
+            raise InvalidInput("BS and RIS positions and the BS-RIS distance must be finite")
         actual = float(np.linalg.norm(bs - ris))
         if abs(actual - self.bs_ris_distance_m) > 1e-6:
             raise InvalidInput(
@@ -95,7 +99,7 @@ class FadingModel:
     Device links are drawn line-of-sight with probability ``los_probability``
     (Rician with ``device_links_rician_k_db``), otherwise Rayleigh.  The
     BS-RIS backbone is always Rician with ``bs_ris_rician_k_db``.  A K of
-    -inf dB degenerates to pure Rayleigh.
+    -inf dB degenerates to pure Rayleigh and +inf dB to pure line of sight.
     """
 
     bs_ris_rician_k_db: float = 10.0
@@ -103,6 +107,9 @@ class FadingModel:
     los_probability: float = 0.5
 
     def __post_init__(self):
+        for name in ("bs_ris_rician_k_db", "device_links_rician_k_db"):
+            if math.isnan(getattr(self, name)):
+                raise InvalidInput(f"{name} must not be NaN")
         if not 0.0 <= self.los_probability <= 1.0:
             raise InvalidInput("los_probability must be in [0, 1]")
 
@@ -120,9 +127,9 @@ class Device:
         object.__setattr__(self, "waypoint", np.asarray(self.waypoint, dtype=float))
 
 
-def _require_finite_levels(obj) -> None:
-    """The noise power and transmit SNR of a realization or scenario must be finite numbers."""
-    for name in ("noise_power_dbm", "tx_snr_db"):
+def _require_finite(obj, *names: str) -> None:
+    """The named attributes of ``obj`` must be finite numbers."""
+    for name in names:
         if not math.isfinite(getattr(obj, name)):
             raise InvalidInput(f"{name} must be finite, got {getattr(obj, name)!r}")
 
@@ -154,7 +161,7 @@ class ChannelRealization:
             raise InvalidInput(
                 f"bs_ris shape {c.shape} != (elements, antennas) = ({b.shape[1]}, {a.shape[1]})"
             )
-        _require_finite_levels(self)
+        _require_finite(self, "noise_power_dbm", "tx_snr_db")
         object.__setattr__(self, "direct", a)
         object.__setattr__(self, "ris_device", b)
         object.__setattr__(self, "bs_ris", c)
@@ -202,15 +209,16 @@ class CascadedChannels:
     """The effective channels as linear maps of a packed surface matrix, and their total gain.
 
     With R the surface-to-device links (P, L, N), B the BS-to-surface links
-    (P, N, M) and Theta_g the blocks of ``structure`` (packed as in
+    (P, N, M) and Theta_g the G blocks of ``structure`` (packed as in
     ``BlockStructure.pack``), the channels are h = a + reflected(Theta) with
     ``reflected`` = sum_g R_g conj(Theta_g) conj(B_g), and ``adjoint`` maps
     (P, L, M) rows X to the blocks sum_p R_g^T X_p B_g†, so that
     Re sum(X * reflected(D)) = <adjoint(X), D>; ``value`` is the channel
-    gain |h|^2 and its conjugate gradient is adjoint(conj(h)).  The links
-    are gathered per block size once, so no N x N matrix is formed.  With no
-    ``structure`` the maps are on one N x N block, where a packed point is
-    the matrix's row-major entries and every product is the whole-matrix one.
+    gain |h|^2 and its conjugate gradient is adjoint(conj(h)).  The blocks
+    are consecutive runs of k ports, so the per-block links are reshapes of
+    the links and no N x N matrix is formed.  With no ``structure`` the maps
+    are on one N x N block, where a packed point is the matrix's row-major
+    entries and every product is the whole-matrix one.
     ``channels`` is a ``ChannelStack`` or what ``ChannelStack`` takes.
     """
 
@@ -218,15 +226,13 @@ class CascadedChannels:
         stack = channels if isinstance(channels, ChannelStack) else ChannelStack(channels)
         self.structure = structure = structure or BlockStructure((stack.num_elements,))
         self.direct = stack.direct
-        ports = [g.rows[:, :, 0] for g in structure.gather]  # (G, k) per size
-        order = np.concatenate([idx.reshape(-1) for idx in ports])
-        self.rows = [slice(end - idx.size, end) for idx, end in zip(ports, np.cumsum([idx.size for idx in ports]))]
-        # R_g as (P, G, L, k) and B_g† as (P, G, M, k) per size; conj(B) and R^T with ports in packed
-        # order, each size's ports a run of rows (``self.rows``)
-        self.device = [np.ascontiguousarray(stack.ris_device[:, :, idx].transpose(0, 2, 1, 3)) for idx in ports]
-        self.bs_dag = [np.ascontiguousarray(np.conj(stack.bs_ris[:, idx]).swapaxes(-1, -2)) for idx in ports]
-        self.bs = np.conj(stack.bs_ris)[:, order, :]  # (P, N, M)
-        self.device_t = np.ascontiguousarray(stack.ris_device[:, :, order].swapaxes(-1, -2))  # (P, N, L)
+        p, l, _ = stack.ris_device.shape
+        g, k, _ = structure.shape
+        # R_g as (P, G, L, k) and B_g† as (P, G, M, k); conj(B) and R^T whole
+        self.device = np.ascontiguousarray(stack.ris_device.reshape(p, l, g, k).transpose(0, 2, 1, 3))
+        self.bs_dag = np.ascontiguousarray(np.conj(stack.bs_ris.reshape(p, g, k, -1)).swapaxes(-1, -2))
+        self.bs = np.conj(stack.bs_ris)  # (P, N, M)
+        self.device_t = np.ascontiguousarray(stack.ris_device.swapaxes(-1, -2))  # (P, N, L)
 
     def flat(self, theta) -> np.ndarray:
         """An N x N ``theta`` as a packed point of the whole-matrix maps; DimensionMismatch otherwise."""
@@ -239,17 +245,14 @@ class CascadedChannels:
     def reflected(self, theta: np.ndarray) -> np.ndarray:
         """The surface's share of the channels as rows, (P, L, M)."""
         p, l = self.direct.shape[:2]
-        scaled = [
-            (r @ np.conj(t)).transpose(0, 2, 1, 3).reshape(p, l, -1)
-            for r, t in zip(self.device, self.structure.parts(theta))
-        ]
-        return _joined(scaled, axis=2) @ self.bs
+        scaled = self.device @ np.conj(self.structure.stack(theta))  # (P, G, L, k)
+        return scaled.transpose(0, 2, 1, 3).reshape(p, l, -1) @ self.bs
 
     def adjoint(self, rows: np.ndarray) -> np.ndarray:
         """Packed blocks sum_p R_g^T rows_p B_g† of (P, L, M) rows."""
-        left = self.device_t @ rows  # (P, N, M); one size's rows reshape to (P, G, k, M)
-        return _joined([np.sum(left[:, r].reshape(b.shape[:2] + (-1, b.shape[2])) @ b, axis=0).reshape(-1)
-                        for r, b in zip(self.rows, self.bs_dag)])
+        p, g, m, k = self.bs_dag.shape
+        left = (self.device_t @ rows).reshape(p, g, k, m)
+        return np.sum(left @ self.bs_dag, axis=0).reshape(-1)
 
     def channels(self, theta: np.ndarray) -> np.ndarray:
         """Effective channels as rows, (P, L, M)."""
@@ -456,7 +459,9 @@ class ScenarioConfig:
             raise InvalidInput("snapshot counts must be positive")
         if not 0.0 <= self.speed_min_mps <= self.speed_max_mps:
             raise InvalidInput("speed range must satisfy 0 <= min <= max")
-        _require_finite_levels(self)
+        _require_finite(self, "noise_power_dbm", "tx_snr_db", "speed_max_mps", "dt_s")
+        if self.dt_s <= 0:
+            raise InvalidInput("dt_s must be positive")
         area, reference = self.geometry.device_area, self.pathloss.reference_distance_m
         for name, site in (("BS", self.geometry.bs_position), ("RIS", self.geometry.ris_position)):
             nearest = np.clip(site[:2], (area.x_min, area.y_min), (area.x_max, area.y_max))

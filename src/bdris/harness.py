@@ -20,6 +20,7 @@ Every output file format lives here, and every value in them is written by
 
 from __future__ import annotations
 
+import math
 import os
 import platform
 import sys
@@ -68,10 +69,10 @@ class QmlSettings:
         # one sample per beam, and an 80/20 split that leaves a validation sample
         if self.num_samples < max(self.num_beams, 3):
             raise InvalidInput("num_samples must be >= num_beams and >= 3")
-        if not self.learning_rate > 0:
-            raise InvalidInput("learning_rate must be positive")
-        if not self.noise_sigma >= 0:
-            raise InvalidInput("noise_sigma must be >= 0")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise InvalidInput("learning_rate must be positive and finite")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise InvalidInput("noise_sigma must be >= 0 and finite")
 
 
 @dataclass(frozen=True)

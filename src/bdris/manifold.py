@@ -1,6 +1,7 @@
 """Linear algebra over unitary and block-unitary matrices.
 
-The polar factor, the skew-Hermitian part, block structures and Haar
+The polar factor, the skew-Hermitian part, block structures (G
+consecutive groups of one size k, held as one (G, k, k) stack) and Haar
 sampling that every matrix-design routine in the package builds on.  All
 functions are pure; randomness enters only through an explicitly passed
 ``numpy.random.Generator``.
@@ -8,9 +9,9 @@ functions are pure; randomness enters only through an explicitly passed
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -54,116 +55,72 @@ class UnitaryMatrix:
         return self.entries.shape[0]
 
 
-class BlockGather(NamedTuple):
-    """Index stacks of the blocks of one size k.
-
-    ``m[rows, cols]`` gathers the G blocks into a (G, k, k) stack, and
-    ``out[rows, cols] = stack`` scatters one back; ``block_ids`` are the
-    blocks' positions in ``BlockStructure.block_indices()``.
-    """
-
-    block_ids: np.ndarray  # (G,)
-    rows: np.ndarray  # (G, k, 1)
-    cols: np.ndarray  # (G, 1, k)
-
-
 @dataclass(frozen=True)
 class BlockStructure:
-    """Partition of N ports into groups, optionally through a permutation.
+    """Partition of N ports into G consecutive groups of one size k.
 
-    ``group_sizes`` splits ``range(N)`` into consecutive runs; ``permutation``
-    (if given) maps those run positions to actual port indices, so group ``g``
-    occupies ports ``permutation[start_g:end_g]``.
+    ``group_sizes`` lists the G sizes, which must be equal positive
+    integers; group ``g`` occupies ports ``g k`` to ``g k + k - 1``.
+    ``shape`` is (G, k, k), and a packed array (``pack``) is that stack of
+    blocks flattened.
     """
 
     group_sizes: tuple[int, ...]
-    permutation: tuple[int, ...] | None = None
     dimension: int = field(init=False)
+    shape: tuple[int, int, int] = field(init=False)
 
     def __post_init__(self):
-        sizes = tuple(int(s) for s in self.group_sizes)
+        sizes = tuple(self.group_sizes)
+        if not sizes or any(isinstance(s, bool) or not isinstance(s, numbers.Integral) or s < 1 for s in sizes):
+            raise InvalidInput(f"group sizes must be positive integers, got {sizes!r}")
+        sizes = tuple(int(s) for s in sizes)
+        if len(set(sizes)) != 1:
+            raise InvalidInput(f"group sizes must be equal, got {sizes!r}")
         object.__setattr__(self, "group_sizes", sizes)
-        if not sizes or any(s < 1 for s in sizes):
-            raise InvalidInput("group sizes must be positive")
-        n = sum(sizes)
-        object.__setattr__(self, "dimension", n)
-        if self.permutation is not None:
-            perm = tuple(int(p) for p in self.permutation)
-            object.__setattr__(self, "permutation", perm)
-            if sorted(perm) != list(range(n)):
-                raise InvalidInput("permutation must be a bijection of range(N)")
+        object.__setattr__(self, "dimension", sum(sizes))
+        object.__setattr__(self, "shape", (len(sizes), sizes[0], sizes[0]))
 
     def block_indices(self) -> list[np.ndarray]:
         """Port indices of each group."""
-        order = np.asarray(self.permutation if self.permutation is not None else range(self.dimension))
-        out, start = [], 0
-        for size in self.group_sizes:
-            out.append(order[start : start + size])
-            start += size
-        return out
+        return list(np.arange(self.dimension).reshape(self.shape[:2]))
 
     @cached_property
-    def gather(self) -> tuple[BlockGather, ...]:
-        """One ``BlockGather`` per distinct block size, smallest size first."""
-        order = np.asarray(self.permutation if self.permutation is not None else range(self.dimension))
-        sizes = np.asarray(self.group_sizes)
-        starts = np.cumsum(sizes) - sizes
-        out = []
-        for k in sorted(set(self.group_sizes)):
-            ids = np.flatnonzero(sizes == k)
-            idx = order[starts[ids][:, None] + np.arange(k)]  # (G, k) port indices
-            out.append(BlockGather(ids, idx[:, :, None], idx[:, None, :]))
-        return tuple(out)
-
-    @cached_property
-    def _bounds(self) -> tuple[tuple[int, int, int], ...]:
-        """(start, G, k) of each size's run in the packed layout."""
-        out, start = [], 0
-        for g in self.gather:
-            count, k = len(g.block_ids), g.rows.shape[1]
-            out.append((start, count, k))
-            start += count * k * k
-        return tuple(out)
+    def _index(self) -> tuple[np.ndarray, np.ndarray]:
+        """``m[rows, cols]`` gathers the blocks into a (G, k, k) stack."""
+        idx = np.arange(self.dimension).reshape(self.shape[:2])
+        return idx[:, :, None], idx[:, None, :]
 
     def pack(self, m: np.ndarray) -> np.ndarray:
-        """The block entries of an N x N matrix as one 1-D array, in ``gather`` order.
+        """The block entries of an N x N matrix as one 1-D array, the (G, k, k) stack flattened.
 
-        Entry by entry this is the per-size (G, k, k) stacks concatenated;
-        the fully-connected surface packs to the matrix's own entries in
+        The fully-connected surface packs to the matrix's own entries in
         row-major order.
         """
-        return np.concatenate([m[g.rows, g.cols].reshape(-1) for g in self.gather])
+        return m[self._index].reshape(-1)
 
     def unpack(self, packed: np.ndarray) -> np.ndarray:
         """The N x N matrix with the packed blocks in place and zeros elsewhere."""
         out = np.zeros((self.dimension, self.dimension), dtype=packed.dtype)
-        for g, part in zip(self.gather, self.parts(packed)):
-            out[g.rows, g.cols] = part
+        out[self._index] = self.stack(packed)
         return out
 
-    def parts(self, packed: np.ndarray) -> list[np.ndarray]:
-        """The (G, k, k) stacks of a packed array, one view per block size."""
-        return [packed[start : start + count * k * k].reshape(count, k, k) for start, count, k in self._bounds]
+    def stack(self, packed: np.ndarray) -> np.ndarray:
+        """The (G, k, k) stack of a packed array, as a view."""
+        return packed.reshape(self.shape)
 
     def map_blocks(self, fn, *matrices: np.ndarray) -> np.ndarray:
-        """Apply ``fn`` to the (G, k, k) block stacks of each size; zero elsewhere.
+        """Apply ``fn`` to the (G, k, k) block stacks; zero elsewhere.
 
         ``fn`` receives one stack per input matrix and returns a stack of the
         same shape, which is scattered into the blocks of a zero matrix.  One
-        in-order block covering every port is the whole matrix: ``fn`` gets
-        the N x N matrices themselves.
+        block covering every port is the whole matrix: ``fn`` gets the N x N
+        matrices themselves.
         """
-        if self.group_sizes == (self.dimension,) and self.permutation is None:
+        if self.shape[0] == 1:
             return fn(*matrices)
         out = np.zeros_like(matrices[0])
-        for g in self.gather:
-            out[g.rows, g.cols] = fn(*(m[g.rows, g.cols] for m in matrices))
+        out[self._index] = fn(*(m[self._index] for m in matrices))
         return out
-
-
-def _joined(per_size: list[np.ndarray], axis: int = 0) -> np.ndarray:
-    """Per-block-size results concatenated; a single one is returned as it is."""
-    return per_size[0] if len(per_size) == 1 else np.concatenate(per_size, axis=axis)
 
 
 def polar_factor(matrix: np.ndarray) -> np.ndarray:
@@ -200,8 +157,7 @@ def aligned_unitary(matrix: np.ndarray, structure: BlockStructure) -> tuple[np.n
         return u @ vh
 
     theta = structure.map_blocks(factor, np.asarray(matrix, dtype=complex))
-    ids = [g.block_ids[np.reshape(flags, -1)] for g, flags in zip(structure.gather, degenerate)]
-    return theta, np.sort(np.concatenate(ids))
+    return theta, np.flatnonzero(degenerate[0])
 
 
 def project_to_unitary(matrix: np.ndarray, tolerance: float = UNITARY_TOL) -> UnitaryMatrix:

@@ -18,8 +18,8 @@ AO and QNM are two direction rules on one line-search loop (``_ascend``).
 It runs in packed block coordinates (``BlockStructure.pack``: only the
 entries of the blocks, one 1-D array), holds every tangent vector in body
 coordinates (Omega with Theta Omega the ambient vector, skew-Hermitian per
-block), retracts in closed form (one ``eigh`` per block size and step, one
-block product per trial step) and transports by projection at one block
+block), retracts in closed form (one batched ``eigh`` per step, one block
+product per trial step) and transports by projection at one block
 product per vector.  FP runs on the same packed arrays.  Every optimizer
 takes its channels and gradients from ``channel.CascadedChannels``.
 RZF/AO/QNM maximize the channel-gain objective and are judged by the sum
@@ -42,7 +42,7 @@ import numpy as np
 from .architectures import BdRisArchitecture
 from .channel import CascadedChannels, ChannelStack, ScenarioConfig, effective_channel_matrix, scenario_realizations
 from .errors import DimensionMismatch, InvalidInput, RankDeficient, RankDeficientWarning
-from .manifold import _joined, aligned_unitary, polar_factor, random_unitary, skew_part
+from .manifold import aligned_unitary, polar_factor, random_unitary, skew_part
 from .seeding import derive_seed, derived_rng
 
 LOG2 = float(np.log(2.0))
@@ -113,8 +113,8 @@ class _Feasible:
     ``project`` and ``random_point`` work on N x N matrices.  ``tangent`` and
     ``retract`` work in packed block coordinates (``BlockStructure.pack``):
     a point or a tangent vector is one 1-D array holding only the entries
-    of its blocks, and its per-size (G, k, k) stacks are free views.  The
-    fully-connected surface is one (1, N, N) part, the N x N matrix itself.
+    of its blocks, and its (G, k, k) stack is a free view.  The
+    fully-connected surface is one (1, N, N) stack, the N x N matrix itself.
     Tangent vectors at a point Theta are held in body coordinates: the
     ambient vector Theta Omega is stored as Omega, skew-Hermitian per
     block.  Since Theta is unitary, the metric is the plain real inner
@@ -124,20 +124,13 @@ class _Feasible:
     def __init__(self, arch: BdRisArchitecture, n: int):
         self.structure = arch.unitary_blocks(n)
         self.n = n
-        # with one block size (fully connected, diagonal, equal groups) a packed
-        # array is one reshape from its stack; tangents run ~20 times per QNM step
-        gather = self.structure.gather
-        k = gather[0].rows.shape[1]
-        self._one_size = (len(gather[0].block_ids), k, k) if len(gather) == 1 else None
 
     def project(self, m: np.ndarray) -> np.ndarray:
         return self.structure.map_blocks(polar_factor, m)
 
     def _map(self, fn, *packed: np.ndarray) -> np.ndarray:
-        """Packed result of ``fn`` applied to the (G, k, k) parts of packed arrays."""
-        if self._one_size:
-            return fn(*[p.reshape(self._one_size) for p in packed]).reshape(-1)
-        return np.concatenate([fn(*parts).reshape(-1) for parts in zip(*map(self.structure.parts, packed))])
+        """Packed result of ``fn`` applied to the (G, k, k) stacks of packed arrays."""
+        return fn(*map(self.structure.stack, packed)).reshape(-1)
 
     def tangent(self, x: np.ndarray, frame: np.ndarray) -> np.ndarray:
         """Body-coordinate tangent projection skew(frame† x), one product per block.
@@ -156,21 +149,18 @@ class _Feasible:
         With -i Omega = V diag(lam) V† per block, I + s Omega is never
         singular and polar(Theta + s Theta Omega) = Theta V diag(exp(i atan(s
         lam))) V† (Absil, Mahony & Sepulchre 2008, section 4.1.1).  One
-        batched ``eigh`` per block size here; returns ``step(s)``, the packed
-        retracted point at one block product, and ``rotation(s)``, the packed
-        block rotation W(s) = V diag(exp(i atan(s lam))) V† at one product more.
+        batched ``eigh`` here; returns ``step(s)``, the packed retracted
+        point at one block product, and ``rotation(s)``, the packed block
+        rotation W(s) = V diag(exp(i atan(s lam))) V† at one product more.
         """
-        eigen = [np.linalg.eigh(-1j * part) for part in self.structure.parts(omega)]
-        theta_vs = [t @ v for t, (_, v) in zip(self.structure.parts(theta), eigen)]
+        lam, v = np.linalg.eigh(-1j * self.structure.stack(omega))
+        theta_v = self.structure.stack(theta) @ v
 
         def rotated(left, s: float) -> np.ndarray:
             """Packed left · diag(exp(i atan(s lam))) · V† per block."""
-            return _joined([
-                _times_adjoint(a * np.exp(1j * np.arctan(s * lam))[:, None, :], v).reshape(-1)
-                for a, (lam, v) in zip(left, eigen)
-            ])
+            return _times_adjoint(left * np.exp(1j * np.arctan(s * lam))[:, None, :], v).reshape(-1)
 
-        return (lambda s: rotated(theta_vs, s)), (lambda s: rotated([v for _, v in eigen], s))
+        return (lambda s: rotated(theta_v, s)), (lambda s: rotated(v, s))
 
     def random_point(self, rng: np.random.Generator) -> np.ndarray:
         # the polar factor of a complex Gaussian matrix is Haar distributed;

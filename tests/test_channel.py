@@ -207,14 +207,9 @@ class TestChannelStack:
 
 
 FULL = BdRisArchitecture.fully_connected()
-# diagonal, equal groups, unequal groups, and unequal groups through a permutation
-BLOCK_ARCHS = [
-    BdRisArchitecture.diagonal(),
-    BdRisArchitecture.group_connected(BlockStructure((4, 4))),
-    BdRisArchitecture.group_connected(BlockStructure((2, 1, 3, 2))),
-    BdRisArchitecture.group_connected(BlockStructure((2, 1, 3, 2), permutation=(7, 0, 5, 2, 4, 1, 6, 3))),
-]
-BLOCK_IDS = ["diag", "equal", "unequal", "permuted"]
+# diagonal and equal groups
+BLOCK_ARCHS = [BdRisArchitecture.diagonal(), BdRisArchitecture.group_connected(BlockStructure((4, 4)))]
+BLOCK_IDS = ["diag", "equal"]
 
 
 def random_complex(rng, *shape):
@@ -443,6 +438,17 @@ def _realization(devices, num_elements=2):
 GUARDS = [
     pytest.param(lambda: Rectangle(1, 0, 0, 1), InvalidInput, "positive side", id="rectangle"),
     pytest.param(lambda: FadingModel(los_probability=1.5), InvalidInput, "los_probability", id="los"),
+    pytest.param(lambda: FadingModel(bs_ris_rician_k_db=math.nan), InvalidInput, "must not be NaN", id="nan_k"),
+    pytest.param(lambda: PathLossModel(reference_loss_db=math.inf), InvalidInput, "reference_loss_db must be finite",
+                 id="infinite_reference_loss"),
+    pytest.param(lambda: PathLossModel(exponent_device_ris=math.nan), InvalidInput,
+                 "exponent_device_ris must be finite", id="nan_exponent"),
+    pytest.param(lambda: Rectangle(0, math.nan, 0, 1), InvalidInput, "x_max must be finite", id="nan_rectangle"),
+    pytest.param(lambda: NetworkGeometry(bs_position=np.array([math.nan, 0.0, 0.0])), InvalidInput,
+                 "must be finite", id="nan_bs_position"),
+    pytest.param(lambda: ScenarioConfig(dt_s=0.0), InvalidInput, "dt_s must be positive", id="scenario_zero_dt"),
+    pytest.param(lambda: ScenarioConfig(speed_max_mps=math.inf), InvalidInput, "speed_max_mps must be finite",
+                 id="scenario_infinite_speed"),
     pytest.param(lambda: ChannelRealization(np.ones(4), np.ones((1, 3)), np.ones((3, 4))), InvalidInput,
                  "2-D", id="realization_1d"),
     pytest.param(lambda: ChannelRealization(np.ones((2, 4)), np.ones((1, 3)), np.ones((3, 4))), InvalidInput,

@@ -508,10 +508,15 @@ class TestQmlSettingsValidation:
             ("learning_rate = 0", "learning_rate must be positive"),
             ("learning_rate = -1", "learning_rate must be positive"),
             ("noise_sigma = -0.1", "noise_sigma must be >= 0"),
+            ("learning_rate = inf", "learning_rate must be positive and finite"),
+            ("learning_rate = nan", "learning_rate must be positive and finite"),
+            ("noise_sigma = inf", "noise_sigma must be >= 0 and finite"),
+            ("noise_sigma = nan", "noise_sigma must be >= 0 and finite"),
             ("feature_dim = 2", "unknown key 'feature_dim'"),
         ],
         ids=["qubits-over-cap", "no-qubits", "no-layers", "no-beams", "no-epochs", "two-samples",
-             "fewer-samples-than-beams", "zero-rate", "negative-rate", "negative-noise", "feature-dim"],
+             "fewer-samples-than-beams", "zero-rate", "negative-rate", "negative-noise", "infinite-rate",
+             "nan-rate", "infinite-noise", "nan-noise", "feature-dim"],
     )
     def test_fault_is_config_error(self, tmp_path, capsys, lines, message):
         text = f"experiment = qml-beam\n[qml]\n{lines}\n"
@@ -602,13 +607,48 @@ PARSE_GUARDS = [
                  id="nan_tx_snr"),
     pytest.param("experiment = power-comparison\n[channel]\nnoise_power_dbm = -inf\n",
                  "noise_power_dbm must be finite", id="infinite_noise_power"),
+    *(
+        pytest.param(f"experiment = power-comparison\n[channel]\n{line}\n", message, id=line.replace(" = ", "="))
+        for line, message in [
+            ("dt_s = 0", "dt_s must be positive"),
+            ("dt_s = -0.1", "dt_s must be positive"),
+            ("dt_s = nan", "dt_s must be finite"),
+            ("dt_s = inf", "dt_s must be finite"),
+            ("speed_max_mps = inf", "speed_max_mps must be finite"),
+            ("speed_min_mps = nan", "speed range"),
+            ("bs_ris_rician_k_db = nan", "bs_ris_rician_k_db must not be NaN"),
+            ("device_links_rician_k_db = nan", "device_links_rician_k_db must not be NaN"),
+            ("exponent_device_ris = nan", "exponent_device_ris must be finite"),
+            ("exponent_bs_ris = inf", "exponent_bs_ris must be finite"),
+            ("reference_loss_db = inf", "reference_loss_db must be finite"),
+            ("reference_distance_m = nan", "reference_distance_m must be finite"),
+            ("bs_x = nan", "positions and the BS-RIS distance must be finite"),
+            ("ris_z = inf", "positions and the BS-RIS distance must be finite"),
+            ("bs_ris_distance_m = nan", "positions and the BS-RIS distance must be finite"),
+            ("area_x_min = nan", "x_min must be finite"),
+            ("area_y_max = inf", "y_max must be finite"),
+        ]
+    ),
 ]
 
 
 @pytest.mark.parametrize("text,message", PARSE_GUARDS)
-def test_parse_guard(text, message):
+def test_parse_guard(text, message, tmp_path, capsys):
     with pytest.raises(ConfigError, match=message):
         parse_config_text(text)
+    path = tmp_path / "exp.cfg"
+    path.write_text(text)
+    assert cli_main(["run", "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith("error: config:")
+
+
+@pytest.mark.parametrize("line", ["bs_ris_rician_k_db = inf", "bs_ris_rician_k_db = -inf",
+                                  "device_links_rician_k_db = inf", "device_links_rician_k_db = -inf"])
+def test_infinite_rician_k_parses(line):
+    """K = +inf dB is pure line of sight and -inf dB pure Rayleigh: both are valid settings."""
+    key, _, value = line.partition(" = ")
+    cfg = parse_config_text(f"experiment = power-comparison\n[channel]\n{line}\n")
+    assert getattr(cfg.scenario.fading, key) == float(value)
 
 
 def test_cli_zero_threads_is_config_fault(tmp_path, capsys):

@@ -45,7 +45,7 @@ def test_traced_algorithms_resolve():
     "arch",
     [
         BdRisArchitecture.diagonal(),
-        BdRisArchitecture.group_connected(BlockStructure((2, 1, 3, 2))),
+        BdRisArchitecture.group_connected(BlockStructure((2, 2, 2, 2))),
         BdRisArchitecture.fully_connected(),
     ],
     ids=["diag", "groups", "full"],
