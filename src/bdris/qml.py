@@ -5,15 +5,20 @@ model: amplitude embedding of the classical features, one or more entangling
 layers (per-qubit RY rotations followed by a ring of CNOTs), and per-qubit
 Pauli-Z expectations.  Those expectations are concatenated with the raw
 features and fed to a linear softmax head; everything trains by full-batch
-gradient descent.  Training simulates the batch on real float64 amplitudes
-(embedding, RY and CNOT never make them complex) in batch-last layout: a
-(2^q, n) array with one state per column, so each RY is one real 2x2 product
-over contiguous runs of at least n amplitudes and the CNOT ring is one row
-gather.  The circuit gradient comes by adjoint differentiation: one forward
-pass, then one backward sweep that reads each angle's gradient before
-un-applying its gate, so an epoch makes 5 L q gate applications for L
-layers of q qubits (the forward pass, the two metric passes, and psi and
-lambda in the sweep).  The exact parameter-shift rule stays as the oracle
+gradient descent.  Amplitude embedding is linear in the unit feature row x^
+and so is the circuit, so a sample's final state is V x^ with V the circuit
+applied to the first d basis states, d the feature width.  The model
+therefore simulates V, a real float64 (2^q, d) array in batch-last layout
+(each RY is one real 2x2 product, the CNOT ring one row gather), and reads
+each sample's Pauli-Z outputs as quadratic forms x^T (V^T Z_j V) x^: the
+gates act on d columns whatever the sample count n.  The circuit gradient
+comes by adjoint differentiation: one forward pass, then one backward sweep
+on the same d columns that reads each angle's gradient before un-applying
+its gate, so an epoch makes 5 L q gate applications for L layers of q
+qubits (the forward pass, the two metric passes, and psi and lambda in the
+sweep).  Both are exact, not approximations, as long as the embedding stays
+linear in x^; a nonlinear encoding such as angle encoding would need its own
+per-sample forward pass.  The exact parameter-shift rule stays as the oracle
 it is tested against.  A synthetic position-to-beam dataset stands in for
 field data.
 """
@@ -22,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,18 +139,27 @@ class SyntheticBeamDataset:
 
 
 # ---------------------------------------------------------------------------
-# statevector primitives (batched over samples; single states are batch 1)
+# statevector primitives (batched over columns; single states are batch 1)
 #
-# A batch of states is one (2^q, n) array: column j is sample j's state, so
-# the batch is the last axis.  Qubit 0 is the most significant bit of a basis
-# index, and a gate on qubit k sees the (2^k, 2, 2^(q-k-1) n) view of the
-# batch, whose two half-views are runs of at least n contiguous amplitudes.
-# Embedding, RY and CNOT keep amplitudes real, so the batched circuit runs on
-# float64; the helpers are dtype-generic, so the complex ``StateVector`` goes
-# through them unchanged as a single column.
+# A batch of states is one (2^q, m) array with one state per column, so the
+# batch is the last axis.  Qubit 0 is the most significant bit of a basis
+# index, and a gate on qubit k sees the (2^k, 2, 2^(q-k-1) m) view of the
+# batch, whose two half-views are runs of at least m contiguous amplitudes.
+# RY and CNOT keep amplitudes real, so the circuit runs on float64; the
+# helpers are dtype-generic, so the complex ``StateVector`` goes through them
+# unchanged as a single column.
+#
+# The model's circuit runs on the feature basis, not on the samples.  A row x
+# of width d embeds as the unit vector x^ padded to 2^q, a linear map of x^,
+# and the circuit U is linear, so the row's final state is V x^ with
+# V = U[:, :d], the circuit on the basis states e_0 .. e_(d-1): a (2^q, d)
+# array.  Each output z_j = x^T Q_j x^ with Q_j = V^T Z_j V, so n rows cost d
+# circuit columns plus q d x d quadratic forms, whatever n is.  This holds
+# because the embedding is linear in x^; an encoding that is not (angle
+# encoding, say) would need a forward pass per sample.
 
 def _embed_batch(x: np.ndarray, num_qubits: int) -> np.ndarray:
-    """Zero-pad feature rows to 2^q and normalize each to unit norm: one real column per row."""
+    """Check feature rows against a q-qubit register and scale each to unit norm: (n, d)."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     dim = 2**num_qubits
     if x.shape[1] > dim:
@@ -156,9 +171,7 @@ def _embed_batch(x: np.ndarray, num_qubits: int) -> np.ndarray:
     norms = np.linalg.norm(x, axis=1)
     if np.any(norms == 0.0):
         raise ZeroVector("cannot amplitude-embed a zero vector")
-    states = np.zeros((dim, x.shape[0]))
-    states[: x.shape[1]] = (x / norms[:, None]).T
-    return states
+    return x / norms[:, None]
 
 
 def _apply_ry_batch(states: np.ndarray, angle: float, qubit: int) -> np.ndarray:
@@ -204,21 +217,29 @@ def _layer_batch(states: np.ndarray, layer_angles: np.ndarray, num_qubits: int) 
     return states.take(_ring_permutation(num_qubits)[0], axis=0)
 
 
-def _measure_z_batch(states: np.ndarray, num_qubits: int) -> np.ndarray:
-    """Per-qubit Z expectations, one row per column of ``states``: (n, q)."""
-    return (np.abs(states) ** 2).T @ _z_signs(num_qubits)
-
-
-def _run_batch(angles: np.ndarray, x: np.ndarray, num_qubits: int) -> np.ndarray:
-    """Final (real) states of the circuit, one column per feature row."""
-    states = _embed_batch(x, num_qubits)
+def _circuit_columns(angles: np.ndarray, width: int, num_qubits: int) -> np.ndarray:
+    """V = U[:, :width]: the circuit on the first ``width`` basis states, a real (2^q, width) array."""
+    columns = np.eye(2**num_qubits, width)
     for layer in angles:
-        states = _layer_batch(states, layer, num_qubits)
-    return states
+        columns = _layer_batch(columns, layer, num_qubits)
+    return columns
+
+
+def _measure_z_rows(unit: np.ndarray, columns: np.ndarray, num_qubits: int) -> np.ndarray:
+    """Z expectations (n, q) of the states V x^_s, as the quadratic forms x^_s^T Q_j x^_s.
+
+    Q_j = V^T Z_j V is a (q, d, d) stack; no (2^q, n) state is formed.  The
+    stack holds q d^2 numbers, few for the narrow rows every caller has
+    (d = 2 positions) but more than the n states once d^2 q > 2^q n.
+    """
+    forms = np.matmul(columns.T * _z_signs(num_qubits).T[:, None, :], columns)
+    return np.einsum("sa,jab,sb->sj", unit, forms, unit)
 
 
 def _forward_batch(angles: np.ndarray, x: np.ndarray, num_qubits: int) -> np.ndarray:
-    return _measure_z_batch(_run_batch(angles, x, num_qubits), num_qubits)
+    """Z expectations of the circuit on every feature row: (n, q)."""
+    unit = _embed_batch(x, num_qubits)
+    return _measure_z_rows(unit, _circuit_columns(angles, unit.shape[1], num_qubits), num_qubits)
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +249,10 @@ def amplitude_embed(x: np.ndarray, num_qubits: int) -> StateVector:
     """Encode a feature vector as normalized amplitudes (zero-padded)."""
     if not 1 <= num_qubits <= MAX_QUBITS:
         raise InvalidInput(f"qubit count must be in [1, {MAX_QUBITS}]")
-    return StateVector(_embed_batch(np.asarray(x, float).reshape(1, -1), num_qubits)[:, 0])
+    unit = _embed_batch(np.asarray(x, float).reshape(1, -1), num_qubits)[0]
+    amplitudes = np.zeros(2**num_qubits)
+    amplitudes[: unit.shape[0]] = unit
+    return StateVector(amplitudes)
 
 
 def entangling_layer(state: StateVector, layer_angles: np.ndarray) -> StateVector:
@@ -242,7 +266,7 @@ def entangling_layer(state: StateVector, layer_angles: np.ndarray) -> StateVecto
 
 def measure_z(state: StateVector) -> np.ndarray:
     """Exact per-qubit Pauli-Z expectations."""
-    return _measure_z_batch(state.amplitudes[:, None], state.num_qubits)[0]
+    return np.abs(state.amplitudes) ** 2 @ _z_signs(state.num_qubits)
 
 
 def circuit_outputs(params: CircuitParams, x: np.ndarray) -> np.ndarray:
@@ -282,23 +306,31 @@ def parameter_shift_grad(params: CircuitParams, x: np.ndarray, loss_grad_z) -> n
     return _shift_grad(params.angles, x, dl_dz[None, :], params.num_qubits)
 
 
-def _adjoint_grad(angles: np.ndarray, states: np.ndarray, dl_dz: np.ndarray, num_qubits: int) -> np.ndarray:
+def _adjoint_grad(
+    angles: np.ndarray, columns: np.ndarray, unit: np.ndarray, dl_dz: np.ndarray, num_qubits: int
+) -> np.ndarray:
     """Sum over rows of dl_dz . dz/dtheta for every angle, by one backward sweep.
 
-    ``states`` are the final real states the forward pass left (one column
-    per row of ``dl_dz``); no gate is applied forwards again.  The sweep
-    starts from lambda = (sum_j dl_dz_j Z_j) psi and un-applies each gate,
-    last first, to psi and lambda.  Since dRY/dtheta = RY(theta + pi) / 2 and
-    z is quadratic in psi, an angle's gradient is
-    <lambda|RY(theta + pi)|psi_before> (adjoint differentiation: Jones &
-    Gacon, arXiv:2009.02823).  RY(theta + pi) psi_before = RY(pi) psi_after,
-    so it is read before the gate is un-applied, as sum(lambda_1 psi_0 -
-    lambda_0 psi_1) over the gate's two half-views: two gate applications per
-    angle.  The result equals ``_shift_grad``, which stays as the oracle.
+    ``columns`` is V, the circuit on the feature basis that the forward pass
+    built (``_circuit_columns``), and ``unit`` the unit feature rows x^_s,
+    one per row of ``dl_dz``; no gate is applied forwards again.  Per sample
+    the sweep would start from psi_s = V x^_s and
+    lambda_s = (sum_j dl_dz_sj Z_j) psi_s and un-apply each gate, last first,
+    to both.  Since dRY/dtheta = RY(theta + pi) / 2 and z is quadratic in
+    psi, an angle's gradient is sum_s <lambda_s|RY(theta + pi)|psi_s,before>
+    (adjoint differentiation: Jones & Gacon, arXiv:2009.02823).  That sum is
+    bilinear in (lambda_s, psi_s), so it equals the same sweep on psi = V
+    and Lambda = sum_j Z_j V A_j, A_j = sum_s dl_dz_sj x^_s x^_s^T: d
+    columns instead of n, exactly.  RY(theta + pi) psi_before =
+    RY(pi) psi_after, so the gradient is read before the gate is un-applied,
+    as sum(lambda_1 psi_0 - lambda_0 psi_1) over the gate's two half-views:
+    two gate applications per angle.  The result equals the shift rule.
     """
     inverse = _ring_permutation(num_qubits)[1]
-    psi = states
-    lam = states * (_z_signs(num_qubits) @ dl_dz.T)
+    signs = _z_signs(num_qubits)
+    psi = columns
+    sums = np.matmul(unit.T * dl_dz.T[:, None, :], unit)  # A_j: (q, d, d)
+    lam = np.einsum("ij,jia->ia", signs, np.matmul(columns, sums))
     grad = np.zeros_like(angles)
     for l in range(angles.shape[0] - 1, -1, -1):
         psi = psi.take(inverse, axis=0)
@@ -375,9 +407,17 @@ def generate_synthetic_dataset(
     return SyntheticBeamDataset(features, labels, num_beams)
 
 
+def _check_counts(**counts) -> None:
+    for name, count in counts.items():
+        if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
+            raise InvalidInput(f"{name} must be an integer >= 1, got {count!r}")
+
+
 def init_hybrid_model(
     num_qubits: int, num_layers: int, feature_dim: int, num_beams: int, rng: np.random.Generator
 ) -> HybridModel:
+    """Uniform random angles and a small random head; every count must be an integer >= 1 (not a bool)."""
+    _check_counts(num_qubits=num_qubits, num_layers=num_layers, feature_dim=feature_dim, num_beams=num_beams)
     angles = rng.uniform(-np.pi, np.pi, (num_layers, num_qubits))
     weights = 0.01 * rng.standard_normal((num_beams, num_qubits + feature_dim))
     bias = np.zeros(num_beams)
@@ -423,15 +463,17 @@ def train_hybrid(
 
     The dataset (at least 3 samples) splits 80/20 into train/validation by
     a seeded permutation.  Head gradients are analytic.  Each epoch makes one
-    forward pass of the training split on real amplitudes; its final states
-    give both the outputs z and the start of the adjoint backward sweep
-    (``_adjoint_grad``) that yields every angle gradient.  The learning
-    rate must be finite and >= 0 (0 leaves the model as it is).  Returns
+    forward pass on real amplitudes: the circuit runs on the d feature-basis
+    columns V (d the feature width, not the training-split size), the
+    training outputs z are quadratic forms of the unit feature rows, and V
+    starts the adjoint backward sweep (``_adjoint_grad``) that yields every
+    angle gradient.  That is exact because amplitude embedding is linear in
+    the unit rows.  ``epochs`` must be an integer >= 1 (not a bool), and the
+    learning rate finite and >= 0 (0 leaves the model as it is).  Returns
     the trained model and one trace row per (epoch, split) with loss and
     distance accuracies.
     """
-    if epochs < 1:
-        raise InvalidInput("epochs must be >= 1")
+    _check_counts(epochs=epochs)
     if not (math.isfinite(learning_rate) and learning_rate >= 0.0):
         raise InvalidInput(f"learning_rate must be finite and >= 0, got {learning_rate!r}")
     n = dataset.features.shape[0]
@@ -450,8 +492,9 @@ def train_hybrid(
     trace: list[dict] = []
     n_train = len(train_idx)
     for epoch in range(1, epochs + 1):
-        states = _run_batch(angles, x_train, q)
-        z = _measure_z_batch(states, q)
+        unit = _embed_batch(x_train, q)
+        columns = _circuit_columns(angles, unit.shape[1], q)
+        z = _measure_z_rows(unit, columns, q)
         joint = np.concatenate([z, x_train], axis=1)
         logits = joint @ weights.T + bias
         shifted = logits - np.max(logits, axis=1, keepdims=True)
@@ -462,7 +505,7 @@ def train_hybrid(
         dlogits /= n_train
         grad_w = dlogits.T @ joint
         grad_b = dlogits.sum(axis=0)
-        grad_angles = _adjoint_grad(angles, states, dlogits @ weights[:, :q], q)
+        grad_angles = _adjoint_grad(angles, columns, unit, dlogits @ weights[:, :q], q)
         weights -= learning_rate * grad_w
         bias -= learning_rate * grad_b
         angles -= learning_rate * grad_angles

@@ -179,17 +179,41 @@ def _reference_ring(states, q):
     return states
 
 
+def _statevector_outputs(angles, row, q):
+    """z of one feature row on the complex single-state path, gate by gate."""
+    state = amplitude_embed(row, q)
+    for layer in angles:
+        state = entangling_layer(state, layer)
+    return measure_z(state)
+
+
+def _statevector_shift_grad(angles, x, dl_dz, q):
+    """The parameter-shift rule evaluated one sample at a time on ``StateVector``s."""
+    grad = np.zeros_like(angles)
+    for index in np.ndindex(angles.shape):
+        shift = np.zeros_like(angles)
+        shift[index] = np.pi / 2.0
+        for row, weights in zip(x, dl_dz):
+            dz = (_statevector_outputs(angles + shift, row, q) - _statevector_outputs(angles - shift, row, q)) / 2.0
+            grad[index] += weights @ dz
+    return grad
+
+
 class TestAdjointGradient:
     @pytest.mark.parametrize("layers", [1, 3])
     @pytest.mark.parametrize("q", [1, 2, 4, 6, 8])
     def test_matches_shift_oracle(self, q, layers):
+        """The sweep on the d feature-basis columns equals the per-sample shift rule, n < d included."""
         rng = np.random.default_rng(100 * q + layers)
         angles = rng.uniform(-np.pi, np.pi, (layers, q))
-        x = rng.uniform(-1.0, 1.0, (9, min(2**q, 3)))
-        dl_dz = rng.standard_normal((9, q))
-        oracle = qml._shift_grad(angles, x, dl_dz, q)
-        adjoint = qml._adjoint_grad(angles, qml._run_batch(angles, x, q), dl_dz, q)
-        assert np.linalg.norm(adjoint - oracle) <= 1e-12 * np.linalg.norm(oracle)
+        for width in sorted({1, 2, 2**q}):
+            for n in [9, *(n for n in (1, 3) if n < width)]:
+                x = rng.uniform(-1.0, 1.0, (n, width))
+                dl_dz = rng.standard_normal((n, q))
+                oracle = _statevector_shift_grad(angles, x, dl_dz, q)
+                columns = qml._circuit_columns(angles, width, q)
+                adjoint = qml._adjoint_grad(angles, columns, qml._embed_batch(x, q), dl_dz, q)
+                assert np.linalg.norm(adjoint - oracle) <= 1e-12 * np.linalg.norm(oracle), (width, n)
 
     @pytest.mark.parametrize("dtype", [float, complex])
     @pytest.mark.parametrize("q", range(2, 9))
@@ -234,6 +258,27 @@ class TestAdjointGradient:
         train_hybrid(data, model, epochs, 0.5, np.random.default_rng(27))
         assert len(calls) == 5 * layers * q * epochs
 
+    def test_training_gates_act_on_feature_columns(self, monkeypatch):
+        """Every gate of an epoch acts on the (2^q, d) feature-basis columns, whatever the sample count."""
+        shapes = []
+        original = qml._apply_ry_batch
+
+        def recording(states, angle, qubit):
+            shapes.append(states.shape)
+            return original(states, angle, qubit)
+
+        monkeypatch.setattr(qml, "_apply_ry_batch", recording)
+        layers, q, epochs = 2, 5, 2
+        per_count = []
+        for n in (20, 200):
+            shapes.clear()
+            data = generate_synthetic_dataset(n, 2, 0.01, np.random.default_rng(28))
+            model = init_hybrid_model(q, layers, 2, 2, np.random.default_rng(29))
+            train_hybrid(data, model, epochs, 0.5, np.random.default_rng(30))
+            per_count.append(list(shapes))
+        assert per_count[0] == per_count[1]
+        assert per_count[0] == [(2**q, 2)] * (5 * layers * q * epochs)
+
     def test_training_embeds_three_times_per_epoch(self, monkeypatch):
         """One forward pass for the gradient, one per metrics split; no shift rule."""
         calls = []
@@ -255,7 +300,7 @@ class TestAdjointGradient:
 
     def test_simulation_stays_real(self):
         angles = np.random.default_rng(24).uniform(-np.pi, np.pi, (2, 3))
-        assert qml._run_batch(angles, np.ones((2, 2)), 3).dtype == np.float64
+        assert qml._circuit_columns(angles, 2, 3).dtype == np.float64
 
 
 class TestMetrics:
@@ -490,6 +535,30 @@ GUARDS = [
             InvalidInput, "learning_rate", id=f"learning_rate_{name}",
         )
         for name, lr in (("negative", -1.0), ("inf", math.inf), ("nan", math.nan))
+    ),
+    *(
+        pytest.param(
+            lambda epochs=epochs: train_hybrid(
+                generate_synthetic_dataset(8, 2, 0.0, np.random.default_rng(0)),
+                init_hybrid_model(2, 1, 2, 2, np.random.default_rng(1)), epochs, 1.0, np.random.default_rng(2),
+            ),
+            InvalidInput, "epochs must be an integer", id=f"epochs_{name}",
+        )
+        for name, epochs in (("fractional", 2.5), ("bool", True), ("float", 2.0))
+    ),
+    *(
+        pytest.param(
+            lambda counts=counts: init_hybrid_model(*counts, np.random.default_rng(0)), InvalidInput,
+            f"{name} must be an integer", id=f"init_model_{name}_{kind}",
+        )
+        for name, kind, counts in (
+            ("num_qubits", "fractional", (2.5, 1, 2, 2)),
+            ("num_qubits", "zero", (0, 1, 2, 2)),
+            ("num_layers", "bool", (2, True, 2, 2)),
+            ("num_layers", "fractional", (2, 1.5, 2, 2)),
+            ("feature_dim", "float", (2, 1, 2.0, 2)),
+            ("num_beams", "bool", (2, 1, 2, False)),
+        )
     ),
 ]
 
