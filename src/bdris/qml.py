@@ -149,14 +149,10 @@ class SyntheticBeamDataset:
 # helpers are dtype-generic, so the complex ``StateVector`` goes through them
 # unchanged as a single column.
 #
-# The model's circuit runs on the feature basis, not on the samples.  A row x
-# of width d embeds as the unit vector x^ padded to 2^q, a linear map of x^,
-# and the circuit U is linear, so the row's final state is V x^ with
-# V = U[:, :d], the circuit on the basis states e_0 .. e_(d-1): a (2^q, d)
-# array.  Each output z_j = x^T Q_j x^ with Q_j = V^T Z_j V, so n rows cost d
-# circuit columns plus q d x d quadratic forms, whatever n is.  This holds
-# because the embedding is linear in x^; an encoding that is not (angle
-# encoding, say) would need a forward pass per sample.
+# The model's circuit runs on the feature basis: a row x of width d embeds as
+# its unit vector x^ zero-padded to 2^q, so its final state is V x^ with
+# V = U[:, :d] (``_circuit_columns``) and z_j = x^T (V^T Z_j V) x^.  That
+# holds only while the embedding is linear in x^.
 
 def _embed_batch(x: np.ndarray, num_qubits: int) -> np.ndarray:
     """Check feature rows against a q-qubit register and scale each to unit norm: (n, d)."""
