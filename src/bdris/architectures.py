@@ -78,7 +78,8 @@ class ValidationReport:
 
 
 def _support_mask(arch: BdRisArchitecture, n: int) -> np.ndarray:
-    return arch.unitary_blocks(n).map_blocks(np.ones_like, np.zeros((n, n), dtype=bool))
+    structure = arch.unitary_blocks(n)
+    return structure.unpack(np.ones(np.prod(structure.shape), dtype=bool))
 
 
 def _finite(m: np.ndarray, violations: list[str]) -> bool:
@@ -114,11 +115,13 @@ def validate(theta, arch: BdRisArchitecture, tolerance: float = STRUCT_TOL) -> V
 
 
 def _single_tag_channels(b, c) -> tuple[np.ndarray, np.ndarray]:
-    """The surface->tag and source->surface links as equal-length, nonzero complex vectors."""
+    """The surface->tag and source->surface links as equal-length, finite, nonzero complex vectors."""
     b = np.asarray(b, dtype=complex).reshape(-1)
     c = np.asarray(c, dtype=complex).reshape(-1)
     if b.shape != c.shape:
         raise DimensionMismatch("b and c must have equal length")
+    if not (np.all(np.isfinite(b)) and np.all(np.isfinite(c))):
+        raise InvalidInput("single-tag links have non-finite entries")
     if not np.any(b) or not np.any(c):
         raise ZeroChannel("single-tag optimum undefined for a zero channel")
     return b, c
@@ -155,5 +158,5 @@ def optimal_fully_connected_single_tag(b: np.ndarray, c: np.ndarray) -> tuple[Un
     unitary can exceed; always at least as large as the diagonal optimum.
     """
     b, c = _single_tag_channels(b, c)
-    theta, _ = aligned_unitary(np.outer(b, np.conj(c)), BlockStructure((b.shape[0],)))
+    theta, _ = aligned_unitary(np.outer(b, np.conj(c)))
     return UnitaryMatrix(theta), fully_connected_single_tag_amplitude(b, c)

@@ -80,10 +80,6 @@ class BlockStructure:
         object.__setattr__(self, "dimension", sum(sizes))
         object.__setattr__(self, "shape", (len(sizes), sizes[0], sizes[0]))
 
-    def block_indices(self) -> list[np.ndarray]:
-        """Port indices of each group."""
-        return list(np.arange(self.dimension).reshape(self.shape[:2]))
-
     @cached_property
     def _index(self) -> tuple[np.ndarray, np.ndarray]:
         """``m[rows, cols]`` gathers the blocks into a (G, k, k) stack."""
@@ -108,56 +104,38 @@ class BlockStructure:
         """The (G, k, k) stack of a packed array, as a view."""
         return packed.reshape(self.shape)
 
-    def map_blocks(self, fn, *matrices: np.ndarray) -> np.ndarray:
-        """Apply ``fn`` to the (G, k, k) block stacks; zero elsewhere.
-
-        ``fn`` receives one stack per input matrix and returns a stack of the
-        same shape, which is scattered into the blocks of a zero matrix.  One
-        block covering every port is the whole matrix: ``fn`` gets the N x N
-        matrices themselves.
-        """
-        if self.shape[0] == 1:
-            return fn(*matrices)
-        out = np.zeros_like(matrices[0])
-        out[self._index] = fn(*(m[self._index] for m in matrices))
-        return out
-
 
 def polar_factor(matrix: np.ndarray) -> np.ndarray:
     """Unitary polar factor UV† of a full-rank square matrix, or of each in a stack.
 
     This is the Frobenius-nearest unitary; accepts (..., k, k) stacks and
-    raises RankDeficient when any singular value of any matrix is at or
-    below the rank threshold (non-unique factor).
+    raises InvalidInput for a non-finite entry and RankDeficient when any
+    singular value of any matrix is at or below the rank threshold
+    (non-unique factor).
     """
     m = np.asarray(matrix, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise DimensionMismatch(f"expected square matrices, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise InvalidInput("matrix has non-finite entries")
     u, s, vh = np.linalg.svd(m)
     if np.min(s) <= RANK_TOL:
         raise RankDeficient(f"smallest singular value {np.min(s):.3e} <= {RANK_TOL:.0e}")
     return u @ vh
 
 
-def aligned_unitary(matrix: np.ndarray, structure: BlockStructure) -> tuple[np.ndarray, np.ndarray]:
-    """Block-unitary maximizer of Re tr(Theta† M) and the ids of degenerate blocks.
+def aligned_unitary(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unitary maximizer of Re tr(Theta† M) for a matrix or each in a (G, k, k) stack, and the degenerate ids.
 
-    Per block the maximizer is the SVD factor UV† of M's block (orthogonal
-    Procrustes).  Zero singular directions do not change the maximum, so a
-    rank-deficient block keeps its SVD factor; a block whose singular values
-    are all zero attains it at every unitary.  Returns the matrix and the
-    ascending ids (positions in ``structure.block_indices()``) of those
-    fully degenerate blocks, which keep the SVD's arbitrary factor.
+    Per matrix the maximizer is the SVD factor UV† (orthogonal Procrustes).
+    Zero singular directions do not change the maximum, so a rank-deficient
+    matrix keeps its SVD factor; one whose singular values are all zero
+    attains it at every unitary.  Returns the factors and the ascending
+    stack positions of those fully degenerate matrices, which keep the
+    SVD's arbitrary factor.
     """
-    degenerate = []
-
-    def factor(stack):
-        u, s, vh = np.linalg.svd(stack)
-        degenerate.append(np.max(s, axis=-1) <= 1e-300)
-        return u @ vh
-
-    theta = structure.map_blocks(factor, np.asarray(matrix, dtype=complex))
-    return theta, np.flatnonzero(degenerate[0])
+    u, s, vh = np.linalg.svd(np.asarray(stack, dtype=complex))
+    return u @ vh, np.flatnonzero(np.max(s, axis=-1) <= 1e-300)
 
 
 def project_to_unitary(matrix: np.ndarray, tolerance: float = UNITARY_TOL) -> UnitaryMatrix:

@@ -14,14 +14,18 @@ Four optimizers over the unitary (or block-unitary) feasible set:
   guarded precoder refreshes and projected conjugate-gradient maximization
   of the concave surrogate in the surface matrix.
 
-AO and QNM are two direction rules on one line-search loop (``_ascend``).
-It runs in packed block coordinates (``BlockStructure.pack``: only the
-entries of the blocks, one 1-D array), holds every tangent vector in body
-coordinates (Omega with Theta Omega the ambient vector, skew-Hermitian per
-block), retracts in closed form (one batched ``eigh`` per step, one block
-product per trial step) and transports by projection at one block
-product per vector.  FP runs on the same packed arrays.  Every optimizer
-takes its channels and gradients from ``channel.CascadedChannels``.
+Every optimizer runs in packed block coordinates (``BlockStructure.pack``:
+only the entries of the blocks, one 1-D array) from its first iterate to
+its return: a given start is packed once, random starts and the RZF/FP
+cross-term alignment are drawn and solved on the (G, k, k) block stack,
+and only ``iterate_callback`` and the returned ``theta`` see N x N
+matrices.  Every optimizer takes its channels and gradients from
+``channel.CascadedChannels`` on the blocks.  AO and QNM are two direction
+rules on one line-search loop (``_ascend``).  It holds every tangent
+vector in body coordinates (Omega with Theta Omega the ambient vector,
+skew-Hermitian per block), retracts in closed form (one batched ``eigh``
+per step, one block product per trial step) and transports by projection
+at one block product per vector.
 RZF/AO/QNM maximize the channel-gain objective and are judged by the sum
 rate afterwards; FP maximizes the sum rate directly.  All optimizers keep
 every iterate feasible for the requested architecture and report a monotone
@@ -110,8 +114,7 @@ def _times_adjoint(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class _Feasible:
     """Projection, tangent and retraction machinery for one architecture at dimension N.
 
-    ``project`` and ``random_point`` work on N x N matrices.  ``tangent`` and
-    ``retract`` work in packed block coordinates (``BlockStructure.pack``):
+    Every method works in packed block coordinates (``BlockStructure.pack``):
     a point or a tangent vector is one 1-D array holding only the entries
     of its blocks, and its (G, k, k) stack is a free view.  The
     fully-connected surface is one (1, N, N) stack, the N x N matrix itself.
@@ -125,12 +128,13 @@ class _Feasible:
         self.structure = arch.unitary_blocks(n)
         self.n = n
 
-    def project(self, m: np.ndarray) -> np.ndarray:
-        return self.structure.map_blocks(polar_factor, m)
-
     def _map(self, fn, *packed: np.ndarray) -> np.ndarray:
         """Packed result of ``fn`` applied to the (G, k, k) stacks of packed arrays."""
         return fn(*map(self.structure.stack, packed)).reshape(-1)
+
+    def project(self, packed: np.ndarray) -> np.ndarray:
+        """The per-block polar factor of a packed array."""
+        return self._map(polar_factor, packed)
 
     def tangent(self, x: np.ndarray, frame: np.ndarray) -> np.ndarray:
         """Body-coordinate tangent projection skew(frame† x), one product per block.
@@ -165,8 +169,9 @@ class _Feasible:
     def random_point(self, rng: np.random.Generator) -> np.ndarray:
         # the polar factor of a complex Gaussian matrix is Haar distributed;
         # per block this yields independent Haar blocks
-        z = (rng.standard_normal((self.n, self.n)) + 1j * rng.standard_normal((self.n, self.n))) / np.sqrt(2.0)
-        return self.project(z)
+        shape = self.structure.shape
+        z = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+        return self.project(z.reshape(-1))
 
 
 def channel_gain_objective(theta, realizations) -> float:
@@ -187,11 +192,11 @@ def euclidean_gradient(theta: np.ndarray, realizations) -> np.ndarray:
 
 
 def _start(feas: _Feasible, cfg: OptimizerConfig, initial_theta, iterate_callback, warm=None) -> np.ndarray:
-    """First iterate, reported to ``iterate_callback``.
+    """Packed first iterate, reported unpacked to ``iterate_callback``.
 
     In order of preference: the projection of ``initial_theta`` (which must
-    be a finite N x N matrix), the point ``warm()`` returns, or a random
-    feasible point drawn from ``cfg.seed``.
+    be a finite N x N matrix), the packed point ``warm()`` returns, or a
+    random feasible point drawn from ``cfg.seed``.
     """
     if initial_theta is not None:
         m = np.asarray(initial_theta, dtype=complex)
@@ -199,31 +204,29 @@ def _start(feas: _Feasible, cfg: OptimizerConfig, initial_theta, iterate_callbac
             raise DimensionMismatch(f"initial_theta shape {m.shape} != ({feas.n}, {feas.n})")
         if not np.all(np.isfinite(m)):
             raise InvalidInput("initial_theta has non-finite entries")
-        theta = feas.project(m)
+        theta = feas.project(feas.structure.pack(m))
     elif warm is not None:
         theta = warm()
     else:
         theta = feas.random_point(np.random.default_rng(cfg.seed))
     if iterate_callback:
-        iterate_callback(theta)
+        iterate_callback(feas.structure.unpack(theta))
     return theta
 
 
-def _align_cross_term(whole: CascadedChannels, feas: _Feasible, rng: np.random.Generator) -> tuple[np.ndarray, bool]:
-    """Feasible matrix maximizing Re tr(Theta† C) for the direct-path cross term.
+def _align_cross_term(problem: CascadedChannels, feas: _Feasible, rng: np.random.Generator) -> tuple[np.ndarray, bool]:
+    """Packed feasible point maximizing Re tr(Theta† C) for the direct-path cross term.
 
-    C sums b a† C† over devices and snapshots, taken on the whole matrix
-    by the ``whole`` maps (per-block products round differently); the
-    maximizer is its aligned unitary (``manifold.aligned_unitary``).  Only
-    a fully degenerate block falls back to a Haar sample, drawn from ``rng``
-    in block order (second return flags any fallback).
+    C's blocks sum b a† C† over devices and snapshots, taken by the block
+    maps of ``problem``; the maximizer is their aligned unitary
+    (``manifold.aligned_unitary``).  Only a fully degenerate block falls
+    back to a Haar sample, drawn from ``rng`` in block order (second return
+    flags any fallback).
     """
-    cross = whole.adjoint(np.conj(whole.direct)).reshape(feas.n, -1)
-    theta, degenerate = aligned_unitary(cross, feas.structure)
-    blocks = feas.structure.block_indices()
+    theta, degenerate = aligned_unitary(feas.structure.stack(problem.adjoint(np.conj(problem.direct))))
     for i in degenerate:
-        theta[np.ix_(blocks[i], blocks[i])] = random_unitary(len(blocks[i]), rng).entries
-    return theta, bool(len(degenerate))
+        theta[i] = random_unitary(feas.structure.shape[1], rng).entries
+    return theta.reshape(-1), bool(len(degenerate))
 
 
 def rzf_one_shot(
@@ -239,17 +242,18 @@ def rzf_one_shot(
     the cross matrix is degenerate (no direct paths at all).
     """
     start = time.perf_counter()
-    whole = CascadedChannels(realizations)
-    feas = _Feasible(arch, whole.structure.dimension)
-    theta, fell_back = _align_cross_term(whole, feas, np.random.default_rng(cfg.seed))
+    stack = ChannelStack(realizations)
+    feas = _Feasible(arch, stack.num_elements)
+    problem = CascadedChannels(stack, feas.structure)
+    theta, fell_back = _align_cross_term(problem, feas, np.random.default_rng(cfg.seed))
     if fell_back:
         warnings.warn(
             "cross matrix is rank deficient; fell back to a random feasible point",
             RankDeficientWarning,
             stacklevel=2,
         )
-    value = whole.value(theta.reshape(-1))
-    return OptimizerResult(theta, [value], time.perf_counter() - start, 1, True, "closed_form")
+    value = problem.value(theta)
+    return OptimizerResult(feas.structure.unpack(theta), [value], time.perf_counter() - start, 1, True, "closed_form")
 
 
 def _armijo_search(step_fn, value_fn, slope, f_current, step0):
@@ -281,7 +285,8 @@ class _BarzilaiBorwein:
     """
 
     def __init__(self, feas: _Feasible, cfg: OptimizerConfig):
-        self.identity = feas.structure.pack(np.eye(feas.n))
+        g, k, _ = feas.structure.shape
+        self.identity = np.tile(np.eye(k), (g, 1, 1)).reshape(-1)
         self.cap = 2.0 * np.sqrt(feas.n)
         self.step = None
 
@@ -371,10 +376,10 @@ class _LimitedMemoryBfgs:
 def _ascend(realizations, arch, cfg, iterate_callback, initial_theta, rule) -> OptimizerResult:
     """Riemannian line-search ascent on the channel-gain objective.
 
-    The loop runs in packed block coordinates (see ``_Feasible``): it packs
-    ``_start``'s iterate once, and unpacks only for ``iterate_callback`` and
-    the returned ``theta``.  Gradients and directions are body-coordinate
-    tangent vectors.  ``rule(feas, cfg)`` builds the direction rule:
+    The loop runs in packed block coordinates (see ``_Feasible``) and
+    unpacks only for ``iterate_callback`` and the returned ``theta``.
+    Gradients and directions are body-coordinate tangent vectors.
+    ``rule(feas, cfg)`` builds the direction rule:
     ``propose(riem, gnorm)`` returns (direction, slope, trial step) and
     ``accepted(rotation, riem, riem_new, direction, s)`` updates the rule
     after each step, where ``rotation`` is the step's block rotation
@@ -392,7 +397,7 @@ def _ascend(realizations, arch, cfg, iterate_callback, initial_theta, rule) -> O
     unpack = feas.structure.unpack
     problem = CascadedChannels(stack, feas.structure)
     rule = rule(feas, cfg)
-    theta = feas.structure.pack(_start(feas, cfg, initial_theta, iterate_callback))
+    theta = _start(feas, cfg, initial_theta, iterate_callback)
     f, grad = problem.value_and_grad(theta)
     riem = feas.tangent(grad, theta)
     trace = [f]
@@ -612,7 +617,7 @@ def _surrogate_inner_update(surrogate, w_stack, theta, feas):
     lengths = [delta_norm] + [c * scale for c in (2.0, 0.5, 0.1, 0.02) if c * scale < delta_norm]
     for length in lengths:
         try:
-            candidate = feas._map(polar_factor, theta + (length / delta_norm) * delta)
+            candidate = feas.project(theta + (length / delta_norm) * delta)
         except RankDeficient:
             continue
         if surrogate.value(candidate, w_stack) > g_start:
@@ -649,10 +654,10 @@ def fp_sum_rate(
     # warm start from the one-shot cross-term alignment: the alternation
     # is monotone from any start but random starts fall into noticeably
     # weaker fixed points at case-study SNR scales
-    theta = feas.structure.pack(_start(
+    theta = _start(
         feas, cfg, initial_theta, iterate_callback,
-        warm=lambda: _align_cross_term(CascadedChannels(stack), feas, np.random.default_rng(cfg.seed))[0],
-    ))
+        warm=lambda: _align_cross_term(problem, feas, np.random.default_rng(cfg.seed))[0],
+    )
     surrogate = _SumRateSurrogate(problem, rho)
     precoders, rate = _rzf_rate(problem.channels(theta), rho)
     # the RZF precoders and rate of the current theta, kept until theta moves

@@ -47,7 +47,7 @@ class TestValidate:
         rng = np.random.default_rng(1)
         structure = BlockStructure((2, 2))
         arch = BdRisArchitecture.group_connected(structure)
-        theta = optim._Feasible(arch, 4).project(random_complex(rng, 4, 4))
+        theta = structure.unpack(optim._Feasible(arch, 4).project(structure.pack(random_complex(rng, 4, 4))))
         assert validate(theta, arch).valid
 
     def test_haar_unitary_valid_fully_connected(self):
@@ -113,7 +113,7 @@ class TestUnitaryBlocks:
     def test_support_mask_equals_per_block_reference(self, structure):
         """validate's zero pattern equals one np.ix_ fill per block."""
         expected = np.zeros((8, 8), dtype=bool)
-        for idx in structure.block_indices():
+        for idx in np.arange(8).reshape(structure.shape[:2]):
             expected[np.ix_(idx, idx)] = True
         arch = BdRisArchitecture.group_connected(structure)
         assert np.array_equal(_support_mask(arch, 8), expected)
@@ -323,6 +323,14 @@ GUARDS = [
                  "equal length", id="diagonal_amplitude_lengths"),
     pytest.param(lambda: fully_connected_single_tag_amplitude(np.zeros(3), np.ones(3)), ZeroChannel,
                  "zero channel", id="fully_connected_amplitude_zero"),
+    pytest.param(lambda: diagonal_single_tag_amplitude([np.nan, 1], [1, 1]), InvalidInput,
+                 "non-finite", id="diagonal_amplitude_nan"),
+    pytest.param(lambda: fully_connected_single_tag_amplitude([1, 1], [1, np.inf]), InvalidInput,
+                 "non-finite", id="fully_connected_amplitude_inf"),
+    pytest.param(lambda: optimal_diagonal_single_tag(np.ones(2), np.array([1, np.nan])), InvalidInput,
+                 "non-finite", id="diagonal_nan"),
+    pytest.param(lambda: optimal_fully_connected_single_tag(np.array([np.nan, 1]), np.ones(2)), InvalidInput,
+                 "non-finite", id="fully_connected_nan"),
 ]
 
 

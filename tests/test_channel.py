@@ -225,7 +225,7 @@ class TestCascadedChannels:
         reals = scenario_realizations(ScenarioConfig(), 8, rng)
         structure = optim._Feasible(arch, 8).structure
         problem = CascadedChannels(ChannelStack(reals), structure)
-        for theta in (optim._Feasible(arch, 8).random_point(rng), structure.unpack(structure.pack(random_complex(rng, 8, 8)))):
+        for theta in (structure.unpack(optim._Feasible(arch, 8).random_point(rng)), structure.unpack(structure.pack(random_complex(rng, 8, 8)))):
             f, g = problem.value_and_grad(structure.pack(theta))
             expected_f = channel_gain_objective(theta, reals)
             expected_g = structure.pack(euclidean_gradient(theta, reals))

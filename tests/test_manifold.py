@@ -28,21 +28,35 @@ N = 8
 FULL = BdRisArchitecture.fully_connected()
 ARCHS = [FULL, BdRisArchitecture.diagonal()] + [BdRisArchitecture.group_connected(s) for s in STRUCTURES[1:]]
 FEASIBLE = [optim._Feasible(arch, N) for arch in ARCHS]
-BLOCKS = [[np.arange(N)]] + [s.block_indices() for s in STRUCTURES]
+
+
+def runs(structure):
+    """Port indices of each block: G consecutive runs of k ports."""
+    g, k, _ = structure.shape
+    return list(np.arange(g * k).reshape(g, k))
+
+
+BLOCKS = [[np.arange(N)]] + [runs(s) for s in STRUCTURES]
 
 
 def random_complex(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+def random_point(feas, rng):
+    """``feas.random_point`` as an N x N matrix."""
+    return feas.structure.unpack(feas.random_point(rng))
+
+
 def block_project(m, structure):
-    """The optimizers' projection onto a group-connected surface of this structure."""
-    return optim._Feasible(BdRisArchitecture.group_connected(structure), structure.dimension).project(m)
+    """The optimizers' projection onto a group-connected surface of this structure, on N x N matrices."""
+    feas = optim._Feasible(BdRisArchitecture.group_connected(structure), structure.dimension)
+    return structure.unpack(feas.project(structure.pack(m)))
 
 
 def per_block_project(m, structure):
     """Reference block projection: one np.ix_ gather and polar factor per block."""
-    return per_block(structure.block_indices(), polar_factor, m)
+    return per_block(runs(structure), polar_factor, m)
 
 
 def per_block(blocks, fn, *matrices):
@@ -168,7 +182,7 @@ class TestTangentProject:
     def test_base_point_maps_to_zero(self):
         rng = np.random.default_rng(5)
         for feas in FEASIBLE:
-            base = feas.random_point(rng)
+            base = random_point(feas, rng)
             assert np.max(np.abs(tangent(feas, base, base))) <= 1e-12
 
     def test_hand_evaluated_case(self):
@@ -186,7 +200,7 @@ class TestTangentProject:
         for arch, feas, blocks in zip(ARCHS, FEASIBLE, BLOCKS):
             outside = ~_support_mask(arch, N)
             for _ in range(20):
-                base = feas.random_point(rng)
+                base = random_point(feas, rng)
                 g = random_complex(rng, N, N)
                 body = tangent(feas, g, base)
                 assert np.array_equal(body, -body.conj().T)
@@ -198,7 +212,7 @@ class TestTangentProject:
         """Projecting the ambient vector theta * Omega of a body vector Omega returns Omega."""
         rng = np.random.default_rng(17)
         for feas in FEASIBLE:
-            base = feas.random_point(rng)
+            base = random_point(feas, rng)
             x, y = random_complex(rng, N, N), random_complex(rng, N, N)
             once = tangent(feas, x, base)
             twice = tangent(feas, base @ once, base)
@@ -218,7 +232,7 @@ class TestRetract:
 
     @staticmethod
     def setup(feas, rng, scale=1.0):
-        base = feas.random_point(rng)
+        base = random_point(feas, rng)
         omega = tangent(feas, random_complex(rng, N, N), base)
         return base, scale * omega / np.linalg.norm(omega)
 
@@ -370,14 +384,14 @@ class TestBlockProject:
         n = structure.dimension
         labels = np.arange(n * n).reshape(n, n)
         packed = structure.pack(labels)
-        expected = np.concatenate([labels[np.ix_(idx, idx)].reshape(-1) for idx in structure.block_indices()])
+        expected = np.concatenate([labels[np.ix_(idx, idx)].reshape(-1) for idx in runs(structure)])
         assert np.array_equal(packed, expected) and len(set(packed)) == packed.size
 
     def test_single_singular_block_rejected(self):
         rng = np.random.default_rng(59)
         structure = STRUCTURES[1]
         m = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        idx = structure.block_indices()[1]
+        idx = runs(structure)[1]
         m[idx[0], idx] = m[idx[1], idx]
         with pytest.raises(RankDeficient):
             block_project(m, structure)
@@ -396,7 +410,7 @@ class TestPackedLayout:
     def test_unpack_of_pack_keeps_the_blocks(self, structure):
         rng = np.random.default_rng(76)
         m = random_complex(rng, N, N)
-        blocks = structure.block_indices()
+        blocks = runs(structure)
         packed = structure.pack(m)
         assert packed.shape == (sum(len(idx) ** 2 for idx in blocks),)
         assert np.array_equal(structure.unpack(packed), per_block(blocks, lambda b: b, m))
@@ -405,10 +419,12 @@ class TestPackedLayout:
         for block, idx in zip(stack, blocks):
             assert np.array_equal(block, m[np.ix_(idx, idx)])
 
-    def test_block_indices_are_consecutive_runs(self):
+    def test_blocks_are_consecutive_runs(self):
         structure = BlockStructure((3,) * 4)
         assert (structure.dimension, structure.shape) == (12, (4, 3, 3))
-        assert [list(idx) for idx in structure.block_indices()] == [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9, 10, 11]]
+        labels = np.arange(144).reshape(12, 12)
+        for g, block in enumerate(structure.stack(structure.pack(labels))):
+            assert np.array_equal(block, labels[3 * g : 3 * g + 3, 3 * g : 3 * g + 3])
 
     def test_unequal_sizes_and_permutation_rejected(self):
         with pytest.raises(InvalidInput, match="must be equal"):
@@ -425,46 +441,13 @@ class TestPackedLayout:
         assert np.array_equal(structure.unpack(m.reshape(-1)), m)
 
 
-def gather_map(structure, fn, *matrices):
-    """``map_blocks`` without its whole-matrix shortcut: the blocks gathered into one (G, k, k) stack."""
-    idx = np.array(structure.block_indices())
-    rows, cols = idx[:, :, None], idx[:, None, :]
-    out = np.zeros_like(matrices[0])
-    out[rows, cols] = fn(*(m[rows, cols] for m in matrices))
-    return out
-
-
-class TestMapBlocks:
-    @staticmethod
-    def shapes_seen(structure, fn, *matrices):
-        """``structure.map_blocks(fn, ...)`` and the shapes ``fn`` was handed."""
-        shapes = []
-
-        def recording(*args):
-            shapes.append(args[0].shape)
-            return fn(*args)
-
-        return structure.map_blocks(recording, *matrices), shapes
-
-    @pytest.mark.parametrize("n", [8, 32])
-    def test_one_in_order_block_equals_gather_path(self, n):
-        """The whole-matrix shortcut is bit-identical to the (1, N, N) gathered stack."""
-        rng = np.random.default_rng(71)
-        m, theta = random_complex(rng, n, n), polar_factor(random_complex(rng, n, n))
-        structure = BlockStructure((n,))
-        out, shapes = self.shapes_seen(structure, polar_factor, m)
-        assert shapes == [(n, n)] and np.array_equal(out, gather_map(structure, polar_factor, m))
-        out, shapes = self.shapes_seen(structure, optim._tangent, theta, m)
-        assert shapes == [(n, n)] and np.array_equal(out, gather_map(structure, optim._tangent, theta, m))
-
-
 class TestAlignedUnitary:
     @pytest.mark.parametrize("structure", STRUCTURES, ids=STRUCTURE_IDS)
     def test_matches_per_block_svd(self, structure):
         """SVD factor per block, with a zero block and a rank-deficient block mixed in."""
         rng = np.random.default_rng(73)
         m = random_complex(rng, N, N)
-        blocks = structure.block_indices()
+        blocks = runs(structure)
         zero = [0, 1] if len(blocks) > 2 else [0]
         for i in zero:
             m[np.ix_(blocks[i], blocks[i])] = 0.0
@@ -477,23 +460,23 @@ class TestAlignedUnitary:
             expected[np.ix_(idx, idx)] = u @ vh
             if np.max(s) <= 1e-300:
                 degenerate.append(i)
-        theta, ids = aligned_unitary(m, structure)
-        assert np.array_equal(theta, expected)
+        theta, ids = aligned_unitary(structure.stack(structure.pack(m)))
+        assert np.array_equal(structure.unpack(theta.reshape(-1)), expected)
         assert degenerate == zero and list(ids) == zero
 
     def test_whole_matrix_maximizes_real_trace(self):
         rng = np.random.default_rng(74)
         m = random_complex(rng, N, N)
-        theta, ids = aligned_unitary(m, BlockStructure((N,)))
+        theta, ids = aligned_unitary(m)
         assert len(ids) == 0
         assert np.real(np.trace(theta.conj().T @ m)) == pytest.approx(np.sum(np.linalg.svd(m)[1]), rel=1e-12)
 
     def test_one_by_one_blocks_give_diagonal_single_tag_optimum(self):
         rng = np.random.default_rng(75)
         b, c = random_complex(rng, 64), random_complex(rng, 64)
-        theta, ids = aligned_unitary(np.outer(b, np.conj(c)), BlockStructure((1,) * 64))
-        assert len(ids) == 0
-        assert np.max(np.abs(theta - optimal_diagonal_single_tag(b, c)[0].entries)) <= 1e-14
+        theta, ids = aligned_unitary((b * np.conj(c))[:, None, None])  # the 64 1 x 1 blocks of b c†
+        assert theta.shape == (64, 1, 1) and len(ids) == 0
+        assert np.max(np.abs(theta[:, 0, 0] - np.diag(optimal_diagonal_single_tag(b, c)[0].entries))) <= 1e-14
 
 
 class TestTypeInvariants:
@@ -513,7 +496,7 @@ class TestTypeInvariants:
         """A direction base * H, H Hermitian on the blocks, is not tangent: it projects to 0."""
         rng = np.random.default_rng(61)
         for arch, feas in zip(ARCHS, FEASIBLE):
-            base = feas.random_point(rng)
+            base = random_point(feas, rng)
             a = random_complex(rng, N, N) * _support_mask(arch, N)
             normal = base @ (a + a.conj().T)
             assert np.max(np.abs(normal)) > 1.0
@@ -523,6 +506,7 @@ class TestTypeInvariants:
 GUARDS = [
     pytest.param(lambda: UnitaryMatrix(np.ones((2, 3))), DimensionMismatch, "square", id="not_square"),
     pytest.param(lambda: UnitaryMatrix(np.zeros((0, 0))), InvalidInput, "dimension", id="empty"),
+    pytest.param(lambda: project_to_unitary(np.full((2, 2), np.nan)), InvalidInput, "non-finite", id="nan_matrix"),
     pytest.param(lambda: BlockStructure((2.5, 2.5)), InvalidInput, "positive integers", id="fractional_sizes"),
     pytest.param(lambda: BlockStructure((2.0, 2.0)), InvalidInput, "positive integers", id="float_sizes"),
     pytest.param(lambda: BlockStructure((True, True)), InvalidInput, "positive integers", id="boolean_sizes"),
