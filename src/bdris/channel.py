@@ -11,6 +11,7 @@ device-BS / device-RIS / BS-RIS links, -80 dBm noise, 18 dB transmit SNR,
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, replace
 
@@ -453,6 +454,9 @@ class ScenarioConfig:
     steps_per_snapshot: int = 10
 
     def __post_init__(self):
+        counts = (self.num_devices, self.num_bs_antennas, self.snapshots, self.steps_per_snapshot)
+        if not all(isinstance(c, numbers.Integral) and not isinstance(c, bool) for c in counts):
+            raise InvalidInput("num_devices, num_bs_antennas, snapshots and steps_per_snapshot must be integers")
         if self.num_devices < 1 or self.num_bs_antennas < 1:
             raise InvalidInput("need at least one device and one BS antenna")
         if self.snapshots < 1 or self.steps_per_snapshot < 1:

@@ -92,6 +92,8 @@ class BlockStructure:
         The fully-connected surface packs to the matrix's own entries in
         row-major order.
         """
+        if np.shape(m) != (self.dimension, self.dimension):
+            raise DimensionMismatch(f"cannot pack a {np.shape(m)} matrix on {self.dimension} ports")
         return m[self._index].reshape(-1)
 
     def unpack(self, packed: np.ndarray) -> np.ndarray:

@@ -45,7 +45,7 @@ import numpy as np
 
 from .architectures import BdRisArchitecture
 from .channel import CascadedChannels, ChannelStack, ScenarioConfig, effective_channel_matrix, scenario_realizations
-from .errors import DimensionMismatch, InvalidInput, RankDeficient, RankDeficientWarning
+from .errors import InvalidInput, RankDeficient, RankDeficientWarning
 from .manifold import aligned_unitary, polar_factor, random_unitary, skew_part
 from .seeding import derive_seed, derived_rng
 
@@ -200,8 +200,6 @@ def _start(feas: _Feasible, cfg: OptimizerConfig, initial_theta, iterate_callbac
     """
     if initial_theta is not None:
         m = np.asarray(initial_theta, dtype=complex)
-        if m.shape != (feas.n, feas.n):
-            raise DimensionMismatch(f"initial_theta shape {m.shape} != ({feas.n}, {feas.n})")
         if not np.all(np.isfinite(m)):
             raise InvalidInput("initial_theta has non-finite entries")
         theta = feas.project(feas.structure.pack(m))

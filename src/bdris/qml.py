@@ -14,8 +14,8 @@ each sample's Pauli-Z outputs as quadratic forms x^T (V^T Z_j V) x^: the
 gates act on d columns whatever the sample count n.  The circuit gradient
 comes by adjoint differentiation: one forward pass, then one backward sweep
 on the same d columns that reads each angle's gradient before un-applying
-its gate, so an epoch makes 5 L q gate applications for L layers of q
-qubits (the forward pass, the two metric passes, and psi and lambda in the
+its gate.  A model builds V once, so an epoch makes 3 L q gate applications
+for L layers of q qubits (V of the updated model, psi and lambda in the
 sweep).  Both are exact, not approximations, as long as the embedding stays
 linear in x^; a nonlinear encoding such as angle encoding would need its own
 per-sample forward pass.  The exact parameter-shift rule stays as the oracle
@@ -71,7 +71,8 @@ class CircuitParams:
     angles: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.angles, dtype=float)
+        a = np.array(self.angles, dtype=float)
+        a.setflags(write=False)  # a model's cached circuit is built from these
         object.__setattr__(self, "angles", a)
         if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
             raise DimensionMismatch("angles must be a (layers, qubits) matrix")
@@ -106,6 +107,8 @@ class HybridModel:
             raise DimensionMismatch("head weights and bias disagree")
         if w.shape[1] <= self.circuit.num_qubits:
             raise DimensionMismatch("head must also see the classical features")
+        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
+            raise InvalidInput("head weights and bias must be finite")
 
     @property
     def num_beams(self) -> int:
@@ -114,6 +117,11 @@ class HybridModel:
     @property
     def feature_dim(self) -> int:
         return self.head_weights.shape[1] - self.circuit.num_qubits
+
+    @functools.cached_property
+    def columns(self) -> np.ndarray:
+        """V, the circuit on the feature basis (``_circuit_columns``), built once per model."""
+        return _circuit_columns(self.circuit.angles, self.feature_dim, self.circuit.num_qubits)
 
 
 @dataclass(frozen=True)
@@ -351,6 +359,8 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
     labels = np.asarray(labels, dtype=int)
     if labels.shape != logits.shape[:1]:
         raise LengthMismatch("logits and labels differ in length")
+    if not labels.size:
+        raise InvalidInput("need at least one sample")
     if labels.size and (labels.min() < 0 or labels.max() >= logits.shape[1]):
         raise InvalidInput("labels must lie in [0, number of classes)")
     shifted = logits - np.max(logits, axis=1, keepdims=True)
@@ -364,6 +374,8 @@ def distance_accuracy(predictions, labels, delta: int) -> float:
     labels = np.asarray(labels, dtype=int)
     if predictions.shape != labels.shape:
         raise LengthMismatch("predictions and labels differ in length")
+    if not labels.size:
+        raise InvalidInput("need at least one sample")
     return float(np.mean(np.abs(predictions - labels) <= delta))
 
 
@@ -392,7 +404,12 @@ def generate_synthetic_dataset(
     The label quantizes the angle to the square's center into ``num_beams``
     equal sectors (for eight beams each sector carries exactly 1/8 of the
     mass by symmetry); features are the positions plus Gaussian noise.
+    ``n`` and ``num_beams`` must be integers >= 1 (not bools), and
+    ``noise_sigma`` finite and >= 0.
     """
+    _check_counts(n=n, num_beams=num_beams)
+    if not (math.isfinite(noise_sigma) and noise_sigma >= 0.0):
+        raise InvalidInput(f"noise_sigma must be finite and >= 0, got {noise_sigma!r}")
     if n < num_beams:
         raise InvalidInput("need at least one sample per beam")
     positions = rng.uniform(0.0, 1.0, (n, 2))
@@ -425,12 +442,16 @@ def _check_feature_width(model: HybridModel, x: np.ndarray) -> None:
         raise DimensionMismatch(f"{x.shape[1]} features for a head that expects {model.feature_dim}")
 
 
+def _forward(model: HybridModel, unit: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The head input [z, x] of feature rows ``x`` with unit rows ``unit``, and its logits; z reads V."""
+    joint = np.concatenate([_measure_z_rows(unit, model.columns, model.circuit.num_qubits), x], axis=1)
+    return joint, joint @ model.head_weights.T + model.head_bias
+
+
 def hybrid_logits(model: HybridModel, features: np.ndarray) -> np.ndarray:
     x = np.atleast_2d(np.asarray(features, dtype=float))
     _check_feature_width(model, x)
-    z = _forward_batch(model.circuit.angles, x, model.circuit.num_qubits)
-    joint = np.concatenate([z, x], axis=1)
-    return joint @ model.head_weights.T + model.head_bias
+    return _forward(model, _embed_batch(x, model.circuit.num_qubits), x)[1]
 
 
 def hybrid_predictions(model: HybridModel, features: np.ndarray) -> np.ndarray:
@@ -458,16 +479,15 @@ def train_hybrid(
     """Full-batch gradient descent on softmax cross-entropy.
 
     The dataset (at least 3 samples) splits 80/20 into train/validation by
-    a seeded permutation.  Head gradients are analytic.  Each epoch makes one
-    forward pass on real amplitudes: the circuit runs on the d feature-basis
-    columns V (d the feature width, not the training-split size), the
-    training outputs z are quadratic forms of the unit feature rows, and V
-    starts the adjoint backward sweep (``_adjoint_grad``) that yields every
-    angle gradient.  That is exact because amplitude embedding is linear in
-    the unit rows.  ``epochs`` must be an integer >= 1 (not a bool), and the
-    learning rate finite and >= 0 (0 leaves the model as it is).  Returns
-    the trained model and one trace row per (epoch, split) with loss and
-    distance accuracies.
+    a seeded permutation, and the training rows are embedded once.  Head
+    gradients are analytic.  The training outputs z come from the model's V
+    (``HybridModel.columns``), which also starts the adjoint sweep
+    (``_adjoint_grad``) for every angle gradient; each updated model builds
+    its V once for both metrics splits and the next sweep, so an epoch makes
+    3 L q gate applications.  ``epochs`` must be an integer >= 1 (not a
+    bool), and the learning rate finite and >= 0 (0 leaves the model as it
+    is).  Returns the trained model and one trace row per (epoch, split)
+    with loss and distance accuracies.
     """
     _check_counts(epochs=epochs)
     if not (math.isfinite(learning_rate) and learning_rate >= 0.0):
@@ -482,30 +502,20 @@ def train_hybrid(
     x_train, y_train = dataset.features[train_idx], dataset.labels[train_idx]
     x_val, y_val = dataset.features[val_idx], dataset.labels[val_idx]
     q = model.circuit.num_qubits
-    angles = model.circuit.angles.copy()
-    weights = model.head_weights.copy()
-    bias = model.head_bias.copy()
+    unit = _embed_batch(x_train, q)
     trace: list[dict] = []
-    n_train = len(train_idx)
     for epoch in range(1, epochs + 1):
-        unit = _embed_batch(x_train, q)
-        columns = _circuit_columns(angles, unit.shape[1], q)
-        z = _measure_z_rows(unit, columns, q)
-        joint = np.concatenate([z, x_train], axis=1)
-        logits = joint @ weights.T + bias
-        shifted = logits - np.max(logits, axis=1, keepdims=True)
-        exp = np.exp(shifted)
-        probs = exp / exp.sum(axis=1, keepdims=True)
-        dlogits = probs.copy()
-        dlogits[np.arange(n_train), y_train] -= 1.0
-        dlogits /= n_train
-        grad_w = dlogits.T @ joint
-        grad_b = dlogits.sum(axis=0)
-        grad_angles = _adjoint_grad(angles, columns, unit, dlogits @ weights[:, :q], q)
-        weights -= learning_rate * grad_w
-        bias -= learning_rate * grad_b
-        angles -= learning_rate * grad_angles
-        current = HybridModel(CircuitParams(angles.copy()), weights.copy(), bias.copy())
-        trace.append({"epoch": epoch, "split": "train", **_split_metrics(current, x_train, y_train)})
-        trace.append({"epoch": epoch, "split": "val", **_split_metrics(current, x_val, y_val)})
-    return HybridModel(CircuitParams(angles), weights, bias), trace
+        joint, logits = _forward(model, unit, x_train)
+        exp = np.exp(logits - np.max(logits, axis=1, keepdims=True))
+        dlogits = exp / exp.sum(axis=1, keepdims=True)
+        dlogits[np.arange(cut), y_train] -= 1.0
+        dlogits /= cut
+        grad_angles = _adjoint_grad(model.circuit.angles, model.columns, unit, dlogits @ model.head_weights[:, :q], q)
+        model = HybridModel(
+            CircuitParams(model.circuit.angles - learning_rate * grad_angles),
+            model.head_weights - learning_rate * (dlogits.T @ joint),
+            model.head_bias - learning_rate * dlogits.sum(axis=0),
+        )
+        trace.append({"epoch": epoch, "split": "train", **_split_metrics(model, x_train, y_train)})
+        trace.append({"epoch": epoch, "split": "val", **_split_metrics(model, x_val, y_val)})
+    return model, trace

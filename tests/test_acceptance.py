@@ -25,15 +25,19 @@ from bdris.optim import (
     qnm_manifold,
     rzf_one_shot,
 )
+from bdris import qml
 from bdris.qml import (
     CircuitParams,
+    HybridModel,
     StateVector,
     amplitude_embed,
     circuit_outputs,
     confusion_matrix,
+    cross_entropy,
     distance_accuracy,
     entangling_layer,
     generate_synthetic_dataset,
+    hybrid_logits,
     hybrid_predictions,
     init_hybrid_model,
     measure_z,
@@ -380,6 +384,40 @@ def test_criterion_7_qml_suite():
         worst_rel = max(worst_rel, np.linalg.norm(analytic - fd) / max(np.linalg.norm(analytic), 1e-12))
     shift_ok = worst_rel <= 1e-6
 
+    # the training path: V = _circuit_columns has orthonormal columns (the
+    # whole circuit is orthogonal for q <= 4), and _adjoint_grad matches
+    # central finite differences of the training loss
+    column_defect = 0.0
+    for q in (1, 2, 3, 4, 6, 12):
+        columns = qml._circuit_columns(rng.uniform(-np.pi, np.pi, (2, q)), 2**q if q <= 4 else 2, q)
+        column_defect = max(column_defect, float(np.max(np.abs(columns.T @ columns - np.eye(columns.shape[1])))))
+    columns_ok = column_defect <= 1e-10
+    worst_adjoint = 0.0
+    for seed in range(5):
+        inner = np.random.default_rng(100 + seed)
+        q, layers = int(inner.integers(1, 7)), int(inner.integers(1, 4))
+        data = generate_synthetic_dataset(40, 4, 0.05, inner)
+        angles = inner.uniform(-np.pi, np.pi, (layers, q))
+        weights, bias = inner.standard_normal((4, q + 2)), inner.standard_normal(4)
+
+        def training_loss(a):
+            return cross_entropy(hybrid_logits(HybridModel(CircuitParams(a), weights, bias), data.features), data.labels)
+
+        model = HybridModel(CircuitParams(angles), weights, bias)
+        logits = hybrid_logits(model, data.features)
+        exp = np.exp(logits - logits.max(axis=1, keepdims=True))
+        dlogits = (exp / exp.sum(axis=1, keepdims=True) - np.eye(4)[data.labels]) / len(data.labels)
+        unit = qml._embed_batch(data.features, q)
+        adjoint = qml._adjoint_grad(angles, model.columns, unit, dlogits @ weights[:, :q], q)
+        h = 1e-5
+        fd = np.zeros_like(angles)
+        for index in np.ndindex(angles.shape):
+            step = np.zeros_like(angles)
+            step[index] = h
+            fd[index] = (training_loss(angles + step) - training_loss(angles - step)) / (2 * h)
+        worst_adjoint = max(worst_adjoint, np.linalg.norm(adjoint - fd) / max(np.linalg.norm(adjoint), 1e-12))
+    adjoint_ok = worst_adjoint <= 1e-6
+
     # separable training benchmark
     data = generate_synthetic_dataset(200, 4, 0.01, np.random.default_rng(13))
     model = init_hybrid_model(4, 2, 2, 4, np.random.default_rng(3))
@@ -392,15 +430,17 @@ def test_criterion_7_qml_suite():
     counts = confusion_matrix(preds, data.labels, 4)
     identity_ok = distance_accuracy(preds, data.labels, 0) == counts.trace() / len(data.labels)
     elapsed = time.monotonic() - start
-    ok = norm_ok and unitary_ok and shift_ok and train_ok and identity_ok and elapsed < 300.0
+    ok = norm_ok and unitary_ok and shift_ok and columns_ok and adjoint_ok and train_ok and identity_ok
+    ok = ok and elapsed < 300.0
     report(
         7,
         ok,
         f"norm drift {drift:.1e} (<=1e-12), layer unitarity {unit_defect:.1e} (<=1e-10), "
-        f"shift-vs-FD {worst_rel:.1e} (<=1e-6), train acc {final_acc:.3f} (>=0.90), "
+        f"shift-vs-FD {worst_rel:.1e} (<=1e-6), circuit columns {column_defect:.1e} (<=1e-10), "
+        f"adjoint-vs-FD {worst_adjoint:.1e} (<=1e-6), train acc {final_acc:.3f} (>=0.90), "
         f"accuracy==trace(confusion)/n={identity_ok}, {elapsed:.0f}s",
     )
-    assert norm_ok and unitary_ok and shift_ok and train_ok and identity_ok
+    assert norm_ok and unitary_ok and shift_ok and columns_ok and adjoint_ok and train_ok and identity_ok
     assert elapsed < 300.0
 
 

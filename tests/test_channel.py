@@ -467,6 +467,16 @@ GUARDS = [
     pytest.param(lambda: _devices(0), InvalidInput, "at least one device", id="no_devices"),
     pytest.param(lambda: ScenarioConfig(num_devices=0), InvalidInput, "device and one BS", id="scenario_devices"),
     pytest.param(lambda: ScenarioConfig(snapshots=0), InvalidInput, "snapshot counts", id="scenario_snapshots"),
+    *(
+        pytest.param(lambda name=name, value=value: ScenarioConfig(**{name: value}), InvalidInput,
+                     "must be integers", id=f"scenario_{name}_{type(value).__name__}")
+        for name, value in (
+            ("num_devices", True),
+            ("num_bs_antennas", 2.0),
+            ("snapshots", 2.5),
+            ("steps_per_snapshot", 3.0),
+        )
+    ),
     pytest.param(lambda: ScenarioConfig(speed_min_mps=3.0, speed_max_mps=2.0), InvalidInput, "speed range",
                  id="scenario_speeds"),
     pytest.param(lambda: ScenarioConfig(tx_snr_db=math.nan), InvalidInput, "tx_snr_db must be finite",

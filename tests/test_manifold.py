@@ -511,6 +511,12 @@ GUARDS = [
     pytest.param(lambda: BlockStructure((2.0, 2.0)), InvalidInput, "positive integers", id="float_sizes"),
     pytest.param(lambda: BlockStructure((True, True)), InvalidInput, "positive integers", id="boolean_sizes"),
     pytest.param(lambda: BlockStructure(()), InvalidInput, "positive integers", id="no_groups"),
+    pytest.param(lambda: BlockStructure((2, 2)).pack(np.ones((5, 5))), DimensionMismatch, "cannot pack",
+                 id="pack_larger"),
+    pytest.param(lambda: BlockStructure((2, 2)).pack(np.ones((3, 3))), DimensionMismatch, "cannot pack",
+                 id="pack_smaller"),
+    pytest.param(lambda: BlockStructure((2, 2)).pack(np.ones(16)), DimensionMismatch, "cannot pack",
+                 id="pack_flat"),
 ]
 
 

@@ -239,8 +239,8 @@ class TestAdjointGradient:
             assert np.max(np.abs(z - _statevector_outputs(angles, row, q))) <= 1e-14
             assert np.max(np.abs(z - circuit_outputs(CircuitParams(angles), row))) <= 1e-14
 
-    def test_training_epoch_applies_five_gates_per_angle(self, monkeypatch):
-        """Forward pass, two metrics passes, and two un-applied gates per angle in the backward sweep."""
+    def test_training_epoch_applies_three_gates_per_angle(self, monkeypatch):
+        """The updated model's V, and two un-applied gates per angle in the backward sweep; plus the first V."""
         calls = []
         original = qml._apply_ry_batch
 
@@ -253,7 +253,7 @@ class TestAdjointGradient:
         data = generate_synthetic_dataset(20, 2, 0.01, np.random.default_rng(25))
         model = init_hybrid_model(q, layers, 2, 2, np.random.default_rng(26))
         train_hybrid(data, model, epochs, 0.5, np.random.default_rng(27))
-        assert len(calls) == 5 * layers * q * epochs
+        assert len(calls) == (3 * epochs + 1) * layers * q
 
     def test_training_gates_act_on_feature_columns(self, monkeypatch):
         """Every gate of an epoch acts on the (2^q, d) feature-basis columns, whatever the sample count."""
@@ -274,10 +274,10 @@ class TestAdjointGradient:
             train_hybrid(data, model, epochs, 0.5, np.random.default_rng(30))
             per_count.append(list(shapes))
         assert per_count[0] == per_count[1]
-        assert per_count[0] == [(2**q, 2)] * (5 * layers * q * epochs)
+        assert per_count[0] == [(2**q, 2)] * ((3 * epochs + 1) * layers * q)
 
-    def test_training_embeds_three_times_per_epoch(self, monkeypatch):
-        """One forward pass for the gradient, one per metrics split; no shift rule."""
+    def test_training_embeds_train_split_once_and_twice_per_epoch(self, monkeypatch):
+        """The training split once for every gradient, then one embedding per metrics split; no shift rule."""
         calls = []
         original = qml._embed_batch
 
@@ -293,7 +293,34 @@ class TestAdjointGradient:
         data = generate_synthetic_dataset(20, 2, 0.01, np.random.default_rng(21))
         model = init_hybrid_model(3, 2, 2, 2, np.random.default_rng(22))
         train_hybrid(data, model, 4, 0.5, np.random.default_rng(23))
-        assert calls == [16, 16, 4] * 4
+        assert calls == [16] + [16, 4] * 4
+
+    def test_circuit_built_once_per_angle_vector(self, monkeypatch):
+        """Each model builds V once: the given one, then one per epoch, reused by the metrics and the sweep."""
+        calls = []
+        original = qml._circuit_columns
+
+        def counting(angles, width, num_qubits):
+            calls.append(width)
+            return original(angles, width, num_qubits)
+
+        monkeypatch.setattr(qml, "_circuit_columns", counting)
+        data = generate_synthetic_dataset(20, 2, 0.01, np.random.default_rng(31))
+        model = init_hybrid_model(3, 2, 2, 2, np.random.default_rng(32))
+        epochs = 5
+        trained, _ = train_hybrid(data, model, epochs, 0.5, np.random.default_rng(33))
+        assert calls == [2] * (epochs + 1)
+        hybrid_predictions(trained, data.features)
+        assert len(calls) == epochs + 1
+        assert not trained.circuit.angles.flags.writeable
+        with pytest.raises(ValueError):
+            trained.circuit.angles[0, 0] = 0.0
+
+    def test_circuit_params_copy_their_angles(self):
+        angles = np.zeros((1, 2))
+        params = CircuitParams(angles)
+        angles[0, 0] = 1.0
+        assert params.angles[0, 0] == 0.0 and angles.flags.writeable
 
     def test_simulation_stays_real(self):
         angles = np.random.default_rng(24).uniform(-np.pi, np.pi, (2, 3))
@@ -475,6 +502,24 @@ GUARDS = [
                  "disagree", id="head_bias_size"),
     pytest.param(lambda: HybridModel(_circuit(), np.zeros((4, 2)), np.zeros(4)), DimensionMismatch,
                  "classical features", id="head_without_features"),
+    pytest.param(lambda: HybridModel(_circuit(), np.full((3, 4), np.nan), np.zeros(3)), InvalidInput,
+                 "head weights and bias must be finite", id="head_nan_weights"),
+    pytest.param(lambda: HybridModel(_circuit(), np.zeros((3, 4)), np.array([0.0, np.inf, 0.0])), InvalidInput,
+                 "head weights and bias must be finite", id="head_inf_bias"),
+    pytest.param(lambda: distance_accuracy([], [], 0), InvalidInput, "at least one sample", id="accuracy_empty"),
+    pytest.param(lambda: cross_entropy(np.zeros((0, 3)), []), InvalidInput, "at least one sample",
+                 id="cross_entropy_empty"),
+    *(
+        pytest.param(lambda args=args: generate_synthetic_dataset(*args, np.random.default_rng(0)), InvalidInput,
+                     message, id=f"dataset_{name}")
+        for name, args, message in (
+            ("fractional_n", (10.5, 2, 0.01), "n must be an integer"),
+            ("bool_beams", (10, True, 0.01), "num_beams must be an integer"),
+            ("negative_noise", (10, 2, -1.0), "noise_sigma must be finite and >= 0"),
+            ("nan_noise", (10, 2, math.nan), "noise_sigma must be finite and >= 0"),
+            ("inf_noise", (10, 2, math.inf), "noise_sigma must be finite and >= 0"),
+        )
+    ),
     pytest.param(lambda: SyntheticBeamDataset(np.zeros((3, 2)), np.zeros(2), 4), DimensionMismatch,
                  "disagree", id="dataset_lengths"),
     pytest.param(lambda: SyntheticBeamDataset(np.zeros((2, 2)), np.array([0, 5]), 4), InvalidInput,
