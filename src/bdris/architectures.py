@@ -37,6 +37,8 @@ class BdRisArchitecture:
     def __post_init__(self):
         if self.kind is ArchitectureKind.GROUP_CONNECTED and not isinstance(self.structure, BlockStructure):
             raise InvalidInput("group-connected architecture needs a BlockStructure")
+        if self.kind in (ArchitectureKind.DIAGONAL, ArchitectureKind.FULLY_CONNECTED) and self.structure is not None:
+            raise InvalidInput(f"a {self.kind.value} architecture takes no BlockStructure")
 
     def unitary_blocks(self, n: int) -> BlockStructure:
         """The blocks that must be unitary at dimension n.

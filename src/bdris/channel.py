@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .errors import BelowReferenceDistance, DimensionMismatch, InvalidInput
+from .errors import BelowReferenceDistance, DimensionMismatch, InvalidInput, check_counts
 from .manifold import BlockStructure
 
 
@@ -77,20 +77,19 @@ class NetworkGeometry:
     bs_position: np.ndarray = field(default_factory=lambda: np.zeros(3))
     ris_position: np.ndarray = field(default_factory=lambda: np.array([100.0, 0.0, 0.0]))
     device_area: Rectangle = field(default_factory=_default_area)
-    bs_ris_distance_m: float = 100.0
 
     def __post_init__(self):
         bs = np.asarray(self.bs_position, dtype=float)
         ris = np.asarray(self.ris_position, dtype=float)
         object.__setattr__(self, "bs_position", bs)
         object.__setattr__(self, "ris_position", ris)
-        if not (np.all(np.isfinite(bs)) and np.all(np.isfinite(ris)) and math.isfinite(self.bs_ris_distance_m)):
-            raise InvalidInput("BS and RIS positions and the BS-RIS distance must be finite")
-        actual = float(np.linalg.norm(bs - ris))
-        if abs(actual - self.bs_ris_distance_m) > 1e-6:
-            raise InvalidInput(
-                f"BS-RIS distance {actual:.6f} m != declared {self.bs_ris_distance_m:.6f} m"
-            )
+        if not (np.all(np.isfinite(bs)) and np.all(np.isfinite(ris))):
+            raise InvalidInput("BS and RIS positions must be finite")
+
+    @property
+    def bs_ris_distance_m(self) -> float:
+        """Length of the BS-RIS backbone, from the two positions."""
+        return float(np.linalg.norm(self.bs_position - self.ris_position))
 
 
 @dataclass(frozen=True)
@@ -142,7 +141,6 @@ class ChannelRealization:
     direct: np.ndarray
     ris_device: np.ndarray
     bs_ris: np.ndarray
-    noise_power_dbm: float = -80.0
     tx_snr_db: float = 18.0
 
     def __post_init__(self):
@@ -162,7 +160,7 @@ class ChannelRealization:
             raise InvalidInput(
                 f"bs_ris shape {c.shape} != (elements, antennas) = ({b.shape[1]}, {a.shape[1]})"
             )
-        _require_finite(self, "noise_power_dbm", "tx_snr_db")
+        _require_finite(self, "tx_snr_db")
         object.__setattr__(self, "direct", a)
         object.__setattr__(self, "ris_device", b)
         object.__setattr__(self, "bs_ris", c)
@@ -200,8 +198,6 @@ class ChannelStack:
         self.direct = np.stack([r.direct for r in realizations])          # (P, L, M)
         self.ris_device = np.stack([r.ris_device for r in realizations])  # (P, L, N)
         self.bs_ris = np.stack([r.bs_ris for r in realizations])          # (P, N, M)
-        self.count = len(realizations)
-        self.num_devices = first.num_devices
         self.num_elements = first.num_elements
         self.tx_snr_db = first.tx_snr_db
 
@@ -323,7 +319,6 @@ def generate_realization(
     num_elements: int,
     rng: np.random.Generator,
     num_bs_antennas: int = 4,
-    noise_power_dbm: float = -80.0,
     tx_snr_db: float = 18.0,
 ) -> ChannelRealization:
     """Draw one channel snapshot for the given device positions.
@@ -333,8 +328,7 @@ def generate_realization(
     fixed (per device: BS coin, BS fading, RIS coin, RIS fading; then the
     backbone), so a given generator state maps to exactly one realization.
     """
-    if num_elements < 1:
-        raise InvalidInput("need at least one reflecting element")
+    check_counts(num_elements=num_elements, num_bs_antennas=num_bs_antennas)
     if not devices:
         raise InvalidInput("need at least one device")
     m, n = num_bs_antennas, num_elements
@@ -359,7 +353,7 @@ def generate_realization(
             target[idx] = np.sqrt(gain) * sample_fading(1, cols, k_db, rng)[0]
     backbone_gain = path_loss_linear(geometry.bs_ris_distance_m, pathloss.exponent_bs_ris, pathloss)
     bs_ris = np.sqrt(backbone_gain) * sample_fading(n, m, fading.bs_ris_rician_k_db, rng)
-    return ChannelRealization(direct, ris_device, bs_ris, noise_power_dbm, tx_snr_db)
+    return ChannelRealization(direct, ris_device, bs_ris, tx_snr_db)
 
 
 def random_waypoint_step(
@@ -436,6 +430,8 @@ class ScenarioConfig:
     The fading default switches the device links to Rician K = 10 dB when
     the LoS coin lands heads, the mix used throughout the experiments;
     ``FadingModel()`` on its own defaults to pure Rayleigh device links.
+    The rates read ``tx_snr_db`` only; ``noise_power_dbm + tx_snr_db`` is
+    the transmit power of the power comparison.
     """
 
     geometry: NetworkGeometry = field(default_factory=NetworkGeometry)
@@ -499,7 +495,6 @@ def scenario_realizations(
             num_elements,
             rng,
             num_bs_antennas=scenario.num_bs_antennas,
-            noise_power_dbm=scenario.noise_power_dbm,
             tx_snr_db=scenario.tx_snr_db,
         )
         for snapshot in snapshots

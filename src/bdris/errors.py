@@ -1,4 +1,6 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the one check of a count argument."""
+
+import numbers
 
 
 class RankDeficient(ValueError):
@@ -39,3 +41,10 @@ class ConfigError(ValueError):
 
 class RankDeficientWarning(UserWarning):
     """Emitted when a one-shot design falls back to a random feasible point."""
+
+
+def check_counts(**counts) -> None:
+    """Each count must be an integer >= 1 and not a bool; InvalidInput names the first that is not."""
+    for name, count in counts.items():
+        if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
+            raise InvalidInput(f"{name} must be an integer >= 1, got {count!r}")

@@ -33,7 +33,7 @@ import numpy as np
 from . import __version__
 from .architectures import diagonal_single_tag_amplitude, fully_connected_single_tag_amplitude
 from .channel import ChannelRealization, ScenarioConfig, path_loss_linear, sample_fading
-from .errors import ConfigError, InvalidInput
+from .errors import ConfigError, InvalidInput, check_counts
 from .manifold import random_unitary
 from .optim import ALGORITHMS, OptimizerConfig, benchmark
 from .qml import (
@@ -64,8 +64,8 @@ class QmlSettings:
     def __post_init__(self):
         if not 1 <= self.num_qubits <= MAX_QUBITS:
             raise InvalidInput(f"num_qubits must be in [1, {MAX_QUBITS}]")
-        if min(self.num_layers, self.num_beams, self.epochs) < 1:
-            raise InvalidInput("num_layers, num_beams and epochs must be >= 1")
+        check_counts(num_qubits=self.num_qubits, num_layers=self.num_layers, num_beams=self.num_beams,
+                     num_samples=self.num_samples, epochs=self.epochs)
         # one sample per beam, and an 80/20 split that leaves a validation sample
         if self.num_samples < max(self.num_beams, 3):
             raise InvalidInput("num_samples must be >= num_beams and >= 3")
@@ -91,12 +91,14 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment '{self.experiment}'")
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
+        try:
+            check_counts(trials=self.trials)
+            for n in self.element_counts:
+                check_counts(element_counts=n)
+        except InvalidInput as exc:
+            raise ConfigError(str(exc)) from exc
         if self.experiment != "qml-beam" and not self.element_counts:
             raise ConfigError("element_counts must be non-empty")
-        if any(n < 1 for n in self.element_counts):
-            raise ConfigError("element_counts must be >= 1")
         for name in ("element_counts", "algorithms"):
             values = getattr(self, name)
             if len(set(values)) != len(values):
@@ -227,7 +229,6 @@ _CHANNEL_PATHS = {
     "ris_x": ("geometry", "ris_position", 0),
     "ris_y": ("geometry", "ris_position", 1),
     "ris_z": ("geometry", "ris_position", 2),
-    "bs_ris_distance_m": ("geometry", "bs_ris_distance_m"),
     "area_x_min": ("geometry", "device_area", "x_min"),
     "area_x_max": ("geometry", "device_area", "x_max"),
     "area_y_min": ("geometry", "device_area", "y_min"),
@@ -264,9 +265,9 @@ def _override(obj, overrides: dict):
     """``obj`` with ``{path: value}`` applied; each object on a path is rebuilt once.
 
     Nested objects are rebuilt before their parent and in field order, so
-    values that are only valid together (a moved BS and its new BS-RIS
-    distance) are checked together, and the fault reported first does not
-    depend on the order of the keys in the config.
+    values that are only valid together (a moved device area and the sites
+    it must keep clear of) are checked together, and the fault reported
+    first does not depend on the order of the keys in the config.
     """
     if () in overrides:
         return overrides[()]

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidInput, RankDeficient
+from .errors import DimensionMismatch, InvalidInput, RankDeficient, check_counts
 
 UNITARY_TOL = 1e-10
 RANK_TOL = 1e-12
@@ -30,10 +30,9 @@ def unitarity_defect(matrix: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class UnitaryMatrix:
-    """An N x N complex matrix certified unitary to ``tolerance``."""
+    """An N x N complex matrix certified unitary to ``UNITARY_TOL``."""
 
     entries: np.ndarray
-    tolerance: float = UNITARY_TOL
 
     def __post_init__(self):
         m = np.asarray(self.entries, dtype=complex)
@@ -45,10 +44,8 @@ class UnitaryMatrix:
         if not np.all(np.isfinite(m)):
             raise InvalidInput("matrix has non-finite entries")
         defect = unitarity_defect(m)
-        if defect > self.tolerance:
-            raise InvalidInput(
-                f"matrix is not unitary: defect {defect:.3e} > tolerance {self.tolerance:.3e}"
-            )
+        if defect > UNITARY_TOL:
+            raise InvalidInput(f"matrix is not unitary: defect {defect:.3e} > tolerance {UNITARY_TOL:.3e}")
 
     @property
     def dimension(self) -> int:
@@ -140,9 +137,9 @@ def aligned_unitary(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u @ vh, np.flatnonzero(np.max(s, axis=-1) <= 1e-300)
 
 
-def project_to_unitary(matrix: np.ndarray, tolerance: float = UNITARY_TOL) -> UnitaryMatrix:
+def project_to_unitary(matrix: np.ndarray) -> UnitaryMatrix:
     """Project onto the unitary manifold via the polar factor."""
-    return UnitaryMatrix(polar_factor(matrix), tolerance)
+    return UnitaryMatrix(polar_factor(matrix))
 
 
 def skew_part(x: np.ndarray) -> np.ndarray:
@@ -163,7 +160,6 @@ def random_unitary(n: int, rng: np.random.Generator) -> UnitaryMatrix:
     The Gaussian law is invariant under left multiplication by a unitary V,
     and polar(VZ) = V polar(Z), so the factor's law is too.
     """
-    if n < 1:
-        raise InvalidInput("n must be >= 1")
+    check_counts(n=n)
     z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
     return UnitaryMatrix(polar_factor(z))

@@ -45,7 +45,7 @@ import numpy as np
 
 from .architectures import BdRisArchitecture
 from .channel import CascadedChannels, ChannelStack, ScenarioConfig, effective_channel_matrix, scenario_realizations
-from .errors import InvalidInput, RankDeficient, RankDeficientWarning
+from .errors import InvalidInput, RankDeficient, RankDeficientWarning, check_counts
 from .manifold import aligned_unitary, polar_factor, random_unitary, skew_part
 from .seeding import derive_seed, derived_rng
 
@@ -488,25 +488,26 @@ def _rzf_rate(h_stack: np.ndarray, rho: float) -> tuple[np.ndarray, float]:
     h_cols = h_stack.transpose(0, 2, 1)  # (P, M, L)
     l = h_cols.shape[2]
     gram = h_cols.conj().transpose(0, 2, 1) @ h_cols + (l / rho) * np.eye(l)
-    w = h_cols @ np.linalg.inv(gram)
+    try:
+        w = h_cols @ np.linalg.inv(gram)
+    except np.linalg.LinAlgError as exc:
+        raise RankDeficient("the regularized Gram matrix of the channels is singular") from exc
     norms = np.linalg.norm(w, axis=(1, 2), keepdims=True)
     w = np.divide(w, norms, out=np.zeros_like(w), where=norms > 0)
     return w, _mean_rate(h_stack, w, rho)
 
 
-def mean_sum_rate(theta, realizations, tx_snr_db: float | None = None) -> float:
+def mean_sum_rate(theta, realizations) -> float:
     """Snapshot-averaged downlink sum rate in bits/s/Hz, one RZF precoder per snapshot.
 
     ``realizations`` is one ``ChannelRealization`` or a sequence of them.
 
     SINR_l = rho |h_l† w_l|^2 / (rho sum_{j != l} |h_l† w_j|^2 + 1) with rho
-    the linear transmit SNR (the snapshots' own unless ``tx_snr_db`` is
-    given) and each precoder normalized to unit total power.
+    the snapshots' linear transmit SNR and each precoder normalized to unit
+    total power.  A singular regularized Gram matrix raises RankDeficient.
     """
-    if tx_snr_db is not None and not math.isfinite(tx_snr_db):
-        raise InvalidInput(f"tx_snr_db must be finite, got {tx_snr_db!r}")
     stack = ChannelStack(realizations)
-    rho = 10.0 ** ((stack.tx_snr_db if tx_snr_db is None else tx_snr_db) / 10.0)
+    rho = 10.0 ** (stack.tx_snr_db / 10.0)
     return _rzf_rate(effective_channel_matrix(stack, theta), rho)[1]
 
 
@@ -713,9 +714,9 @@ def benchmark(
     optimizer call only; run single-threaded when timings must be
     comparable.
     """
-    for name, count in (("trials", trials), ("threads", threads), *(("element count", n) for n in element_counts)):
-        if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
-            raise InvalidInput(f"{name} must be an integer >= 1, got {count!r}")
+    check_counts(trials=trials, threads=threads)
+    for n in element_counts:
+        check_counts(**{"element count": n})
     unknown = [a for a in algorithms if a not in ALGORITHMS]
     if unknown:
         raise InvalidInput(f"unknown algorithms: {unknown}")

@@ -27,12 +27,11 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidInput, LengthMismatch, TooLong, ZeroVector
+from .errors import DimensionMismatch, InvalidInput, LengthMismatch, TooLong, ZeroVector, check_counts
 
 MAX_QUBITS = 12
 NORM_TOL = 1e-12
@@ -131,6 +130,7 @@ class SyntheticBeamDataset:
     num_beams: int
 
     def __post_init__(self):
+        check_counts(num_beams=self.num_beams)
         f = np.asarray(self.features, dtype=float)
         l = np.asarray(self.labels, dtype=int)
         object.__setattr__(self, "features", f)
@@ -381,6 +381,7 @@ def distance_accuracy(predictions, labels, delta: int) -> float:
 
 def confusion_matrix(predictions, labels, num_beams: int) -> np.ndarray:
     """Counts[i, j] = samples with true beam i predicted as beam j."""
+    check_counts(num_beams=num_beams)
     predictions = np.asarray(predictions, dtype=int)
     labels = np.asarray(labels, dtype=int)
     if predictions.shape != labels.shape:
@@ -407,7 +408,7 @@ def generate_synthetic_dataset(
     ``n`` and ``num_beams`` must be integers >= 1 (not bools), and
     ``noise_sigma`` finite and >= 0.
     """
-    _check_counts(n=n, num_beams=num_beams)
+    check_counts(n=n, num_beams=num_beams)
     if not (math.isfinite(noise_sigma) and noise_sigma >= 0.0):
         raise InvalidInput(f"noise_sigma must be finite and >= 0, got {noise_sigma!r}")
     if n < num_beams:
@@ -420,17 +421,11 @@ def generate_synthetic_dataset(
     return SyntheticBeamDataset(features, labels, num_beams)
 
 
-def _check_counts(**counts) -> None:
-    for name, count in counts.items():
-        if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
-            raise InvalidInput(f"{name} must be an integer >= 1, got {count!r}")
-
-
 def init_hybrid_model(
     num_qubits: int, num_layers: int, feature_dim: int, num_beams: int, rng: np.random.Generator
 ) -> HybridModel:
     """Uniform random angles and a small random head; every count must be an integer >= 1 (not a bool)."""
-    _check_counts(num_qubits=num_qubits, num_layers=num_layers, feature_dim=feature_dim, num_beams=num_beams)
+    check_counts(num_qubits=num_qubits, num_layers=num_layers, feature_dim=feature_dim, num_beams=num_beams)
     angles = rng.uniform(-np.pi, np.pi, (num_layers, num_qubits))
     weights = 0.01 * rng.standard_normal((num_beams, num_qubits + feature_dim))
     bias = np.zeros(num_beams)
@@ -489,7 +484,7 @@ def train_hybrid(
     is).  Returns the trained model and one trace row per (epoch, split)
     with loss and distance accuracies.
     """
-    _check_counts(epochs=epochs)
+    check_counts(epochs=epochs)
     if not (math.isfinite(learning_rate) and learning_rate >= 0.0):
         raise InvalidInput(f"learning_rate must be finite and >= 0, got {learning_rate!r}")
     n = dataset.features.shape[0]

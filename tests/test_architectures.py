@@ -315,6 +315,11 @@ class TestSingleTagAmplitudes:
 GUARDS = [
     pytest.param(lambda: validate(np.eye(4), BdRisArchitecture("diagonal")), InvalidInput,
                  "'diagonal' is not a block-unitary architecture", id="kind_not_a_member"),
+    pytest.param(lambda: BdRisArchitecture(ArchitectureKind.DIAGONAL, structure=BlockStructure((4, 4))),
+                 InvalidInput, "a diagonal architecture takes no BlockStructure", id="diagonal_with_structure"),
+    pytest.param(lambda: BdRisArchitecture(ArchitectureKind.FULLY_CONNECTED, structure=BlockStructure((4, 4))),
+                 InvalidInput, "a fully-connected architecture takes no BlockStructure",
+                 id="fully_connected_with_structure"),
     pytest.param(lambda: optimal_diagonal_single_tag(np.ones(2), np.ones(3)), DimensionMismatch,
                  "equal length", id="diagonal_lengths"),
     pytest.param(lambda: optimal_fully_connected_single_tag(np.ones(2), np.ones(3)), DimensionMismatch,

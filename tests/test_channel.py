@@ -2,6 +2,7 @@
 
 import ast
 import math
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -88,7 +89,6 @@ def unit_test_geometry():
         bs_position=np.zeros(3),
         ris_position=np.array([2.0, 0.0, 0.0]),
         device_area=Rectangle(0.9, 1.5, -0.5, 0.5),
-        bs_ris_distance_m=2.0,
     )
 
 
@@ -177,7 +177,7 @@ class TestChannelStack:
         rng = np.random.default_rng(30)
         reals = [random_realization(rng) for _ in range(3)]
         stack = ChannelStack(reals)
-        assert (stack.count, stack.num_devices, stack.num_elements) == (3, 2, 4)
+        assert stack.direct.shape == (3, 2, 3) and stack.num_elements == 4
         assert stack.tx_snr_db == 18.0
         for p, real in enumerate(reals):
             assert np.array_equal(stack.direct[p], real.direct)
@@ -187,7 +187,7 @@ class TestChannelStack:
     def test_single_realization_is_one_snapshot(self):
         real = random_realization(np.random.default_rng(31))
         stack = ChannelStack(real)
-        assert stack.count == 1 and stack.direct.shape == (1, 2, 3)
+        assert stack.direct.shape == (1, 2, 3)
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidInput):
@@ -288,16 +288,29 @@ def test_only_channel_applies_the_links():
     assert not found, found
 
 
+class TestDerivedSettings:
+    """Values the positions or the snapshots fix are read from them, not set beside them."""
+
+    def test_backbone_distance_follows_the_positions(self):
+        assert NetworkGeometry().bs_ris_distance_m == 100.0
+        assert NetworkGeometry(bs_position=np.array([50.0, 0.0, 0.0])).bs_ris_distance_m == 50.0
+        moved = NetworkGeometry(ris_position=np.array([3.0, 4.0, 0.0]), device_area=Rectangle(10, 11, 10, 11))
+        assert moved.bs_ris_distance_m == 5.0
+        assert [f.name for f in fields(NetworkGeometry)] == ["bs_position", "ris_position", "device_area"]
+
+    def test_realization_fields(self):
+        assert [f.name for f in fields(ChannelRealization)] == ["direct", "ris_device", "bs_ris", "tx_snr_db"]
+        real = ChannelRealization(np.ones((1, 2)), np.ones((1, 3)), np.ones((3, 2)), 5.0)
+        assert real.tx_snr_db == 5.0
+
+
 class TestScenarioClearance:
     """No point of the device area may lie inside the path-loss reference distance."""
 
     @staticmethod
     def scenario(ris, area):
         ris = np.asarray(ris, dtype=float)
-        geometry = NetworkGeometry(
-            ris_position=ris, device_area=area, bs_ris_distance_m=float(np.linalg.norm(ris))
-        )
-        return ScenarioConfig(geometry=geometry)
+        return ScenarioConfig(geometry=NetworkGeometry(ris_position=ris, device_area=area))
 
     def test_defaults_keep_clear(self):
         ScenarioConfig()
@@ -457,8 +470,13 @@ GUARDS = [
                  "at least one", id="realization_empty"),
     pytest.param(lambda: sample_fading(0, 3, 0.0, np.random.default_rng(0)), InvalidInput,
                  "positive shape", id="fading_shape"),
-    pytest.param(lambda: _realization(_devices(), num_elements=0), InvalidInput, "reflecting element",
-                 id="no_elements"),
+    pytest.param(lambda: _realization(_devices(), num_elements=0), InvalidInput,
+                 "num_elements must be an integer >= 1", id="no_elements"),
+    pytest.param(lambda: scenario_realizations(ScenarioConfig(), 2.5, np.random.default_rng(0)), InvalidInput,
+                 "num_elements must be an integer >= 1", id="scenario_fractional_elements"),
+    pytest.param(lambda: generate_realization(NetworkGeometry(), _devices(), PathLossModel(), FadingModel(), 2,
+                                              np.random.default_rng(1), num_bs_antennas=2.5),
+                 InvalidInput, "num_bs_antennas must be an integer >= 1", id="realization_fractional_antennas"),
     pytest.param(lambda: _realization([Device(np.array([1e4, 1e4]), np.zeros(2), 1.0)]), InvalidInput,
                  "outside the movement area", id="device_outside"),
     pytest.param(lambda: random_waypoint_step(_devices()[0], 0, NetworkGeometry().device_area, (0.5, 2.0),
@@ -485,8 +503,6 @@ GUARDS = [
                  id="scenario_infinite_noise"),
     pytest.param(lambda: ChannelRealization(np.ones((1, 4)), np.ones((1, 3)), np.ones((3, 4)), tx_snr_db=math.inf),
                  InvalidInput, "tx_snr_db must be finite", id="realization_infinite_snr"),
-    pytest.param(lambda: ChannelRealization(np.ones((1, 4)), np.ones((1, 3)), np.ones((3, 4)), noise_power_dbm=math.nan),
-                 InvalidInput, "noise_power_dbm must be finite", id="realization_nan_noise"),
 ]
 
 

@@ -5,6 +5,8 @@ import dataclasses
 import functools
 import os
 import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -13,11 +15,12 @@ import pytest
 from bdris.architectures import BdRisArchitecture
 from bdris.channel import ScenarioConfig, scenario_realizations
 from bdris.cli import main as cli_main
-from bdris.errors import ConfigError
+from bdris.errors import ConfigError, InvalidInput
 from bdris.harness import (
     _SECTIONS,
     BLAS_THREAD_VARS,
     ExperimentConfig,
+    QmlSettings,
     csv_line,
     parse_config_text,
     resolved_config_text,
@@ -188,17 +191,7 @@ class TestConfigKeys:
         attr, cls, _ = _SECTIONS[section]
         default = _walk(cls(), path)
         value = default + 1 if isinstance(default, int) else float(default) + 0.25
-        lines = [f"{key} = {value!r}"]
-        # a moved BS or RIS is only valid together with its new distance
-        if path[:2] in (("geometry", "bs_position"), ("geometry", "ris_position")):
-            geometry = ScenarioConfig().geometry
-            positions = {"bs_position": geometry.bs_position, "ris_position": geometry.ris_position}
-            positions[path[1]][path[2]] = value
-            distance = float(np.linalg.norm(positions["bs_position"] - positions["ris_position"]))
-            lines.append(f"bs_ris_distance_m = {distance!r}")
-        elif key == "bs_ris_distance_m":
-            lines.append(f"ris_x = {value!r}")
-        return attr, value, "\n".join(lines)
+        return attr, value, f"{key} = {value!r}"
 
     @pytest.mark.parametrize(
         "section,key,path", SECTION_KEYS, ids=[f"{s}.{k}" for s, k, _ in SECTION_KEYS]
@@ -228,6 +221,9 @@ class TestConfigKeys:
     def test_removed_carrier_key_is_config_fault(self, tmp_path, capsys):
         _assert_unknown_key(tmp_path, capsys, "channel", "carrier_hz = 2400000000.0")
 
+    def test_removed_backbone_distance_key_is_config_fault(self, tmp_path, capsys):
+        _assert_unknown_key(tmp_path, capsys, "channel", "bs_ris_distance_m = 100")
+
     def test_channel_keys_cover_scenario_once(self):
         paths = list(_SECTIONS["channel"][2].values())
         assert sorted(paths, key=str) == sorted(_leaf_paths(ScenarioConfig()), key=str)
@@ -241,15 +237,23 @@ class TestConfigKeys:
         assert keys[len(top):] == [key for _, key, _ in SECTION_KEYS]
 
     def test_moved_bs_with_matching_distance_parses(self):
-        cfg = parse_config_text(
-            "experiment = power-comparison\n[channel]\nbs_x = 50\nbs_ris_distance_m = 50\n"
-        )
+        """The backbone distance is derived, so a moved BS carries its own."""
+        cfg = parse_config_text("experiment = power-comparison\n[channel]\nbs_x = 50\n")
         assert cfg.scenario.geometry.bs_position[0] == 50.0
         assert cfg.scenario.geometry.bs_ris_distance_m == 50.0
 
-    def test_moved_bs_alone_names_the_distance(self):
-        with pytest.raises(ConfigError, match="BS-RIS distance"):
-            parse_config_text("experiment = power-comparison\n[channel]\nbs_x = 50\n")
+    def test_moved_bs_scales_the_backbone_power(self):
+        """bs_x reaches the power comparison only through the derived backbone distance.
+
+        Halving the distance raises every received power by 10 * exponent_bs_ris * log10(2) dB.
+        """
+        default = _small_run_defaults("power-comparison")["results"]
+        moved = _small_run_outputs("power-comparison", "channel", [("bs_x", "50.0")])["results"]
+        shift = 10.0 * ScenarioConfig().pathloss.exponent_bs_ris * np.log10(2.0)
+        assert len(moved) == len(default) > 1
+        for old, new in zip(default[1:], moved[1:]):
+            assert new.rsplit(",", 1)[0] == old.rsplit(",", 1)[0]
+            assert float(new.rsplit(",", 1)[1]) - float(old.rsplit(",", 1)[1]) == pytest.approx(shift, abs=1e-9)
 
     def test_configs_share_no_position_array(self):
         a = parse_config_text("experiment = qml-beam\n")
@@ -453,7 +457,7 @@ class TestCli:
 
 
 # the RIS moved into the device area
-NEAR_RIS = "[channel]\nris_x = 120\nbs_ris_distance_m = 120\n"
+NEAR_RIS = "[channel]\nris_x = 120\n"
 
 
 class TestExperimentConfigValidation:
@@ -472,8 +476,8 @@ class TestExperimentConfigValidation:
     @pytest.mark.parametrize(
         "text,message",
         [
-            ("experiment = power-comparison\nelement_counts = 0,4\n", "element_counts must be >= 1"),
-            ("experiment = beamforming-bench\nelement_counts = -2\n", "element_counts must be >= 1"),
+            ("experiment = power-comparison\nelement_counts = 0,4\n", "element_counts must be an integer >= 1"),
+            ("experiment = beamforming-bench\nelement_counts = -2\n", "element_counts must be an integer >= 1"),
             ("experiment = beamforming-bench\nalgorithms =\n", "algorithms must be non-empty"),
             ("experiment = power-comparison\nelement_counts = 4,4\n", "element_counts must not repeat"),
             ("experiment = beamforming-bench\nelement_counts = 8,16,8\n", "element_counts must not repeat"),
@@ -500,9 +504,9 @@ class TestQmlSettingsValidation:
         [
             ("num_qubits = 13", r"num_qubits must be in \[1, 12\]"),
             ("num_qubits = 0", r"num_qubits must be in \[1, 12\]"),
-            ("num_layers = 0", "num_layers, num_beams and epochs must be >= 1"),
-            ("num_beams = 0", "num_layers, num_beams and epochs must be >= 1"),
-            ("epochs = 0", "num_layers, num_beams and epochs must be >= 1"),
+            ("num_layers = 0", "num_layers must be an integer >= 1"),
+            ("num_beams = 0", "num_beams must be an integer >= 1"),
+            ("epochs = 0", "epochs must be an integer >= 1"),
             ("num_samples = 2\nnum_beams = 1", "num_samples must be >= num_beams and >= 3"),
             ("num_samples = 5\nnum_beams = 6", "num_samples must be >= num_beams and >= 3"),
             ("learning_rate = 0", "learning_rate must be positive"),
@@ -622,9 +626,9 @@ PARSE_GUARDS = [
             ("exponent_bs_ris = inf", "exponent_bs_ris must be finite"),
             ("reference_loss_db = inf", "reference_loss_db must be finite"),
             ("reference_distance_m = nan", "reference_distance_m must be finite"),
-            ("bs_x = nan", "positions and the BS-RIS distance must be finite"),
-            ("ris_z = inf", "positions and the BS-RIS distance must be finite"),
-            ("bs_ris_distance_m = nan", "positions and the BS-RIS distance must be finite"),
+            ("bs_x = nan", "positions must be finite"),
+            ("ris_z = inf", "positions must be finite"),
+            ("bs_ris_distance_m = nan", "unknown key 'bs_ris_distance_m'"),
             ("area_x_min = nan", "x_min must be finite"),
             ("area_y_max = inf", "y_max must be finite"),
         ]
@@ -656,3 +660,54 @@ def test_cli_zero_threads_is_config_fault(tmp_path, capsys):
     path.write_text(QML_CFG)
     assert cli_main(["run", "--config", str(path), "--threads", "0", "--out-dir", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err.strip() == "error: config: threads must be >= 1"
+
+
+# counts that the config parser cannot produce, set on the dataclasses directly
+COUNT_GUARDS = [
+    pytest.param(lambda: ExperimentConfig(experiment="power-comparison", trials=2.5), ConfigError,
+                 "trials must be an integer >= 1", id="fractional_trials"),
+    pytest.param(lambda: ExperimentConfig(experiment="power-comparison", trials=True), ConfigError,
+                 "trials must be an integer >= 1", id="boolean_trials"),
+    pytest.param(lambda: ExperimentConfig(experiment="beamforming-bench", element_counts=(16.5,)), ConfigError,
+                 "element_counts must be an integer >= 1", id="fractional_element_count"),
+    pytest.param(lambda: QmlSettings(num_layers=2.5), InvalidInput, "num_layers must be an integer >= 1",
+                 id="fractional_layers"),
+    pytest.param(lambda: QmlSettings(epochs=True), InvalidInput, "epochs must be an integer >= 1",
+                 id="boolean_epochs"),
+    pytest.param(lambda: QmlSettings(num_qubits=2.0), InvalidInput, "num_qubits must be an integer >= 1",
+                 id="float_qubits"),
+]
+
+
+@pytest.mark.parametrize("build,error,message", COUNT_GUARDS)
+def test_count_guard(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
+
+
+def _cli_process(tmp_path, text):
+    """``python -m bdris.cli run`` on ``text`` in a fresh interpreter: (exit code, stderr)."""
+    path = tmp_path / "exp.cfg"
+    path.write_text(text)
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run(
+        [sys.executable, "-m", "bdris.cli", "run", "--config", str(path), "--out-dir", str(tmp_path / "o")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    return done.returncode, done.stderr
+
+
+def test_cli_process_reports_a_removed_key(tmp_path):
+    code, err = _cli_process(tmp_path, "experiment = power-comparison\n[channel]\nbs_ris_distance_m = 100\n")
+    assert code == 1
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: config: ")
+    assert "unknown key 'bs_ris_distance_m'" in lines[0]
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_process_runs_a_tiny_qml_config(tmp_path):
+    code, err = _cli_process(tmp_path, QML_CFG)
+    assert (code, err) == (0, "")
+    assert (tmp_path / "o" / "results.csv").read_text().startswith("epoch,split,")

@@ -507,6 +507,8 @@ GUARDS = [
     pytest.param(lambda: UnitaryMatrix(np.ones((2, 3))), DimensionMismatch, "square", id="not_square"),
     pytest.param(lambda: UnitaryMatrix(np.zeros((0, 0))), InvalidInput, "dimension", id="empty"),
     pytest.param(lambda: project_to_unitary(np.full((2, 2), np.nan)), InvalidInput, "non-finite", id="nan_matrix"),
+    pytest.param(lambda: random_unitary(2.5, np.random.default_rng(0)), InvalidInput, "n must be an integer >= 1",
+                 id="haar_fractional_dimension"),
     pytest.param(lambda: BlockStructure((2.5, 2.5)), InvalidInput, "positive integers", id="fractional_sizes"),
     pytest.param(lambda: BlockStructure((2.0, 2.0)), InvalidInput, "positive integers", id="float_sizes"),
     pytest.param(lambda: BlockStructure((True, True)), InvalidInput, "positive integers", id="boolean_sizes"),

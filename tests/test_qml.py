@@ -529,6 +529,10 @@ GUARDS = [
     pytest.param(lambda: parameter_shift_grad(_circuit(), np.ones(2), lambda z: np.ones(3)),
                  DimensionMismatch, "qubit count", id="shift_grad_length"),
     pytest.param(lambda: confusion_matrix([0, 1], [0], 2), LengthMismatch, "length", id="confusion_lengths"),
+    pytest.param(lambda: confusion_matrix([0], [0], 1.5), InvalidInput, "num_beams must be an integer",
+                 id="confusion_fractional_beams"),
+    pytest.param(lambda: SyntheticBeamDataset(np.zeros((2, 2)), np.array([0, 1]), 2.5), InvalidInput,
+                 "num_beams must be an integer", id="dataset_fractional_beams"),
     pytest.param(lambda: cross_entropy([[0, 1, 2], [0, 0, 9]], [0, -1]), InvalidInput, "labels must lie",
                  id="cross_entropy_negative_label"),
     pytest.param(lambda: cross_entropy([[0, 1, 2], [0, 0, 9]], [0, 3]), InvalidInput, "labels must lie",
