@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .errors import BelowReferenceDistance, DimensionMismatch, InvalidInput, check_counts
+from .errors import BelowReferenceDistance, DimensionMismatch, InvalidInput, check_counts, check_integers
 from .manifold import BlockStructure
 
 
@@ -217,19 +217,74 @@ class CascadedChannels:
     are on one N x N block, where a packed point is the matrix's row-major
     entries and every product is the whole-matrix one.
     ``channels`` is a ``ChannelStack`` or what ``ChannelStack`` takes.
+    ``compressed`` gives the same channels on blocks no larger than the
+    links' span.
     """
 
     def __init__(self, channels, structure: BlockStructure | None = None):
         stack = channels if isinstance(channels, ChannelStack) else ChannelStack(channels)
-        self.structure = structure = structure or BlockStructure((stack.num_elements,))
-        self.direct = stack.direct
+        structure = structure or BlockStructure((stack.num_elements,))
         p, l, _ = stack.ris_device.shape
         g, k, _ = structure.shape
-        # R_g as (P, G, L, k) and B_g† as (P, G, M, k); conj(B) and R^T whole
-        self.device = np.ascontiguousarray(stack.ris_device.reshape(p, l, g, k).transpose(0, 2, 1, 3))
-        self.bs_dag = np.ascontiguousarray(np.conj(stack.bs_ris.reshape(p, g, k, -1)).swapaxes(-1, -2))
-        self.bs = np.conj(stack.bs_ris)  # (P, N, M)
-        self.device_t = np.ascontiguousarray(stack.ris_device.swapaxes(-1, -2))  # (P, N, L)
+        device = stack.ris_device.reshape(p, l, g, k).transpose(0, 2, 1, 3)
+        bs_dag = np.conj(stack.bs_ris.reshape(p, g, k, -1)).swapaxes(-1, -2)
+        self._hold(stack.direct, device, bs_dag, structure)
+
+    def _hold(self, direct, device, bs_dag, structure: BlockStructure) -> None:
+        """Keep the per-block links R_g (P, G, L, k) and B_g† (P, G, M, k), and conj(B) and R^T whole."""
+        self.structure = structure
+        self.direct = direct
+        self.device = np.ascontiguousarray(device)
+        self.bs_dag = np.ascontiguousarray(bs_dag)
+        p, g, m, k = self.bs_dag.shape
+        self.bs = np.ascontiguousarray(self.bs_dag.swapaxes(-1, -2).reshape(p, g * k, m))  # conj(B), (P, N, M)
+        self.device_t = np.ascontiguousarray(self.device.swapaxes(-1, -2).reshape(p, g * k, -1))  # (P, N, L)
+
+    def compressed(self, start: np.ndarray | None = None):
+        """The same channels on (G, t, t) blocks and the map back, or None when no block is larger than t.
+
+        Block g reaches the channels only through conj(R_g) Theta_g B_g.  Let
+        Q_R hold the first t columns of a complete QR basis of the stacked
+        R_g^T (k x P L) and Q_B those of the stacked B_g (k x P M), with
+        t = P max(L, M); so they span the links whatever their rank, and no
+        tolerance enters.  Then conj(R_g) Theta_g B_g = conj(R_g) Q_R X_g
+        Q_B† B_g with X_g = Q_R† Theta_g Q_B: the channels at Theta are those
+        of the (G, t, t) problem with links R_g conj(Q_R) and Q_B† B_g at X.
+        ``dilate`` maps a packed (G, t, t) point X to the packed (G, k, k)
+        point Q_R X Q_B† + Q_R⊥ Q_B⊥†, which has X's channels and is unitary
+        per block when X is.  Every t x t unitary is reached that way, and
+        the gain is convex in X, so its maximum over k x k unitary blocks is
+        its maximum over t x t ones; the gain's Riemannian gradient norm at
+        dilate(X) equals the reduced one at X.
+
+        With a packed feasible ``start`` Theta_0, Q_B becomes a basis of
+        [Q_B, Theta_0† Q_R] (t doubles) and Q_R = Theta_0 Q_B, so the start
+        is the identity of the reduced problem and dilate(I) = Theta_0.
+        Returns None when k <= t: the caller solves at full size.
+        """
+        p, g, l, k = self.device.shape
+        t = p * max(l, self.bs_dag.shape[2])
+        if (t if start is None else 2 * t) >= k:
+            return None
+        # the stacked R_g^T and B_g of each block, (G, k, P L) and (G, k, P M)
+        left = np.linalg.qr(self.device.transpose(1, 3, 0, 2).reshape(g, k, -1), mode="complete")[0]
+        right = np.linalg.qr(np.conj(self.bs_dag).transpose(1, 3, 0, 2).reshape(g, k, -1), mode="complete")[0]
+        if start is not None:
+            theta0 = self.structure.stack(start)
+            both = np.concatenate([right[..., :t], theta0.conj().swapaxes(-1, -2) @ left[..., :t]], axis=-1)
+            right = np.linalg.qr(both, mode="complete")[0]
+            left = theta0 @ right
+            t *= 2
+        rest = left[..., t:] @ right[..., t:].conj().swapaxes(-1, -2)
+        left, right = left[..., :t], right[..., :t]
+        right_dag = right.conj().swapaxes(-1, -2)
+        reduced = object.__new__(CascadedChannels)
+        reduced._hold(self.direct, self.device @ np.conj(left), self.bs_dag @ right, BlockStructure((t,) * g))
+
+        def dilate(x: np.ndarray) -> np.ndarray:
+            return (rest + left @ reduced.structure.stack(x) @ right_dag).reshape(-1)
+
+        return reduced, dilate
 
     def flat(self, theta) -> np.ndarray:
         """An N x N ``theta`` as a packed point of the whole-matrix maps; DimensionMismatch otherwise."""
@@ -291,6 +346,7 @@ def sample_fading(rows: int, cols: int, rician_k_db: float, rng: np.random.Gener
     sqrt(K/(K+1)) * LoS phase + sqrt(1/(K+1)) * CN(0,1); K = -inf dB is pure
     Rayleigh, K = +inf dB is a deterministic-magnitude LoS draw.
     """
+    check_integers(rows=rows, cols=cols)
     if rows < 1 or cols < 1:
         raise InvalidInput("fading block must have positive shape")
     if rician_k_db == -math.inf:
@@ -390,6 +446,7 @@ def initial_devices(
     rng: np.random.Generator,
 ) -> list[Device]:
     """Uniform starting positions, waypoints and speeds."""
+    check_integers(count=count)
     if count < 1:
         raise InvalidInput("need at least one device")
     return [
@@ -412,6 +469,8 @@ def mobility_snapshots(
     The first snapshot is the initial state; each further snapshot is taken
     after ``steps_per_snapshot`` steps of ``dt_s`` seconds.
     """
+    check_integers(steps_per_snapshot=steps_per_snapshot)
+    check_counts(num_snapshots=num_snapshots)
     snapshots = [list(devices)]
     current = list(devices)
     for _ in range(num_snapshots - 1):

@@ -1,4 +1,4 @@
-"""Exception types shared across the toolkit, and the one check of a count argument."""
+"""Exception types shared across the toolkit, and the checks of integer and count arguments."""
 
 import numbers
 
@@ -43,8 +43,19 @@ class RankDeficientWarning(UserWarning):
     """Emitted when a one-shot design falls back to a random feasible point."""
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def check_integers(**values) -> None:
+    """Each value must be an integer and not a bool; InvalidInput names the first that is not."""
+    for name, value in values.items():
+        if not _is_integer(value):
+            raise InvalidInput(f"{name} must be an integer, got {value!r}")
+
+
 def check_counts(**counts) -> None:
     """Each count must be an integer >= 1 and not a bool; InvalidInput names the first that is not."""
     for name, count in counts.items():
-        if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
+        if not _is_integer(count) or count < 1:
             raise InvalidInput(f"{name} must be an integer >= 1, got {count!r}")

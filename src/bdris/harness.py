@@ -33,7 +33,7 @@ import numpy as np
 from . import __version__
 from .architectures import diagonal_single_tag_amplitude, fully_connected_single_tag_amplitude
 from .channel import ChannelRealization, ScenarioConfig, path_loss_linear, sample_fading
-from .errors import ConfigError, InvalidInput, check_counts
+from .errors import ConfigError, InvalidInput, check_counts, check_integers
 from .manifold import random_unitary
 from .optim import ALGORITHMS, OptimizerConfig, benchmark
 from .qml import (
@@ -92,6 +92,7 @@ class ExperimentConfig:
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment '{self.experiment}'")
         try:
+            check_integers(seed=self.seed)
             check_counts(trials=self.trials)
             for n in self.element_counts:
                 check_counts(element_counts=n)
@@ -449,6 +450,11 @@ def run_beamforming_bench(cfg: ExperimentConfig, threads: int = 1, no_timing: bo
         summary.append(f"{algo}_rate_nondecreasing_in_N: {'pass' if ok else 'fail'}")
         per_device = mean_rate(algo, max(cfg.element_counts)) / cfg.scenario.num_devices
         summary.append(f"{algo}_mean_rate_per_device_at_max_N: {csv_line(per_device)}")
+    summary.append("solve block sizes (AO and QNM solve each block on its exact compression to the links' span):")
+    for algo in cfg.algorithms:
+        for n in cfg.element_counts:
+            sizes = sorted({r["block_size"] for r in table if r["algorithm"] == algo and r["N"] == n})
+            summary.append(f"{algo}_block_size_at_N_{n}: {csv_line(*sizes)}")
     plot = [csv_line(*PLOT_COLUMNS)]
     for algo in cfg.algorithms:
         for n in cfg.element_counts:

@@ -8,7 +8,8 @@ Four optimizers over the unitary (or block-unitary) feasible set:
   steps, maximizing total channel gain.
 * ``qnm_manifold`` -- limited-memory quasi-Newton ascent; curvature pairs are
   carried between iterates by tangent projection, and the whole memory is
-  re-transported every step, which is what makes it expensive at large N.
+  re-transported every step, which is what makes it expensive at a large
+  block size (N, or t on a compressed surface, see below).
 * ``fp_sum_rate`` -- fractional programming on the downlink sum rate:
   closed-form SINR and quadratic-transform auxiliaries alternate with
   guarded precoder refreshes and projected conjugate-gradient maximization
@@ -26,6 +27,14 @@ vector in body coordinates (Omega with Theta Omega the ambient vector,
 skew-Hermitian per block), retracts in closed form (one batched ``eigh``
 per step, one block product per trial step) and transports by projection
 at one block product per vector.
+AO and QNM solve on the exact compression of each block
+(``CascadedChannels.compressed``): the links span at most
+t = P max(L, M) ports of a block, so a block of k > t ports is solved as
+a t x t unitary and dilated back to k x k for ``iterate_callback`` and
+the returned ``theta`` (2t with an ``initial_theta``, which compresses
+only while 2t < k).  At the case-study sizes (P = 10, L = M = 4) that is
+t = 40, so every fully-connected surface with N > 40 compresses.
+``OptimizerResult.block_size`` records the block size a solve ran at.
 RZF/AO/QNM maximize the channel-gain objective and are judged by the sum
 rate afterwards; FP maximizes the sum rate directly.  All optimizers keep
 every iterate feasible for the requested architecture and report a monotone
@@ -35,6 +44,7 @@ objective trace.  The line-search and stopping constants below are fixed;
 
 from __future__ import annotations
 
+import copy
 import math
 import numbers
 import time
@@ -86,6 +96,8 @@ class OptimizerResult:
     relative changes in a row for AO/QNM, one for FP), ``max_iterations``
     or, for RZF, ``closed_form``.
     ``converged`` is the separate stationarity verdict.
+    ``block_size`` is the size k of the (G, k, k) blocks the solve ran on:
+    the surface's own, or t for an AO/QNM solve on the compressed blocks.
     """
 
     theta: np.ndarray
@@ -94,6 +106,7 @@ class OptimizerResult:
     iterations: int
     converged: bool
     stop_reason: str
+    block_size: int
 
 
 def _inner(x: np.ndarray, y: np.ndarray) -> float:
@@ -127,6 +140,17 @@ class _Feasible:
     def __init__(self, arch: BdRisArchitecture, n: int):
         self.structure = arch.unitary_blocks(n)
         self.n = n
+
+    def on(self, structure) -> "_Feasible":
+        """The same machinery on the blocks of ``structure`` (a compressed surface), keeping N for the step caps."""
+        other = copy.copy(self)
+        other.structure = structure
+        return other
+
+    def identity(self) -> np.ndarray:
+        """The packed identity blocks."""
+        g, k, _ = self.structure.shape
+        return np.tile(np.eye(k, dtype=complex), (g, 1, 1)).reshape(-1)
 
     def _map(self, fn, *packed: np.ndarray) -> np.ndarray:
         """Packed result of ``fn`` applied to the (G, k, k) stacks of packed arrays."""
@@ -191,25 +215,14 @@ def euclidean_gradient(theta: np.ndarray, realizations) -> np.ndarray:
     return whole.value_and_grad(whole.flat(theta))[1].reshape(whole.structure.dimension, -1)
 
 
-def _start(feas: _Feasible, cfg: OptimizerConfig, initial_theta, iterate_callback, warm=None) -> np.ndarray:
-    """Packed first iterate, reported unpacked to ``iterate_callback``.
-
-    In order of preference: the projection of ``initial_theta`` (which must
-    be a finite N x N matrix), the packed point ``warm()`` returns, or a
-    random feasible point drawn from ``cfg.seed``.
-    """
-    if initial_theta is not None:
-        m = np.asarray(initial_theta, dtype=complex)
-        if not np.all(np.isfinite(m)):
-            raise InvalidInput("initial_theta has non-finite entries")
-        theta = feas.project(feas.structure.pack(m))
-    elif warm is not None:
-        theta = warm()
-    else:
-        theta = feas.random_point(np.random.default_rng(cfg.seed))
-    if iterate_callback:
-        iterate_callback(feas.structure.unpack(theta))
-    return theta
+def _given_start(feas: _Feasible, initial_theta) -> np.ndarray | None:
+    """The packed projection of ``initial_theta``, which must be a finite N x N matrix, or None without one."""
+    if initial_theta is None:
+        return None
+    m = np.asarray(initial_theta, dtype=complex)
+    if not np.all(np.isfinite(m)):
+        raise InvalidInput("initial_theta has non-finite entries")
+    return feas.project(feas.structure.pack(m))
 
 
 def _align_cross_term(problem: CascadedChannels, feas: _Feasible, rng: np.random.Generator) -> tuple[np.ndarray, bool]:
@@ -251,7 +264,9 @@ def rzf_one_shot(
             stacklevel=2,
         )
     value = problem.value(theta)
-    return OptimizerResult(feas.structure.unpack(theta), [value], time.perf_counter() - start, 1, True, "closed_form")
+    return OptimizerResult(
+        feas.structure.unpack(theta), [value], time.perf_counter() - start, 1, True, "closed_form", feas.structure.shape[1]
+    )
 
 
 def _armijo_search(step_fn, value_fn, slope, f_current, step0):
@@ -283,8 +298,7 @@ class _BarzilaiBorwein:
     """
 
     def __init__(self, feas: _Feasible, cfg: OptimizerConfig):
-        g, k, _ = feas.structure.shape
-        self.identity = np.tile(np.eye(k), (g, 1, 1)).reshape(-1)
+        self.identity = feas.identity()
         self.cap = 2.0 * np.sqrt(feas.n)
         self.step = None
 
@@ -375,7 +389,13 @@ def _ascend(realizations, arch, cfg, iterate_callback, initial_theta, rule) -> O
     """Riemannian line-search ascent on the channel-gain objective.
 
     The loop runs in packed block coordinates (see ``_Feasible``) and
-    unpacks only for ``iterate_callback`` and the returned ``theta``.
+    unpacks only for ``iterate_callback`` and the returned ``theta``.  When
+    the surface's blocks compress (``CascadedChannels.compressed``) it runs
+    on the reduced blocks, from a random point drawn from ``cfg.seed`` or
+    from the identity that stands for the projected ``initial_theta``, and
+    every reported point is dilated back; the first report is the start
+    itself.  The step caps keep the surface's N, so a compressed solve is
+    the full-size solve from the dilated start.
     Gradients and directions are body-coordinate tangent vectors.
     ``rule(feas, cfg)`` builds the direction rule:
     ``propose(riem, gnorm)`` returns (direction, slope, trial step) and
@@ -392,10 +412,24 @@ def _ascend(realizations, arch, cfg, iterate_callback, initial_theta, rule) -> O
     start = time.perf_counter()
     stack = ChannelStack(realizations)
     feas = _Feasible(arch, stack.num_elements)
-    unpack = feas.structure.unpack
-    problem = CascadedChannels(stack, feas.structure)
+    blocks = feas.structure
+    problem = CascadedChannels(stack, blocks)
+    given = _given_start(feas, initial_theta)
+    theta, unpack = given, blocks.unpack
+    compressed = problem.compressed(given)
+    if compressed is not None:
+        problem, dilate = compressed
+        feas = feas.on(problem.structure)
+        theta = None if given is None else feas.identity()
+
+        def unpack(packed):
+            return blocks.unpack(dilate(packed))
+
+    if theta is None:
+        theta = feas.random_point(np.random.default_rng(cfg.seed))
+    if iterate_callback:
+        iterate_callback(unpack(theta) if given is None else blocks.unpack(given))
     rule = rule(feas, cfg)
-    theta = _start(feas, cfg, initial_theta, iterate_callback)
     f, grad = problem.value_and_grad(theta)
     riem = feas.tangent(grad, theta)
     trace = [f]
@@ -426,7 +460,9 @@ def _ascend(realizations, arch, cfg, iterate_callback, initial_theta, rule) -> O
             converged = float(np.sqrt(_inner(riem, riem))) <= STATIONARITY_TOLERANCE * max(abs(f), 1e-300)
             reason = "plateau"
             break
-    return OptimizerResult(unpack(theta), trace, time.perf_counter() - start, iterations, converged, reason)
+    return OptimizerResult(
+        unpack(theta), trace, time.perf_counter() - start, iterations, converged, reason, feas.structure.shape[1]
+    )
 
 
 def ao_manifold(
@@ -653,10 +689,11 @@ def fp_sum_rate(
     # warm start from the one-shot cross-term alignment: the alternation
     # is monotone from any start but random starts fall into noticeably
     # weaker fixed points at case-study SNR scales
-    theta = _start(
-        feas, cfg, initial_theta, iterate_callback,
-        warm=lambda: _align_cross_term(problem, feas, np.random.default_rng(cfg.seed))[0],
-    )
+    theta = _given_start(feas, initial_theta)
+    if theta is None:
+        theta = _align_cross_term(problem, feas, np.random.default_rng(cfg.seed))[0]
+    if iterate_callback:
+        iterate_callback(unpack(theta))
     surrogate = _SumRateSurrogate(problem, rho)
     precoders, rate = _rzf_rate(problem.channels(theta), rho)
     # the RZF precoders and rate of the current theta, kept until theta moves
@@ -685,7 +722,9 @@ def fp_sum_rate(
         if rel_change < cfg.objective_tolerance:
             converged, reason = True, "plateau"
             break
-    return OptimizerResult(unpack(theta), trace, time.perf_counter() - start, iterations, converged, reason)
+    return OptimizerResult(
+        unpack(theta), trace, time.perf_counter() - start, iterations, converged, reason, feas.structure.shape[1]
+    )
 
 
 ALGORITHMS = {
@@ -740,6 +779,7 @@ def benchmark(
                     "wall_time_s": result.wall_time_s,
                     "iterations": result.iterations,
                     "converged": result.converged,
+                    "block_size": result.block_size,
                 }
             )
         return cell

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from bdris import optim
-from bdris.architectures import BdRisArchitecture
+from bdris.architectures import BdRisArchitecture, validate
 from bdris.channel import (
     CascadedChannels,
     ChannelRealization,
@@ -31,7 +31,7 @@ from bdris.channel import (
 )
 from bdris.errors import BelowReferenceDistance, DimensionMismatch, InvalidInput
 from bdris.harness import realization_csv_rows, write_realization_csv
-from bdris.manifold import BlockStructure
+from bdris.manifold import BlockStructure, polar_factor, skew_part
 from bdris.optim import channel_gain_objective, euclidean_gradient
 from bdris.seeding import derive_seed, derived_rng
 
@@ -252,6 +252,125 @@ class TestCascadedChannels:
                 assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
+def _riemannian_norm(problem, packed):
+    """Gain and norm of its Riemannian gradient skew(Theta_g† G_g) at a packed point."""
+    f, grad = problem.value_and_grad(packed)
+    stack = problem.structure.stack
+    return f, float(np.linalg.norm(skew_part(stack(packed).conj().swapaxes(-1, -2) @ stack(grad))))
+
+
+def _haar_blocks(rng, shape):
+    return polar_factor(random_complex(rng, *shape) / np.sqrt(2.0)).reshape(-1)
+
+
+def _links(rng, l, m, n, snapshots, ris_device=None, bs_ris=None):
+    """Realizations with random links, or the given ``ris_device`` / ``bs_ris`` in every snapshot."""
+    return [
+        ChannelRealization(
+            random_complex(rng, l, m),
+            random_complex(rng, l, n) if ris_device is None else ris_device,
+            random_complex(rng, n, m) if bs_ris is None else bs_ris,
+        )
+        for _ in range(snapshots)
+    ]
+
+
+class TestCompression:
+    """``CascadedChannels.compressed`` is exact: the reduced blocks see the same gain and gradient norm."""
+
+    GROUPS_64 = BlockStructure((64, 64))
+
+    def cases(self):
+        """(label, realizations, structure) with t = P max(L, M) below the block size."""
+        rng = np.random.default_rng(91)
+        u, v = random_complex(rng, 24), random_complex(rng, 5)
+        return [
+            ("default_full_64", scenario_realizations(ScenarioConfig(), 64, rng), BlockStructure((64,))),
+            ("default_groups_64", scenario_realizations(ScenarioConfig(), 128, rng), self.GROUPS_64),
+            ("zero_device_links", _links(rng, 2, 2, 24, 3, ris_device=np.zeros((2, 24))), BlockStructure((24,))),
+            ("rank_one_backbone", _links(rng, 2, 2, 24, 3, bs_ris=np.outer(u, v[:2])), BlockStructure((24,))),
+            ("padded_l_below_m", _links(rng, 2, 5, 24, 3), BlockStructure((24,))),
+            ("padded_m_below_l", _links(rng, 5, 2, 48, 3), BlockStructure((24, 24))),
+        ]
+
+    def test_gain_and_gradient_norm_match_at_the_dilation(self):
+        rng = np.random.default_rng(92)
+        for label, reals, structure in self.cases():
+            problem = CascadedChannels(ChannelStack(reals), structure)
+            reduced, dilate = problem.compressed()
+            p, l, m = ChannelStack(reals).direct.shape
+            assert reduced.structure.shape == (structure.shape[0], p * max(l, m), p * max(l, m)), label
+            x = _haar_blocks(rng, reduced.structure.shape)
+            theta = dilate(x)
+            blocks = structure.stack(theta)
+            assert np.max(np.abs(blocks.conj().swapaxes(-1, -2) @ blocks - np.eye(structure.shape[1]))) <= 1e-12
+            (f, g), (f_t, g_t) = _riemannian_norm(problem, theta), _riemannian_norm(reduced, x)
+            assert f == pytest.approx(f_t, rel=1e-12), label
+            assert g == pytest.approx(g_t, rel=1e-12), label
+
+    def test_given_start_is_the_reduced_identity(self):
+        rng = np.random.default_rng(93)
+        reals = scenario_realizations(ScenarioConfig(), 128, rng)
+        problem = CascadedChannels(ChannelStack(reals), BlockStructure((128,)))
+        theta0 = _haar_blocks(rng, (1, 128, 128))
+        reduced, dilate = problem.compressed(theta0)
+        assert reduced.structure.shape == (1, 80, 80)
+        identity = np.eye(80, dtype=complex).reshape(-1)
+        assert np.max(np.abs(dilate(identity) - theta0)) <= 1e-12
+        assert reduced.value(identity) == pytest.approx(problem.value(theta0), rel=1e-12)
+        x = _haar_blocks(rng, (1, 80, 80))
+        assert _riemannian_norm(reduced, x) == pytest.approx(_riemannian_norm(problem, dilate(x)), rel=1e-12)
+
+    @pytest.mark.parametrize("n,start", [(40, False), (16, False), (64, True), (80, True)],
+                             ids=["N_is_t", "N_below_t", "start_2t_above_N", "start_2t_is_N"])
+    def test_nothing_to_compress(self, n, start):
+        rng = np.random.default_rng(94)
+        structure = BlockStructure((n,))
+        problem = CascadedChannels(ChannelStack(scenario_realizations(ScenarioConfig(), n, rng)), structure)
+        assert problem.compressed(_haar_blocks(rng, structure.shape) if start else None) is None
+
+    @pytest.mark.parametrize("name", ["ao", "qnm"])
+    def test_solves_at_or_below_t_are_unchanged(self, name, monkeypatch):
+        """With N <= t the solve never compresses: its rows equal those of a solve that cannot."""
+        cfg = optim.OptimizerConfig(seed=95, max_iterations=25)
+
+        def rows():
+            return [{k: v for k, v in r.items() if k != "wall_time_s"} for r in optim.benchmark([name], [16, 40], 2, cfg)]
+
+        solved = rows()
+        assert [r["block_size"] for r in solved] == [16, 16, 40, 40]
+        monkeypatch.setattr(CascadedChannels, "compressed", lambda self, start=None: None)
+        assert solved == rows()
+
+    @pytest.mark.parametrize("name", ["ao", "qnm"])
+    def test_compressed_solve_follows_the_full_size_solve(self, name, monkeypatch):
+        """From a given start the reduced ascent is the full-size ascent: same trace to rounding."""
+        rng = np.random.default_rng(96)
+        reals = scenario_realizations(ScenarioConfig(), 128, rng)
+        start = _haar_blocks(rng, (1, 128, 128)).reshape(128, 128)
+        cfg = optim.OptimizerConfig(seed=97, max_iterations=8)
+        reduced = optim.ALGORITHMS[name](reals, FULL, cfg, initial_theta=start)
+        monkeypatch.setattr(CascadedChannels, "compressed", lambda self, start=None: None)
+        full = optim.ALGORITHMS[name](reals, FULL, cfg, initial_theta=start)
+        assert (reduced.block_size, full.block_size) == (80, 128)
+        assert reduced.iterations == full.iterations
+        assert np.allclose(reduced.objective_trace, full.objective_trace, rtol=1e-9, atol=0.0)
+        assert np.max(np.abs(reduced.theta - full.theta)) <= 1e-8
+
+    @pytest.mark.parametrize("name", ["ao", "qnm"])
+    def test_groups_of_64_compress_per_block(self, name):
+        reals = scenario_realizations(ScenarioConfig(), 128, np.random.default_rng(98))
+        arch = BdRisArchitecture.group_connected(self.GROUPS_64)
+        iterates = []
+        result = optim.ALGORITHMS[name](reals, arch, optim.OptimizerConfig(seed=99, max_iterations=30),
+                                        iterate_callback=iterates.append)
+        assert result.block_size == 40
+        assert len(iterates) == result.iterations + 1
+        for theta in iterates + [result.theta]:
+            assert validate(theta, arch, tolerance=1e-8).valid
+        assert result.objective_trace[-1] == pytest.approx(channel_gain_objective(result.theta, reals), rel=1e-12)
+
+
 def _link_products(source: str) -> list[int]:
     """Lines of ``source`` with a matrix product (``@``, matmul, dot, einsum, ...) on ``ris_device`` or ``bs_ris``."""
     products = {"matmul", "dot", "vdot", "inner", "einsum", "tensordot", "multi_dot"}
@@ -442,6 +561,12 @@ def _devices(count=1):
     return initial_devices(count, NetworkGeometry().device_area, (0.5, 2.0), np.random.default_rng(0))
 
 
+def _snapshots(steps_per_snapshot=2, num_snapshots=3):
+    area = NetworkGeometry().device_area
+    return mobility_snapshots(_devices(), area, (0.5, 2.0), 0.1, steps_per_snapshot, num_snapshots,
+                              np.random.default_rng(2))
+
+
 def _realization(devices, num_elements=2):
     return generate_realization(
         NetworkGeometry(), devices, PathLossModel(), FadingModel(), num_elements, np.random.default_rng(1)
@@ -483,6 +608,18 @@ GUARDS = [
                                               np.random.default_rng(0)),
                  InvalidInput, "dt", id="waypoint_dt"),
     pytest.param(lambda: _devices(0), InvalidInput, "at least one device", id="no_devices"),
+    pytest.param(lambda: _devices(2.5), InvalidInput, "count must be an integer, got 2.5", id="fractional_devices"),
+    pytest.param(lambda: _devices(True), InvalidInput, "count must be an integer, got True", id="boolean_devices"),
+    pytest.param(lambda: sample_fading(2.5, 3, 0.0, np.random.default_rng(0)), InvalidInput,
+                 "rows must be an integer, got 2.5", id="fractional_fading_rows"),
+    pytest.param(lambda: sample_fading(2, 3.0, 0.0, np.random.default_rng(0)), InvalidInput,
+                 "cols must be an integer, got 3.0", id="float_fading_cols"),
+    pytest.param(lambda: _snapshots(steps_per_snapshot=2.5), InvalidInput,
+                 "steps_per_snapshot must be an integer, got 2.5", id="fractional_steps_per_snapshot"),
+    pytest.param(lambda: _snapshots(num_snapshots=2.5), InvalidInput,
+                 "num_snapshots must be an integer >= 1, got 2.5", id="fractional_snapshots"),
+    pytest.param(lambda: _snapshots(num_snapshots=0), InvalidInput,
+                 "num_snapshots must be an integer >= 1, got 0", id="no_snapshots"),
     pytest.param(lambda: ScenarioConfig(num_devices=0), InvalidInput, "device and one BS", id="scenario_devices"),
     pytest.param(lambda: ScenarioConfig(snapshots=0), InvalidInput, "snapshot counts", id="scenario_snapshots"),
     *(

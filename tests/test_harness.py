@@ -670,6 +670,10 @@ COUNT_GUARDS = [
                  "trials must be an integer >= 1", id="boolean_trials"),
     pytest.param(lambda: ExperimentConfig(experiment="beamforming-bench", element_counts=(16.5,)), ConfigError,
                  "element_counts must be an integer >= 1", id="fractional_element_count"),
+    pytest.param(lambda: ExperimentConfig(experiment="power-comparison", seed=1.5), ConfigError,
+                 "seed must be an integer, got 1.5", id="fractional_seed"),
+    pytest.param(lambda: ExperimentConfig(experiment="power-comparison", seed=True), ConfigError,
+                 "seed must be an integer, got True", id="boolean_seed"),
     pytest.param(lambda: QmlSettings(num_layers=2.5), InvalidInput, "num_layers must be an integer >= 1",
                  id="fractional_layers"),
     pytest.param(lambda: QmlSettings(epochs=True), InvalidInput, "epochs must be an integer >= 1",

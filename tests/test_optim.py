@@ -521,7 +521,7 @@ class TestBenchmark:
             assert a["iterations"] == b["iterations"]
         for row in rows:
             assert set(row) == {
-                "algorithm", "N", "trial", "sum_rate_bps_hz", "wall_time_s", "iterations", "converged",
+                "algorithm", "N", "trial", "sum_rate_bps_hz", "wall_time_s", "iterations", "converged", "block_size",
             }
             assert row["sum_rate_bps_hz"] >= 0.0
 
