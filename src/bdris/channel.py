@@ -11,7 +11,6 @@ device-BS / device-RIS / BS-RIS links, -80 dBm noise, 18 dB transmit SNR,
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, replace
 
@@ -240,7 +239,7 @@ class CascadedChannels:
         self.bs = np.ascontiguousarray(self.bs_dag.swapaxes(-1, -2).reshape(p, g * k, m))  # conj(B), (P, N, M)
         self.device_t = np.ascontiguousarray(self.device.swapaxes(-1, -2).reshape(p, g * k, -1))  # (P, N, L)
 
-    def compressed(self, start: np.ndarray | None = None):
+    def compressed(self):
         """The same channels on (G, t, t) blocks and the map back, or None when no block is larger than t.
 
         Block g reaches the channels only through conj(R_g) Theta_g B_g.  Let
@@ -256,25 +255,15 @@ class CascadedChannels:
         the gain is convex in X, so its maximum over k x k unitary blocks is
         its maximum over t x t ones; the gain's Riemannian gradient norm at
         dilate(X) equals the reduced one at X.
-
-        With a packed feasible ``start`` Theta_0, Q_B becomes a basis of
-        [Q_B, Theta_0† Q_R] (t doubles) and Q_R = Theta_0 Q_B, so the start
-        is the identity of the reduced problem and dilate(I) = Theta_0.
         Returns None when k <= t: the caller solves at full size.
         """
         p, g, l, k = self.device.shape
         t = p * max(l, self.bs_dag.shape[2])
-        if (t if start is None else 2 * t) >= k:
+        if t >= k:
             return None
         # the stacked R_g^T and B_g of each block, (G, k, P L) and (G, k, P M)
         left = np.linalg.qr(self.device.transpose(1, 3, 0, 2).reshape(g, k, -1), mode="complete")[0]
         right = np.linalg.qr(np.conj(self.bs_dag).transpose(1, 3, 0, 2).reshape(g, k, -1), mode="complete")[0]
-        if start is not None:
-            theta0 = self.structure.stack(start)
-            both = np.concatenate([right[..., :t], theta0.conj().swapaxes(-1, -2) @ left[..., :t]], axis=-1)
-            right = np.linalg.qr(both, mode="complete")[0]
-            left = theta0 @ right
-            t *= 2
         rest = left[..., t:] @ right[..., t:].conj().swapaxes(-1, -2)
         left, right = left[..., :t], right[..., :t]
         right_dag = right.conj().swapaxes(-1, -2)
@@ -287,12 +276,18 @@ class CascadedChannels:
         return reduced, dilate
 
     def flat(self, theta) -> np.ndarray:
-        """An N x N ``theta`` as a packed point of the whole-matrix maps; DimensionMismatch otherwise."""
+        """An N x N ``theta`` as a packed point of the whole-matrix maps.
+
+        DimensionMismatch for another shape, InvalidInput for a NaN or infinite entry.
+        """
         n = self.structure.dimension
         t = np.asarray(theta, dtype=complex)
         if t.shape != (n, n):
             raise DimensionMismatch(f"theta shape {t.shape} != ({n}, {n})")
-        return t.reshape(-1)
+        packed = t.reshape(-1)
+        if not np.isfinite(packed.view(float)).all():
+            raise InvalidInput("theta has non-finite entries")
+        return packed
 
     def reflected(self, theta: np.ndarray) -> np.ndarray:
         """The surface's share of the channels as rows, (P, L, M)."""
@@ -327,6 +322,8 @@ def effective_channel_matrix(channels: ChannelRealization | ChannelStack, theta)
 
 def path_loss_db(distance_m: float, exponent: float, model: PathLossModel = PathLossModel()) -> float:
     """Log-distance path loss in dB (a negative gain)."""
+    if not (math.isfinite(distance_m) and math.isfinite(exponent)):
+        raise InvalidInput(f"distance and exponent must be finite, got {distance_m!r} and {exponent!r}")
     if distance_m < model.reference_distance_m:
         raise BelowReferenceDistance(
             f"distance {distance_m:.3f} m < reference {model.reference_distance_m:.3f} m"
@@ -349,6 +346,8 @@ def sample_fading(rows: int, cols: int, rician_k_db: float, rng: np.random.Gener
     check_integers(rows=rows, cols=cols)
     if rows < 1 or cols < 1:
         raise InvalidInput("fading block must have positive shape")
+    if math.isnan(rician_k_db):
+        raise InvalidInput("rician_k_db must not be NaN")
     if rician_k_db == -math.inf:
         return (
             rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
@@ -424,8 +423,8 @@ def random_waypoint_step(
     The device heads straight for its waypoint; on arrival within one step it
     lands there and draws a fresh uniform waypoint and speed.
     """
-    if dt_s <= 0:
-        raise InvalidInput("dt must be positive")
+    if not (math.isfinite(dt_s) and dt_s > 0):
+        raise InvalidInput(f"dt must be finite and positive, got {dt_s!r}")
     to_target = device.waypoint - device.position
     dist = float(np.linalg.norm(to_target))
     travel = device.speed_mps * dt_s
@@ -509,13 +508,8 @@ class ScenarioConfig:
     steps_per_snapshot: int = 10
 
     def __post_init__(self):
-        counts = (self.num_devices, self.num_bs_antennas, self.snapshots, self.steps_per_snapshot)
-        if not all(isinstance(c, numbers.Integral) and not isinstance(c, bool) for c in counts):
-            raise InvalidInput("num_devices, num_bs_antennas, snapshots and steps_per_snapshot must be integers")
-        if self.num_devices < 1 or self.num_bs_antennas < 1:
-            raise InvalidInput("need at least one device and one BS antenna")
-        if self.snapshots < 1 or self.steps_per_snapshot < 1:
-            raise InvalidInput("snapshot counts must be positive")
+        check_counts(num_devices=self.num_devices, num_bs_antennas=self.num_bs_antennas,
+                     snapshots=self.snapshots, steps_per_snapshot=self.steps_per_snapshot)
         if not 0.0 <= self.speed_min_mps <= self.speed_max_mps:
             raise InvalidInput("speed range must satisfy 0 <= min <= max")
         _require_finite(self, "noise_power_dbm", "tx_snr_db", "speed_max_mps", "dt_s")

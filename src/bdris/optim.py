@@ -17,8 +17,8 @@ Four optimizers over the unitary (or block-unitary) feasible set:
 
 Every optimizer runs in packed block coordinates (``BlockStructure.pack``:
 only the entries of the blocks, one 1-D array) from its first iterate to
-its return: a given start is packed once, random starts and the RZF/FP
-cross-term alignment are drawn and solved on the (G, k, k) block stack,
+its return: AO and QNM start from Haar blocks drawn from ``cfg.seed``, FP
+from the RZF cross-term alignment, both on the (G, k, k) block stack,
 and only ``iterate_callback`` and the returned ``theta`` see N x N
 matrices.  Every optimizer takes its channels and gradients from
 ``channel.CascadedChannels`` on the blocks.  AO and QNM are two direction
@@ -31,8 +31,7 @@ AO and QNM solve on the exact compression of each block
 (``CascadedChannels.compressed``): the links span at most
 t = P max(L, M) ports of a block, so a block of k > t ports is solved as
 a t x t unitary and dilated back to k x k for ``iterate_callback`` and
-the returned ``theta`` (2t with an ``initial_theta``, which compresses
-only while 2t < k).  At the case-study sizes (P = 10, L = M = 4) that is
+the returned ``theta``.  At the case-study sizes (P = 10, L = M = 4) that is
 t = 40, so every fully-connected surface with N > 40 compresses.
 ``OptimizerResult.block_size`` records the block size a solve ran at.
 RZF/AO/QNM maximize the channel-gain objective and are judged by the sum
@@ -46,7 +45,6 @@ from __future__ import annotations
 
 import copy
 import math
-import numbers
 import time
 import warnings
 from dataclasses import dataclass, replace
@@ -55,7 +53,7 @@ import numpy as np
 
 from .architectures import BdRisArchitecture
 from .channel import CascadedChannels, ChannelStack, ScenarioConfig, effective_channel_matrix, scenario_realizations
-from .errors import InvalidInput, RankDeficient, RankDeficientWarning, check_counts
+from .errors import InvalidInput, RankDeficient, RankDeficientWarning, check_counts, check_integers
 from .manifold import aligned_unitary, polar_factor, random_unitary, skew_part
 from .seeding import derive_seed, derived_rng
 
@@ -76,11 +74,8 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        counts = (self.max_iterations, self.lbfgs_memory)
-        if not all(isinstance(c, numbers.Integral) and not isinstance(c, bool) for c in (*counts, self.seed)):
-            raise InvalidInput("max_iterations, lbfgs_memory and seed must be integers")
-        if min(counts) < 1:
-            raise InvalidInput("iteration counts must be positive")
+        check_counts(max_iterations=self.max_iterations, lbfgs_memory=self.lbfgs_memory)
+        check_integers(seed=self.seed)
         if not (math.isfinite(self.objective_tolerance) and self.objective_tolerance > 0):
             raise InvalidInput("objective_tolerance must be finite and positive")
         if not 0 <= self.seed < 2**64:
@@ -213,16 +208,6 @@ def euclidean_gradient(theta: np.ndarray, realizations) -> np.ndarray:
     """
     whole = CascadedChannels(realizations)
     return whole.value_and_grad(whole.flat(theta))[1].reshape(whole.structure.dimension, -1)
-
-
-def _given_start(feas: _Feasible, initial_theta) -> np.ndarray | None:
-    """The packed projection of ``initial_theta``, which must be a finite N x N matrix, or None without one."""
-    if initial_theta is None:
-        return None
-    m = np.asarray(initial_theta, dtype=complex)
-    if not np.all(np.isfinite(m)):
-        raise InvalidInput("initial_theta has non-finite entries")
-    return feas.project(feas.structure.pack(m))
 
 
 def _align_cross_term(problem: CascadedChannels, feas: _Feasible, rng: np.random.Generator) -> tuple[np.ndarray, bool]:
@@ -385,17 +370,16 @@ class _LimitedMemoryBfgs:
         self.memory = memory
 
 
-def _ascend(realizations, arch, cfg, iterate_callback, initial_theta, rule) -> OptimizerResult:
+def _ascend(realizations, arch, cfg, iterate_callback, rule) -> OptimizerResult:
     """Riemannian line-search ascent on the channel-gain objective.
 
     The loop runs in packed block coordinates (see ``_Feasible``) and
-    unpacks only for ``iterate_callback`` and the returned ``theta``.  When
-    the surface's blocks compress (``CascadedChannels.compressed``) it runs
-    on the reduced blocks, from a random point drawn from ``cfg.seed`` or
-    from the identity that stands for the projected ``initial_theta``, and
-    every reported point is dilated back; the first report is the start
-    itself.  The step caps keep the surface's N, so a compressed solve is
-    the full-size solve from the dilated start.
+    unpacks only for ``iterate_callback`` and the returned ``theta``.  It
+    starts from Haar blocks drawn from ``cfg.seed`` on the blocks it solves
+    at: the reduced ones when the surface's blocks compress
+    (``CascadedChannels.compressed``), and then every reported point is
+    dilated back.  The step caps keep the surface's N, so a compressed
+    solve is the full-size solve from the dilated start.
     Gradients and directions are body-coordinate tangent vectors.
     ``rule(feas, cfg)`` builds the direction rule:
     ``propose(riem, gnorm)`` returns (direction, slope, trial step) and
@@ -414,21 +398,18 @@ def _ascend(realizations, arch, cfg, iterate_callback, initial_theta, rule) -> O
     feas = _Feasible(arch, stack.num_elements)
     blocks = feas.structure
     problem = CascadedChannels(stack, blocks)
-    given = _given_start(feas, initial_theta)
-    theta, unpack = given, blocks.unpack
-    compressed = problem.compressed(given)
+    unpack = blocks.unpack
+    compressed = problem.compressed()
     if compressed is not None:
         problem, dilate = compressed
         feas = feas.on(problem.structure)
-        theta = None if given is None else feas.identity()
 
         def unpack(packed):
             return blocks.unpack(dilate(packed))
 
-    if theta is None:
-        theta = feas.random_point(np.random.default_rng(cfg.seed))
+    theta = feas.random_point(np.random.default_rng(cfg.seed))
     if iterate_callback:
-        iterate_callback(unpack(theta) if given is None else blocks.unpack(given))
+        iterate_callback(unpack(theta))
     rule = rule(feas, cfg)
     f, grad = problem.value_and_grad(theta)
     riem = feas.tangent(grad, theta)
@@ -470,7 +451,6 @@ def ao_manifold(
     arch: BdRisArchitecture = BdRisArchitecture.fully_connected(),
     cfg: OptimizerConfig = OptimizerConfig(),
     iterate_callback=None,
-    initial_theta=None,
 ) -> OptimizerResult:
     """Riemannian gradient ascent on the channel-gain objective.
 
@@ -479,7 +459,7 @@ def ao_manifold(
     Barzilai-Borwein curvature estimate from the last accepted move.  The
     Armijo safeguard and the stopping rules are ``_ascend``'s.
     """
-    return _ascend(realizations, arch, cfg, iterate_callback, initial_theta, _BarzilaiBorwein)
+    return _ascend(realizations, arch, cfg, iterate_callback, _BarzilaiBorwein)
 
 
 def qnm_manifold(
@@ -487,7 +467,6 @@ def qnm_manifold(
     arch: BdRisArchitecture = BdRisArchitecture.fully_connected(),
     cfg: OptimizerConfig = OptimizerConfig(),
     iterate_callback=None,
-    initial_theta=None,
 ) -> OptimizerResult:
     """Limited-memory quasi-Newton ascent on the channel-gain objective.
 
@@ -497,7 +476,7 @@ def qnm_manifold(
     vector; the closed-form polar retraction, the Armijo safeguard and the
     stopping rules are ``_ascend``'s, as for AO.
     """
-    return _ascend(realizations, arch, cfg, iterate_callback, initial_theta, _LimitedMemoryBfgs)
+    return _ascend(realizations, arch, cfg, iterate_callback, _LimitedMemoryBfgs)
 
 
 def _sinr(h_stack: np.ndarray, w_stack: np.ndarray, rho: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -665,7 +644,6 @@ def fp_sum_rate(
     arch: BdRisArchitecture = BdRisArchitecture.fully_connected(),
     cfg: OptimizerConfig = OptimizerConfig(),
     iterate_callback=None,
-    initial_theta=None,
 ) -> OptimizerResult:
     """Fractional-programming ascent on the downlink sum rate.
 
@@ -689,9 +667,7 @@ def fp_sum_rate(
     # warm start from the one-shot cross-term alignment: the alternation
     # is monotone from any start but random starts fall into noticeably
     # weaker fixed points at case-study SNR scales
-    theta = _given_start(feas, initial_theta)
-    if theta is None:
-        theta = _align_cross_term(problem, feas, np.random.default_rng(cfg.seed))[0]
+    theta = _align_cross_term(problem, feas, np.random.default_rng(cfg.seed))[0]
     if iterate_callback:
         iterate_callback(unpack(theta))
     surrogate = _SumRateSurrogate(problem, rho)

@@ -12,8 +12,11 @@ import hashlib
 
 import numpy as np
 
+from .errors import check_integers
+
 
 def derive_seed(master_seed: int, *parts) -> int:
+    check_integers(master_seed=master_seed)
     text = str(int(master_seed)) + "".join(f"/{p}" for p in parts)
     digest = hashlib.sha256(text.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")

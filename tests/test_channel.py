@@ -308,26 +308,12 @@ class TestCompression:
             assert f == pytest.approx(f_t, rel=1e-12), label
             assert g == pytest.approx(g_t, rel=1e-12), label
 
-    def test_given_start_is_the_reduced_identity(self):
-        rng = np.random.default_rng(93)
-        reals = scenario_realizations(ScenarioConfig(), 128, rng)
-        problem = CascadedChannels(ChannelStack(reals), BlockStructure((128,)))
-        theta0 = _haar_blocks(rng, (1, 128, 128))
-        reduced, dilate = problem.compressed(theta0)
-        assert reduced.structure.shape == (1, 80, 80)
-        identity = np.eye(80, dtype=complex).reshape(-1)
-        assert np.max(np.abs(dilate(identity) - theta0)) <= 1e-12
-        assert reduced.value(identity) == pytest.approx(problem.value(theta0), rel=1e-12)
-        x = _haar_blocks(rng, (1, 80, 80))
-        assert _riemannian_norm(reduced, x) == pytest.approx(_riemannian_norm(problem, dilate(x)), rel=1e-12)
-
-    @pytest.mark.parametrize("n,start", [(40, False), (16, False), (64, True), (80, True)],
-                             ids=["N_is_t", "N_below_t", "start_2t_above_N", "start_2t_is_N"])
-    def test_nothing_to_compress(self, n, start):
+    @pytest.mark.parametrize("n", [40, 16], ids=["N_is_t", "N_below_t"])
+    def test_nothing_to_compress(self, n):
         rng = np.random.default_rng(94)
         structure = BlockStructure((n,))
         problem = CascadedChannels(ChannelStack(scenario_realizations(ScenarioConfig(), n, rng)), structure)
-        assert problem.compressed(_haar_blocks(rng, structure.shape) if start else None) is None
+        assert problem.compressed() is None
 
     @pytest.mark.parametrize("name", ["ao", "qnm"])
     def test_solves_at_or_below_t_are_unchanged(self, name, monkeypatch):
@@ -339,23 +325,29 @@ class TestCompression:
 
         solved = rows()
         assert [r["block_size"] for r in solved] == [16, 16, 40, 40]
-        monkeypatch.setattr(CascadedChannels, "compressed", lambda self, start=None: None)
+        monkeypatch.setattr(CascadedChannels, "compressed", lambda self: None)
         assert solved == rows()
 
     @pytest.mark.parametrize("name", ["ao", "qnm"])
-    def test_compressed_solve_follows_the_full_size_solve(self, name, monkeypatch):
-        """From a given start the reduced ascent is the full-size ascent: same trace to rounding."""
-        rng = np.random.default_rng(96)
-        reals = scenario_realizations(ScenarioConfig(), 128, rng)
-        start = _haar_blocks(rng, (1, 128, 128)).reshape(128, 128)
+    def test_compressed_solve_follows_the_full_size_solve(self, name):
+        """From the dilated start the full-size ascent is the reduced one: same trace to rounding.
+
+        On the fully-connected surface at N = 128 and on two groups of 64,
+        both of which compress to t = 40.
+        """
+        reals = scenario_realizations(ScenarioConfig(), 128, np.random.default_rng(96))
         cfg = optim.OptimizerConfig(seed=97, max_iterations=8)
-        reduced = optim.ALGORITHMS[name](reals, FULL, cfg, initial_theta=start)
-        monkeypatch.setattr(CascadedChannels, "compressed", lambda self, start=None: None)
-        full = optim.ALGORITHMS[name](reals, FULL, cfg, initial_theta=start)
-        assert (reduced.block_size, full.block_size) == (80, 128)
-        assert reduced.iterations == full.iterations
-        assert np.allclose(reduced.objective_trace, full.objective_trace, rtol=1e-9, atol=0.0)
-        assert np.max(np.abs(reduced.theta - full.theta)) <= 1e-8
+        for arch, k in ((FULL, 128), (BdRisArchitecture.group_connected(self.GROUPS_64), 64)):
+            starts = []
+            reduced = optim.ALGORITHMS[name](reals, arch, cfg, iterate_callback=starts.append)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(CascadedChannels, "compressed", lambda self: None)
+                patch.setattr(optim._Feasible, "random_point", lambda self, rng: self.structure.pack(starts[0]))
+                full = optim.ALGORITHMS[name](reals, arch, cfg)
+            assert (reduced.block_size, full.block_size) == (40, k)
+            assert reduced.iterations == full.iterations
+            assert np.allclose(reduced.objective_trace, full.objective_trace, rtol=1e-9, atol=0.0)
+            assert np.max(np.abs(reduced.theta - full.theta)) <= 1e-8
 
     @pytest.mark.parametrize("name", ["ao", "qnm"])
     def test_groups_of_64_compress_per_block(self, name):
@@ -620,11 +612,13 @@ GUARDS = [
                  "num_snapshots must be an integer >= 1, got 2.5", id="fractional_snapshots"),
     pytest.param(lambda: _snapshots(num_snapshots=0), InvalidInput,
                  "num_snapshots must be an integer >= 1, got 0", id="no_snapshots"),
-    pytest.param(lambda: ScenarioConfig(num_devices=0), InvalidInput, "device and one BS", id="scenario_devices"),
-    pytest.param(lambda: ScenarioConfig(snapshots=0), InvalidInput, "snapshot counts", id="scenario_snapshots"),
+    pytest.param(lambda: ScenarioConfig(num_devices=0), InvalidInput, "num_devices must be an integer >= 1, got 0",
+                 id="scenario_devices"),
+    pytest.param(lambda: ScenarioConfig(snapshots=0), InvalidInput, "snapshots must be an integer >= 1, got 0",
+                 id="scenario_snapshots"),
     *(
         pytest.param(lambda name=name, value=value: ScenarioConfig(**{name: value}), InvalidInput,
-                     "must be integers", id=f"scenario_{name}_{type(value).__name__}")
+                     f"{name} must be an integer >= 1, got {value!r}", id=f"scenario_{name}_{type(value).__name__}")
         for name, value in (
             ("num_devices", True),
             ("num_bs_antennas", 2.0),
@@ -640,6 +634,19 @@ GUARDS = [
                  id="scenario_infinite_noise"),
     pytest.param(lambda: ChannelRealization(np.ones((1, 4)), np.ones((1, 3)), np.ones((3, 4)), tx_snr_db=math.inf),
                  InvalidInput, "tx_snr_db must be finite", id="realization_infinite_snr"),
+    pytest.param(lambda: sample_fading(2, 2, math.nan, np.random.default_rng(0)), InvalidInput,
+                 "rician_k_db must not be NaN", id="fading_nan_k"),
+    pytest.param(lambda: path_loss_db(math.nan, 2.0), InvalidInput, "distance and exponent must be finite",
+                 id="path_loss_nan_distance"),
+    pytest.param(lambda: path_loss_db(5.0, math.nan), InvalidInput, "distance and exponent must be finite",
+                 id="path_loss_nan_exponent"),
+    pytest.param(lambda: random_waypoint_step(_devices()[0], math.nan, NetworkGeometry().device_area, (0.5, 2.0),
+                                              np.random.default_rng(0)),
+                 InvalidInput, "dt must be finite and positive", id="waypoint_nan_dt"),
+    pytest.param(lambda: derive_seed(1.5, "trial"), InvalidInput, "master_seed must be an integer, got 1.5",
+                 id="fractional_master_seed"),
+    pytest.param(lambda: derive_seed(True, "trial"), InvalidInput, "master_seed must be an integer, got True",
+                 id="boolean_master_seed"),
 ]
 
 

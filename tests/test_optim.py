@@ -9,7 +9,14 @@ import pytest
 
 from bdris import optim
 from bdris.architectures import ArchitectureKind, BdRisArchitecture, _support_mask, validate
-from bdris.channel import CascadedChannels, ChannelRealization, ChannelStack, ScenarioConfig, scenario_realizations
+from bdris.channel import (
+    CascadedChannels,
+    ChannelRealization,
+    ChannelStack,
+    ScenarioConfig,
+    effective_channel_matrix,
+    scenario_realizations,
+)
 from bdris.errors import DimensionMismatch, InvalidInput, RankDeficient, RankDeficientWarning
 from bdris.manifold import BlockStructure, polar_factor, skew_part, unitarity_defect
 from bdris.optim import (
@@ -233,14 +240,17 @@ class TestAoManifold:
         assert result.objective_trace[-1] >= 0.99 * grid_max
 
     def test_stationary_start_converges_immediately(self):
+        """The closed-form single-tag optimum passes the solver's own stationarity test: |grad| <= 1e-12 f."""
         from bdris.architectures import optimal_fully_connected_single_tag
 
         rng = np.random.default_rng(7)
         real, _ = single_tag_instance(rng, n=5)
         theta_star, _ = optimal_fully_connected_single_tag(real.ris_device[0], real.bs_ris[:, 0])
-        result = ao_manifold(real, FULL, OptimizerConfig(seed=8), initial_theta=theta_star.entries)
-        assert result.converged
-        assert result.iterations <= 1
+        feas = optim._Feasible(FULL, 5)
+        point = feas.structure.pack(theta_star.entries)
+        f, grad = CascadedChannels(real, feas.structure).value_and_grad(point)
+        riem = feas.tangent(grad, point)
+        assert np.linalg.norm(riem) <= 1e-12 * f
 
     def test_trace_monotone(self):
         rng = np.random.default_rng(8)
@@ -550,12 +560,14 @@ class TestStopReason:
 
     @pytest.mark.parametrize("solver", SOLVERS, ids=["ao", "qnm"])
     def test_stationary(self, solver):
-        from bdris.architectures import optimal_fully_connected_single_tag
-
-        real, _ = single_tag_instance(np.random.default_rng(7), n=5)
-        theta_star, _ = optimal_fully_connected_single_tag(real.ris_device[0], real.bs_ris[:, 0])
-        result = solver(real, FULL, OptimizerConfig(seed=8), initial_theta=theta_star.entries)
-        assert (result.stop_reason, result.converged, result.iterations) == ("stationary", True, 1)
+        """With no device links the gradient is exactly zero: at full size (N = 2 < t = 3) and compressed (N = 5)."""
+        rng = np.random.default_rng(7)
+        for n, block_size in ((2, 2), (5, 3)):
+            reals = [ChannelRealization(random_complex(rng, 1, 1), np.zeros((1, n)), random_complex(rng, n, 1))
+                     for _ in range(3)]
+            result = solver(reals, FULL, OptimizerConfig(seed=8))
+            assert (result.stop_reason, result.converged, result.iterations) == ("stationary", True, 1)
+            assert result.block_size == block_size
 
     @pytest.mark.parametrize("solver", SOLVERS, ids=["ao", "qnm"])
     def test_stalled(self, solver, monkeypatch):
@@ -816,38 +828,6 @@ class TestQnmMemoryTransport:
         assert np.all(gaps[held == memory] == 2 * memory + 3)
 
 
-class TestInitialTheta:
-    """A given start is projected onto the surface; a misfit one raises a typed error."""
-
-    ARCHS = [DIAG, BdRisArchitecture.group_connected(BlockStructure((4, 4))), FULL]
-    ARCH_IDS = ["diag", "groups", "full"]
-    SOLVERS = [ao_manifold, qnm_manifold, fp_sum_rate]
-    SOLVER_IDS = ["ao", "qnm", "fp"]
-
-    @pytest.mark.parametrize("arch", ARCHS, ids=ARCH_IDS)
-    @pytest.mark.parametrize("solver", SOLVERS, ids=SOLVER_IDS)
-    @pytest.mark.parametrize(
-        "start,error",
-        [(np.eye(4), DimensionMismatch), (np.eye(12), DimensionMismatch), (np.full((8, 8), np.nan), InvalidInput)],
-        ids=["smaller", "larger", "nan"],
-    )
-    def test_misfit_start_raises_typed_error(self, solver, arch, start, error):
-        reals = unit_instance(np.random.default_rng(70), n=8)
-        with pytest.raises(error):
-            solver(reals, arch, OptimizerConfig(seed=71, max_iterations=2), initial_theta=start)
-
-    @pytest.mark.parametrize("arch", ARCHS, ids=ARCH_IDS)
-    @pytest.mark.parametrize("solver", SOLVERS, ids=SOLVER_IDS)
-    def test_first_iterate_is_projected_start(self, solver, arch):
-        rng = np.random.default_rng(72)
-        reals = unit_instance(rng, n=8)
-        m = random_complex(rng, 8, 8)
-        starts = []
-        solver(reals, arch, OptimizerConfig(seed=73, max_iterations=1), iterate_callback=starts.append, initial_theta=m)
-        feas = optim._Feasible(arch, 8)
-        assert np.array_equal(starts[0], feas.structure.unpack(feas.project(feas.structure.pack(m))))
-
-
 @pytest.mark.parametrize("arch", [DIAG, BdRisArchitecture.group_connected(BlockStructure((4,) * 64))],
                          ids=["diag", "groups"])
 @pytest.mark.parametrize("name", sorted(optim.ALGORITHMS))
@@ -873,10 +853,14 @@ GUARDS = [
                  "objective_tolerance must be finite", id="nan_tolerance"),
     pytest.param(lambda: OptimizerConfig(objective_tolerance=float("inf")), InvalidInput,
                  "objective_tolerance must be finite", id="inf_tolerance"),
-    pytest.param(lambda: OptimizerConfig(max_iterations=2.5), InvalidInput, "must be integers", id="fractional_cap"),
-    pytest.param(lambda: OptimizerConfig(lbfgs_memory=True), InvalidInput, "must be integers", id="boolean_memory"),
-    pytest.param(lambda: OptimizerConfig(seed=1.5), InvalidInput, "must be integers", id="fractional_seed"),
-    pytest.param(lambda: OptimizerConfig(seed=True), InvalidInput, "must be integers", id="boolean_seed"),
+    pytest.param(lambda: OptimizerConfig(max_iterations=2.5), InvalidInput,
+                 "max_iterations must be an integer >= 1, got 2.5", id="fractional_cap"),
+    pytest.param(lambda: OptimizerConfig(lbfgs_memory=True), InvalidInput,
+                 "lbfgs_memory must be an integer >= 1, got True", id="boolean_memory"),
+    pytest.param(lambda: OptimizerConfig(seed=1.5), InvalidInput, "seed must be an integer, got 1.5",
+                 id="fractional_seed"),
+    pytest.param(lambda: OptimizerConfig(seed=True), InvalidInput, "seed must be an integer, got True",
+                 id="boolean_seed"),
     pytest.param(lambda: OptimizerConfig(seed=-1), InvalidInput, r"seed must be in \[0, 2\*\*64\)", id="negative_seed"),
     pytest.param(lambda: OptimizerConfig(seed=2**64), InvalidInput, r"seed must be in \[0, 2\*\*64\)",
                  id="seed_past_64_bits"),
@@ -889,6 +873,16 @@ GUARDS = [
                  id="fractional_element_count"),
     pytest.param(lambda: benchmark(["rzf"], [True], trials=1), InvalidInput, "element count",
                  id="boolean_element_count"),
+    *(
+        pytest.param(lambda call=call, bad=bad: call(np.full((3, 3), bad), unit_instance(np.random.default_rng(0))[0]),
+                     InvalidInput, "theta has non-finite entries", id=f"{name}_{bad}_theta")
+        for name, call, bad in (
+            ("mean_sum_rate", mean_sum_rate, np.nan),
+            ("channel_gain_objective", channel_gain_objective, np.inf),
+            ("euclidean_gradient", euclidean_gradient, np.nan),
+            ("effective_channel_matrix", lambda theta, real: effective_channel_matrix(real, theta), -np.inf),
+        )
+    ),
     pytest.param(lambda: mean_sum_rate(np.eye(4), ChannelRealization(np.ones((2, 3)), np.ones((2, 4)), np.zeros((4, 3)),
                                                                     tx_snr_db=300.0)),
                  RankDeficient, "Gram matrix of the channels is singular", id="singular_rzf_gram"),
