@@ -13,6 +13,7 @@ tag; the effective channels live in ``channel``.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,7 +82,7 @@ class ValidationReport:
 
 def _support_mask(arch: BdRisArchitecture, n: int) -> np.ndarray:
     structure = arch.unitary_blocks(n)
-    return structure.unpack(np.ones(np.prod(structure.shape), dtype=bool))
+    return structure.unpack(np.ones(structure.shape, dtype=bool))
 
 
 def _finite(m: np.ndarray, violations: list[str]) -> bool:
@@ -96,9 +97,12 @@ def validate(theta, arch: BdRisArchitecture, tolerance: float = STRUCT_TOL) -> V
     """Check a matrix against an architecture's zero pattern and unitarity.
 
     The zero pattern is checked exactly; the unitarity of the connected part
-    within ``tolerance``.  A non-finite entry is a violation.  Returns a
-    report listing every violation instead of raising.
+    within ``tolerance``, which must be finite and >= 0 (InvalidInput).  A
+    non-finite entry is a violation.  Returns a report listing every
+    violation instead of raising.
     """
+    if not (math.isfinite(tolerance) and tolerance >= 0):
+        raise InvalidInput(f"tolerance must be finite and >= 0, got {tolerance!r}")
     violations: list[str] = []
     m = np.asarray(theta, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:

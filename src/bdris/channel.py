@@ -5,7 +5,8 @@ random-waypoint device mobility, matched to the case-study defaults:
 -30 dB reference loss at 1 m, exponents 3.5 / 2.2 / 2.0 for the
 device-BS / device-RIS / BS-RIS links, -80 dBm noise, 18 dB transmit SNR,
 4 BS antennas, a 100 m BS-RIS backbone and a 25 x 25 m movement area.
-``CascadedChannels`` maps a packed surface matrix to the effective channels.
+``CascadedChannels`` maps the (G, k, k) block stack of a surface matrix to
+the effective channels.
 """
 
 from __future__ import annotations
@@ -78,12 +79,7 @@ class NetworkGeometry:
     device_area: Rectangle = field(default_factory=_default_area)
 
     def __post_init__(self):
-        bs = np.asarray(self.bs_position, dtype=float)
-        ris = np.asarray(self.ris_position, dtype=float)
-        object.__setattr__(self, "bs_position", bs)
-        object.__setattr__(self, "ris_position", ris)
-        if not (np.all(np.isfinite(bs)) and np.all(np.isfinite(ris))):
-            raise InvalidInput("BS and RIS positions must be finite")
+        _require_points(self, 3, "bs_position", "ris_position")
 
     @property
     def bs_ris_distance_m(self) -> float:
@@ -115,15 +111,16 @@ class FadingModel:
 
 @dataclass(frozen=True)
 class Device:
-    """A mobile device: current position, current waypoint, current speed."""
+    """A mobile device: current position and waypoint (ground-plane 2-vectors), current speed (>= 0)."""
 
     position: np.ndarray
     waypoint: np.ndarray
     speed_mps: float
 
     def __post_init__(self):
-        object.__setattr__(self, "position", np.asarray(self.position, dtype=float))
-        object.__setattr__(self, "waypoint", np.asarray(self.waypoint, dtype=float))
+        _require_points(self, 2, "position", "waypoint")
+        if not (math.isfinite(self.speed_mps) and self.speed_mps >= 0):
+            raise InvalidInput(f"speed_mps must be finite and >= 0, got {self.speed_mps!r}")
 
 
 def _require_finite(obj, *names: str) -> None:
@@ -131,6 +128,24 @@ def _require_finite(obj, *names: str) -> None:
     for name in names:
         if not math.isfinite(getattr(obj, name)):
             raise InvalidInput(f"{name} must be finite, got {getattr(obj, name)!r}")
+
+
+def _require_points(obj, size: int, *names: str) -> None:
+    """Store the named attributes of frozen ``obj`` as float arrays; each must be a finite ``size``-vector."""
+    for name in names:
+        point = np.asarray(getattr(obj, name), dtype=float)
+        if point.shape != (size,):
+            raise DimensionMismatch(f"{name} must be a {size}-vector, got shape {point.shape}")
+        if not np.isfinite(point).all():
+            raise InvalidInput(f"positions must be finite, got {name} = {point.tolist()}")
+        object.__setattr__(obj, name, point)
+
+
+def _require_speed_range(speed_range: tuple[float, float]) -> None:
+    """A (min, max) speed range must be finite with 0 <= min <= max."""
+    low, high = speed_range
+    if not (math.isfinite(low) and math.isfinite(high) and 0 <= low <= high):
+        raise InvalidInput(f"speed range must be finite with 0 <= min <= max, got {tuple(speed_range)!r}")
 
 
 @dataclass(frozen=True)
@@ -202,19 +217,19 @@ class ChannelStack:
 
 
 class CascadedChannels:
-    """The effective channels as linear maps of a packed surface matrix, and their total gain.
+    """The effective channels as linear maps of a surface's block stack, and their total gain.
 
     With R the surface-to-device links (P, L, N), B the BS-to-surface links
-    (P, N, M) and Theta_g the G blocks of ``structure`` (packed as in
-    ``BlockStructure.pack``), the channels are h = a + reflected(Theta) with
+    (P, N, M) and Theta the (G, k, k) stack of the blocks of ``structure``,
+    the channels are h = a + reflected(Theta) with
     ``reflected`` = sum_g R_g conj(Theta_g) conj(B_g), and ``adjoint`` maps
-    (P, L, M) rows X to the blocks sum_p R_g^T X_p B_g†, so that
+    (P, L, M) rows X to the stack of blocks sum_p R_g^T X_p B_g†, so that
     Re sum(X * reflected(D)) = <adjoint(X), D>; ``value`` is the channel
     gain |h|^2 and its conjugate gradient is adjoint(conj(h)).  The blocks
     are consecutive runs of k ports, so the per-block links are reshapes of
     the links and no N x N matrix is formed.  With no ``structure`` the maps
-    are on one N x N block, where a packed point is the matrix's row-major
-    entries and every product is the whole-matrix one.
+    are on one N x N block, the (1, N, N) stack ``whole_block`` makes of a
+    matrix, and every product is the whole-matrix one.
     ``channels`` is a ``ChannelStack`` or what ``ChannelStack`` takes.
     ``compressed`` gives the same channels on blocks no larger than the
     links' span.
@@ -249,8 +264,8 @@ class CascadedChannels:
         tolerance enters.  Then conj(R_g) Theta_g B_g = conj(R_g) Q_R X_g
         Q_B† B_g with X_g = Q_R† Theta_g Q_B: the channels at Theta are those
         of the (G, t, t) problem with links R_g conj(Q_R) and Q_B† B_g at X.
-        ``dilate`` maps a packed (G, t, t) point X to the packed (G, k, k)
-        point Q_R X Q_B† + Q_R⊥ Q_B⊥†, which has X's channels and is unitary
+        ``dilate`` maps a (G, t, t) stack X to the (G, k, k) stack
+        Q_R X Q_B† + Q_R⊥ Q_B⊥†, which has X's channels and is unitary
         per block when X is.  Every t x t unitary is reached that way, and
         the gain is convex in X, so its maximum over k x k unitary blocks is
         its maximum over t x t ones; the gain's Riemannian gradient norm at
@@ -271,35 +286,34 @@ class CascadedChannels:
         reduced._hold(self.direct, self.device @ np.conj(left), self.bs_dag @ right, BlockStructure((t,) * g))
 
         def dilate(x: np.ndarray) -> np.ndarray:
-            return (rest + left @ reduced.structure.stack(x) @ right_dag).reshape(-1)
+            return rest + left @ x @ right_dag
 
         return reduced, dilate
 
-    def flat(self, theta) -> np.ndarray:
-        """An N x N ``theta`` as a packed point of the whole-matrix maps.
+    def whole_block(self, theta) -> np.ndarray:
+        """An N x N ``theta`` as the (1, N, N) stack of the whole-matrix maps.
 
         DimensionMismatch for another shape, InvalidInput for a NaN or infinite entry.
         """
         n = self.structure.dimension
-        t = np.asarray(theta, dtype=complex)
+        t = np.ascontiguousarray(theta, dtype=complex)
         if t.shape != (n, n):
             raise DimensionMismatch(f"theta shape {t.shape} != ({n}, {n})")
-        packed = t.reshape(-1)
-        if not np.isfinite(packed.view(float)).all():
+        if not np.isfinite(t.view(float)).all():
             raise InvalidInput("theta has non-finite entries")
-        return packed
+        return t[None]
 
     def reflected(self, theta: np.ndarray) -> np.ndarray:
-        """The surface's share of the channels as rows, (P, L, M)."""
+        """The surface's share of the channels as rows, (P, L, M), at the (G, k, k) stack ``theta``."""
         p, l = self.direct.shape[:2]
-        scaled = self.device @ np.conj(self.structure.stack(theta))  # (P, G, L, k)
+        scaled = self.device @ np.conj(theta)  # (P, G, L, k)
         return scaled.transpose(0, 2, 1, 3).reshape(p, l, -1) @ self.bs
 
     def adjoint(self, rows: np.ndarray) -> np.ndarray:
-        """Packed blocks sum_p R_g^T rows_p B_g† of (P, L, M) rows."""
+        """The (G, k, k) stack of blocks sum_p R_g^T rows_p B_g† of (P, L, M) rows."""
         p, g, m, k = self.bs_dag.shape
         left = (self.device_t @ rows).reshape(p, g, k, m)
-        return np.sum(left @ self.bs_dag, axis=0).reshape(-1)
+        return np.sum(left @ self.bs_dag, axis=0)
 
     def channels(self, theta: np.ndarray) -> np.ndarray:
         """Effective channels as rows, (P, L, M)."""
@@ -316,7 +330,7 @@ class CascadedChannels:
 def effective_channel_matrix(channels: ChannelRealization | ChannelStack, theta) -> np.ndarray:
     """Effective channels h_l = a_l + C†Θ†b_l as rows: (L, M) for a realization, (P, L, M) for a stack of P."""
     whole = CascadedChannels(channels)
-    h = whole.channels(whole.flat(theta))
+    h = whole.channels(whole.whole_block(theta))
     return h[0] if isinstance(channels, ChannelRealization) else h
 
 
@@ -421,10 +435,12 @@ def random_waypoint_step(
     """Advance one time step of the random-waypoint model (zero pause time).
 
     The device heads straight for its waypoint; on arrival within one step it
-    lands there and draws a fresh uniform waypoint and speed.
+    lands there and draws a fresh uniform waypoint and speed from
+    ``speed_range``, which must be finite with 0 <= min <= max.
     """
     if not (math.isfinite(dt_s) and dt_s > 0):
         raise InvalidInput(f"dt must be finite and positive, got {dt_s!r}")
+    _require_speed_range(speed_range)
     to_target = device.waypoint - device.position
     dist = float(np.linalg.norm(to_target))
     travel = device.speed_mps * dt_s
@@ -448,6 +464,7 @@ def initial_devices(
     check_integers(count=count)
     if count < 1:
         raise InvalidInput("need at least one device")
+    _require_speed_range(speed_range)
     return [
         Device(area.sample(rng), area.sample(rng), float(rng.uniform(*speed_range)))
         for _ in range(count)
@@ -510,9 +527,8 @@ class ScenarioConfig:
     def __post_init__(self):
         check_counts(num_devices=self.num_devices, num_bs_antennas=self.num_bs_antennas,
                      snapshots=self.snapshots, steps_per_snapshot=self.steps_per_snapshot)
-        if not 0.0 <= self.speed_min_mps <= self.speed_max_mps:
-            raise InvalidInput("speed range must satisfy 0 <= min <= max")
         _require_finite(self, "noise_power_dbm", "tx_snr_db", "speed_max_mps", "dt_s")
+        _require_speed_range((self.speed_min_mps, self.speed_max_mps))
         if self.dt_s <= 0:
             raise InvalidInput("dt_s must be positive")
         area, reference = self.geometry.device_area, self.pathloss.reference_distance_m

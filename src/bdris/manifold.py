@@ -1,15 +1,14 @@
 """Linear algebra over unitary and block-unitary matrices.
 
 The polar factor, the skew-Hermitian part, block structures (G
-consecutive groups of one size k, held as one (G, k, k) stack) and Haar
-sampling that every matrix-design routine in the package builds on.  All
-functions are pure; randomness enters only through an explicitly passed
-``numpy.random.Generator``.
+consecutive groups of one size k; a surface point is the (G, k, k) stack
+of its blocks) and Haar sampling that every matrix-design routine in the
+package builds on.  All functions are pure; randomness enters only
+through an explicitly passed ``numpy.random.Generator``.
 """
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -58,8 +57,8 @@ class BlockStructure:
 
     ``group_sizes`` lists the G sizes, which must be equal positive
     integers; group ``g`` occupies ports ``g k`` to ``g k + k - 1``.
-    ``shape`` is (G, k, k), and a packed array (``pack``) is that stack of
-    blocks flattened.
+    ``shape`` is (G, k, k), the shape of the block stack that holds a
+    surface point: the fully-connected surface is the (1, N, N) stack.
     """
 
     group_sizes: tuple[int, ...]
@@ -68,8 +67,9 @@ class BlockStructure:
 
     def __post_init__(self):
         sizes = tuple(self.group_sizes)
-        if not sizes or any(isinstance(s, bool) or not isinstance(s, numbers.Integral) or s < 1 for s in sizes):
+        if not sizes:
             raise InvalidInput(f"group sizes must be positive integers, got {sizes!r}")
+        check_counts(**{f"group size {g}": s for g, s in enumerate(sizes)})
         sizes = tuple(int(s) for s in sizes)
         if len(set(sizes)) != 1:
             raise InvalidInput(f"group sizes must be equal, got {sizes!r}")
@@ -79,29 +79,20 @@ class BlockStructure:
 
     @cached_property
     def _index(self) -> tuple[np.ndarray, np.ndarray]:
-        """``m[rows, cols]`` gathers the blocks into a (G, k, k) stack."""
+        """``out[rows, cols] = blocks`` puts a (G, k, k) stack in place in an N x N matrix."""
         idx = np.arange(self.dimension).reshape(self.shape[:2])
         return idx[:, :, None], idx[:, None, :]
 
-    def pack(self, m: np.ndarray) -> np.ndarray:
-        """The block entries of an N x N matrix as one 1-D array, the (G, k, k) stack flattened.
+    def unpack(self, blocks: np.ndarray) -> np.ndarray:
+        """The N x N matrix with the (G, k, k) stack's blocks in place and zeros elsewhere.
 
-        The fully-connected surface packs to the matrix's own entries in
-        row-major order.
+        DimensionMismatch when the stack's shape is not ``shape``.
         """
-        if np.shape(m) != (self.dimension, self.dimension):
-            raise DimensionMismatch(f"cannot pack a {np.shape(m)} matrix on {self.dimension} ports")
-        return m[self._index].reshape(-1)
-
-    def unpack(self, packed: np.ndarray) -> np.ndarray:
-        """The N x N matrix with the packed blocks in place and zeros elsewhere."""
-        out = np.zeros((self.dimension, self.dimension), dtype=packed.dtype)
-        out[self._index] = self.stack(packed)
+        if np.shape(blocks) != self.shape:
+            raise DimensionMismatch(f"cannot unpack a {np.shape(blocks)} stack into {self.shape} blocks")
+        out = np.zeros((self.dimension, self.dimension), dtype=blocks.dtype)
+        out[self._index] = blocks
         return out
-
-    def stack(self, packed: np.ndarray) -> np.ndarray:
-        """The (G, k, k) stack of a packed array, as a view."""
-        return packed.reshape(self.shape)
 
 
 def polar_factor(matrix: np.ndarray) -> np.ndarray:

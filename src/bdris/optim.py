@@ -15,18 +15,20 @@ Four optimizers over the unitary (or block-unitary) feasible set:
   guarded precoder refreshes and projected conjugate-gradient maximization
   of the concave surrogate in the surface matrix.
 
-Every optimizer runs in packed block coordinates (``BlockStructure.pack``:
-only the entries of the blocks, one 1-D array) from its first iterate to
-its return: AO and QNM start from Haar blocks drawn from ``cfg.seed``, FP
-from the RZF cross-term alignment, both on the (G, k, k) block stack,
-and only ``iterate_callback`` and the returned ``theta`` see N x N
-matrices.  Every optimizer takes its channels and gradients from
-``channel.CascadedChannels`` on the blocks.  AO and QNM are two direction
-rules on one line-search loop (``_ascend``).  It holds every tangent
-vector in body coordinates (Omega with Theta Omega the ambient vector,
-skew-Hermitian per block), retracts in closed form (one batched ``eigh``
-per step, one block product per trial step) and transports by projection
-at one block product per vector.
+Every optimizer holds its point as the (G, k, k) stack of the surface's
+blocks (``BlockStructure.shape``; the fully-connected surface is the
+(1, N, N) stack) from its first iterate to its return: AO and QNM start
+from Haar blocks drawn from ``cfg.seed`` (``_random_blocks``), FP from the
+RZF cross-term alignment, and only ``iterate_callback`` and the returned
+``theta`` see N x N matrices (``BlockStructure.unpack``).  Projection is
+the per-block ``polar_factor``.  Every optimizer takes its channels and
+gradients from ``channel.CascadedChannels`` on the blocks.  AO and QNM
+are two direction rules on one line-search loop (``_ascend``).  It holds
+every tangent vector in body coordinates (``_tangent``: Omega with
+Theta Omega the ambient vector, skew-Hermitian per block), retracts in
+closed form (``_retract``: one batched ``eigh`` per step, one block
+product per trial step) and transports by projection at one block
+product per vector.
 AO and QNM solve on the exact compression of each block
 (``CascadedChannels.compressed``): the links span at most
 t = P max(L, M) ports of a block, so a block of k > t ports is solved as
@@ -43,7 +45,6 @@ objective trace.  The line-search and stopping constants below are fixed;
 
 from __future__ import annotations
 
-import copy
 import math
 import time
 import warnings
@@ -110,7 +111,13 @@ def _inner(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def _tangent(frame: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """skew(frame† x) for a matrix or a (G, k, k) stack of blocks."""
+    """Body-coordinate tangent projection skew(frame† x), one product per block of a (G, k, k) stack.
+
+    With ``frame`` a point Theta and ``x`` the Euclidean gradient this is
+    the Riemannian gradient.  With ``frame`` the block rotation
+    W = Theta_old† Theta_new of a step and ``x`` a body vector at
+    Theta_old, it is the vector's transport by projection to Theta_new.
+    """
     return skew_part(frame.conj().swapaxes(-1, -2) @ x)
 
 
@@ -119,84 +126,36 @@ def _times_adjoint(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b.conj().swapaxes(-1, -2)
 
 
-class _Feasible:
-    """Projection, tangent and retraction machinery for one architecture at dimension N.
+def _retract(theta: np.ndarray, omega: np.ndarray):
+    """Closed-form polar retraction of the (G, k, k) stack ``theta`` along the body tangent ``omega``.
 
-    Every method works in packed block coordinates (``BlockStructure.pack``):
-    a point or a tangent vector is one 1-D array holding only the entries
-    of its blocks, and its (G, k, k) stack is a free view.  The
-    fully-connected surface is one (1, N, N) stack, the N x N matrix itself.
-    Tangent vectors at a point Theta are held in body coordinates: the
-    ambient vector Theta Omega is stored as Omega, skew-Hermitian per
-    block.  Since Theta is unitary, the metric is the plain real inner
-    product of the packed arrays.
+    With -i Omega = V diag(lam) V† per block, I + s Omega is never
+    singular and polar(Theta + s Theta Omega) = Theta V diag(exp(i atan(s
+    lam))) V† (Absil, Mahony & Sepulchre 2008, section 4.1.1).  One
+    batched ``eigh`` here; returns ``step(s)``, the retracted stack at one
+    block product, and ``rotation(s)``, the stack of block rotations
+    W(s) = V diag(exp(i atan(s lam))) V† at one product more.
     """
+    lam, v = np.linalg.eigh(-1j * omega)
+    theta_v = theta @ v
 
-    def __init__(self, arch: BdRisArchitecture, n: int):
-        self.structure = arch.unitary_blocks(n)
-        self.n = n
+    def rotated(left, s: float) -> np.ndarray:
+        """left · diag(exp(i atan(s lam))) · V† per block."""
+        return _times_adjoint(left * np.exp(1j * np.arctan(s * lam))[:, None, :], v)
 
-    def on(self, structure) -> "_Feasible":
-        """The same machinery on the blocks of ``structure`` (a compressed surface), keeping N for the step caps."""
-        other = copy.copy(self)
-        other.structure = structure
-        return other
+    return (lambda s: rotated(theta_v, s)), (lambda s: rotated(v, s))
 
-    def identity(self) -> np.ndarray:
-        """The packed identity blocks."""
-        g, k, _ = self.structure.shape
-        return np.tile(np.eye(k, dtype=complex), (g, 1, 1)).reshape(-1)
 
-    def _map(self, fn, *packed: np.ndarray) -> np.ndarray:
-        """Packed result of ``fn`` applied to the (G, k, k) stacks of packed arrays."""
-        return fn(*map(self.structure.stack, packed)).reshape(-1)
-
-    def project(self, packed: np.ndarray) -> np.ndarray:
-        """The per-block polar factor of a packed array."""
-        return self._map(polar_factor, packed)
-
-    def tangent(self, x: np.ndarray, frame: np.ndarray) -> np.ndarray:
-        """Body-coordinate tangent projection skew(frame† x), one product per block.
-
-        With ``frame`` a point Theta and ``x`` the Euclidean gradient this is
-        the Riemannian gradient.  With ``frame`` the block rotation
-        W = Theta_old† Theta_new of a step and ``x`` a body vector at
-        Theta_old, it is the vector's transport by projection to Theta_new.
-        All three are packed.
-        """
-        return self._map(_tangent, frame, x)
-
-    def retract(self, theta: np.ndarray, omega: np.ndarray):
-        """Closed-form polar retraction along the packed body tangent ``omega``.
-
-        With -i Omega = V diag(lam) V† per block, I + s Omega is never
-        singular and polar(Theta + s Theta Omega) = Theta V diag(exp(i atan(s
-        lam))) V† (Absil, Mahony & Sepulchre 2008, section 4.1.1).  One
-        batched ``eigh`` here; returns ``step(s)``, the packed retracted
-        point at one block product, and ``rotation(s)``, the packed block
-        rotation W(s) = V diag(exp(i atan(s lam))) V† at one product more.
-        """
-        lam, v = np.linalg.eigh(-1j * self.structure.stack(omega))
-        theta_v = self.structure.stack(theta) @ v
-
-        def rotated(left, s: float) -> np.ndarray:
-            """Packed left · diag(exp(i atan(s lam))) · V† per block."""
-            return _times_adjoint(left * np.exp(1j * np.arctan(s * lam))[:, None, :], v).reshape(-1)
-
-        return (lambda s: rotated(theta_v, s)), (lambda s: rotated(v, s))
-
-    def random_point(self, rng: np.random.Generator) -> np.ndarray:
-        # the polar factor of a complex Gaussian matrix is Haar distributed;
-        # per block this yields independent Haar blocks
-        shape = self.structure.shape
-        z = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-        return self.project(z.reshape(-1))
+def _random_blocks(shape: tuple[int, int, int], rng: np.random.Generator) -> np.ndarray:
+    """Independent Haar blocks of a (G, k, k) stack: the polar factor of a complex Gaussian draw, per block."""
+    z = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    return polar_factor(z)
 
 
 def channel_gain_objective(theta, realizations) -> float:
     """Total squared effective-channel norm over devices and location snapshots."""
     whole = CascadedChannels(realizations)
-    return whole.value(whole.flat(theta))
+    return whole.value(whole.whole_block(theta))
 
 
 def euclidean_gradient(theta: np.ndarray, realizations) -> np.ndarray:
@@ -207,11 +166,11 @@ def euclidean_gradient(theta: np.ndarray, realizations) -> np.ndarray:
     projection of G.
     """
     whole = CascadedChannels(realizations)
-    return whole.value_and_grad(whole.flat(theta))[1].reshape(whole.structure.dimension, -1)
+    return whole.value_and_grad(whole.whole_block(theta))[1][0]
 
 
-def _align_cross_term(problem: CascadedChannels, feas: _Feasible, rng: np.random.Generator) -> tuple[np.ndarray, bool]:
-    """Packed feasible point maximizing Re tr(Theta† C) for the direct-path cross term.
+def _align_cross_term(problem: CascadedChannels, rng: np.random.Generator) -> tuple[np.ndarray, bool]:
+    """Feasible block stack maximizing Re tr(Theta† C) for the direct-path cross term.
 
     C's blocks sum b a† C† over devices and snapshots, taken by the block
     maps of ``problem``; the maximizer is their aligned unitary
@@ -219,10 +178,10 @@ def _align_cross_term(problem: CascadedChannels, feas: _Feasible, rng: np.random
     back to a Haar sample, drawn from ``rng`` in block order (second return
     flags any fallback).
     """
-    theta, degenerate = aligned_unitary(feas.structure.stack(problem.adjoint(np.conj(problem.direct))))
+    theta, degenerate = aligned_unitary(problem.adjoint(np.conj(problem.direct)))
     for i in degenerate:
-        theta[i] = random_unitary(feas.structure.shape[1], rng).entries
-    return theta.reshape(-1), bool(len(degenerate))
+        theta[i] = random_unitary(theta.shape[1], rng).entries
+    return theta, bool(len(degenerate))
 
 
 def rzf_one_shot(
@@ -239,9 +198,9 @@ def rzf_one_shot(
     """
     start = time.perf_counter()
     stack = ChannelStack(realizations)
-    feas = _Feasible(arch, stack.num_elements)
-    problem = CascadedChannels(stack, feas.structure)
-    theta, fell_back = _align_cross_term(problem, feas, np.random.default_rng(cfg.seed))
+    blocks = arch.unitary_blocks(stack.num_elements)
+    problem = CascadedChannels(stack, blocks)
+    theta, fell_back = _align_cross_term(problem, np.random.default_rng(cfg.seed))
     if fell_back:
         warnings.warn(
             "cross matrix is rank deficient; fell back to a random feasible point",
@@ -250,7 +209,7 @@ def rzf_one_shot(
         )
     value = problem.value(theta)
     return OptimizerResult(
-        feas.structure.unpack(theta), [value], time.perf_counter() - start, 1, True, "closed_form", feas.structure.shape[1]
+        blocks.unpack(theta), [value], time.perf_counter() - start, 1, True, "closed_form", blocks.shape[1]
     )
 
 
@@ -282,9 +241,8 @@ class _BarzilaiBorwein:
     when that curvature is not positive) and is capped at 2 sqrt(N) / |g|.
     """
 
-    def __init__(self, feas: _Feasible, cfg: OptimizerConfig):
-        self.identity = feas.identity()
-        self.cap = 2.0 * np.sqrt(feas.n)
+    def __init__(self, n: int, cfg: OptimizerConfig):
+        self.cap = 2.0 * np.sqrt(n)
         self.step = None
 
     def propose(self, riem, gnorm):
@@ -297,7 +255,7 @@ class _BarzilaiBorwein:
         # change is W Omega_new - Omega_old.  <W - I, (W - I) Omega_new> is the
         # real part of tr(H Omega_new) with H Hermitian, which is zero, so the
         # product W Omega_new drops out of the curvature.
-        delta = rotation - self.identity
+        delta = rotation - np.eye(rotation.shape[-1])
         denom = -_inner(delta, riem_new - riem)
         ss = _inner(delta, delta)
         self.step = ss / denom if denom > 0 else (2.0 * s if s else None)
@@ -309,18 +267,17 @@ class _LimitedMemoryBfgs:
     Internally a textbook two-loop recursion on the negated objective, with
     curvature pairs living in the tangent space.  After every accepted step
     the whole memory is transported to the new tangent space by projection
-    through the block rotation W (``feas.tangent(v, W)``), the extra
+    through the block rotation W (``_tangent(W, v)``), the extra
     per-iteration cost that dominates at large N.  Falls back to the
     normalized gradient whenever the quasi-Newton direction fails the ascent
     test.
     """
 
-    def __init__(self, feas: _Feasible, cfg: OptimizerConfig):
-        self.feas = feas
+    def __init__(self, n: int, cfg: OptimizerConfig):
         self.size = cfg.lbfgs_memory
         self.memory: list[tuple[np.ndarray, np.ndarray, float]] = []  # (s, y, 1 / <s, y>)
         self.fallback_step = INITIAL_STEP
-        self.cap = 2.0 * np.sqrt(feas.n)
+        self.cap = 2.0 * np.sqrt(n)
         self.used_fallback = True
 
     def _two_loop(self, gradient, scale):
@@ -351,15 +308,14 @@ class _LimitedMemoryBfgs:
         if self.used_fallback:
             self.fallback_step = min(max(2.0 * s, 1e-12), self.cap)
         # transport the memory into the new tangent space, refresh curvatures
-        tangent = self.feas.tangent
         memory = []
         for s_i, y_i, _ in self.memory:
-            s_t, y_t = tangent(s_i, rotation), tangent(y_i, rotation)
+            s_t, y_t = _tangent(rotation, s_i), _tangent(rotation, y_i)
             sy = _inner(s_t, y_t)
             if sy > 1e-300:
                 memory.append((s_t, y_t, 1.0 / sy))
-        s_vec = tangent(s * direction, rotation)
-        y_vec = tangent(riem, rotation) - riem_new  # negated-objective gap
+        s_vec = _tangent(rotation, s * direction)
+        y_vec = _tangent(rotation, riem) - riem_new  # negated-objective gap
         sy = _inner(s_vec, y_vec)
         s_norm = float(np.sqrt(_inner(s_vec, s_vec)))
         y_norm = float(np.sqrt(_inner(y_vec, y_vec)))
@@ -373,20 +329,21 @@ class _LimitedMemoryBfgs:
 def _ascend(realizations, arch, cfg, iterate_callback, rule) -> OptimizerResult:
     """Riemannian line-search ascent on the channel-gain objective.
 
-    The loop runs in packed block coordinates (see ``_Feasible``) and
-    unpacks only for ``iterate_callback`` and the returned ``theta``.  It
-    starts from Haar blocks drawn from ``cfg.seed`` on the blocks it solves
-    at: the reduced ones when the surface's blocks compress
+    The loop holds the point as its (G, k, k) block stack and unpacks it
+    only for ``iterate_callback`` and the returned ``theta``.  It starts
+    from Haar blocks drawn from ``cfg.seed`` on the blocks it solves at:
+    the reduced ones when the surface's blocks compress
     (``CascadedChannels.compressed``), and then every reported point is
     dilated back.  The step caps keep the surface's N, so a compressed
     solve is the full-size solve from the dilated start.
-    Gradients and directions are body-coordinate tangent vectors.
-    ``rule(feas, cfg)`` builds the direction rule:
+    Gradients and directions are body-coordinate tangent vectors: Omega
+    with Theta Omega the ambient vector, skew-Hermitian per block.
+    ``rule(N, cfg)`` builds the direction rule:
     ``propose(riem, gnorm)`` returns (direction, slope, trial step) and
     ``accepted(rotation, riem, riem_new, direction, s)`` updates the rule
     after each step, where ``rotation`` is the step's block rotation
     W = Theta† Theta_new.  Every step is an Armijo backtracking search along
-    the closed-form polar retraction (``_Feasible.retract``): one ``eigh``
+    the closed-form polar retraction (``_retract``): one ``eigh``
     per step, one block product per trial, and no SVD inside the loop.
     The trace is monotone.  Stops at a numerically stationary point, on a
     line-search stall, on a two-iteration objective plateau, or at the
@@ -395,24 +352,22 @@ def _ascend(realizations, arch, cfg, iterate_callback, rule) -> OptimizerResult:
     """
     start = time.perf_counter()
     stack = ChannelStack(realizations)
-    feas = _Feasible(arch, stack.num_elements)
-    blocks = feas.structure
+    blocks = arch.unitary_blocks(stack.num_elements)
     problem = CascadedChannels(stack, blocks)
     unpack = blocks.unpack
     compressed = problem.compressed()
     if compressed is not None:
         problem, dilate = compressed
-        feas = feas.on(problem.structure)
 
-        def unpack(packed):
-            return blocks.unpack(dilate(packed))
+        def unpack(x):
+            return blocks.unpack(dilate(x))
 
-    theta = feas.random_point(np.random.default_rng(cfg.seed))
+    theta = _random_blocks(problem.structure.shape, np.random.default_rng(cfg.seed))
     if iterate_callback:
         iterate_callback(unpack(theta))
-    rule = rule(feas, cfg)
+    rule = rule(stack.num_elements, cfg)
     f, grad = problem.value_and_grad(theta)
-    riem = feas.tangent(grad, theta)
+    riem = _tangent(theta, grad)
     trace = [f]
     converged, reason = False, "max_iterations"
     iterations = 0
@@ -423,7 +378,7 @@ def _ascend(realizations, arch, cfg, iterate_callback, rule) -> OptimizerResult:
             converged, reason = True, "stationary"
             break
         direction, slope, step0 = rule.propose(riem, gnorm)
-        step, rotation = feas.retract(theta, direction)
+        step, rotation = _retract(theta, direction)
         theta_new, f_new, s = _armijo_search(step, problem.value, slope, f, step0)
         if theta_new is None:  # stall: the step is effectively zero
             converged, reason = gnorm <= STATIONARITY_TOLERANCE * max(abs(f), 1e-300), "stalled"
@@ -433,7 +388,7 @@ def _ascend(realizations, arch, cfg, iterate_callback, rule) -> OptimizerResult:
         rel_change = abs(f_new - f) / max(abs(f), 1e-300)
         f, grad = problem.value_and_grad(theta_new)
         trace.append(f)
-        riem_new = feas.tangent(grad, theta_new)
+        riem_new = _tangent(theta_new, grad)
         rule.accepted(rotation(s), riem, riem_new, direction, s)
         theta, riem = theta_new, riem_new
         flat_streak = flat_streak + 1 if rel_change < cfg.objective_tolerance else 0
@@ -442,7 +397,7 @@ def _ascend(realizations, arch, cfg, iterate_callback, rule) -> OptimizerResult:
             reason = "plateau"
             break
     return OptimizerResult(
-        unpack(theta), trace, time.perf_counter() - start, iterations, converged, reason, feas.structure.shape[1]
+        unpack(theta), trace, time.perf_counter() - start, iterations, converged, reason, problem.structure.shape[1]
     )
 
 
@@ -531,7 +486,8 @@ class _SumRateSurrogate:
 
     With the auxiliaries refreshed at the current point the surrogate equals
     the true (precoder-fixed) sum rate there and minorizes it everywhere
-    else, which is what makes the outer trace monotone.  Points are packed.
+    else, which is what makes the outer trace monotone.  Points are
+    (G, k, k) block stacks.
     """
 
     def __init__(self, problem: CascadedChannels, rho: float):
@@ -583,7 +539,7 @@ def _surrogate_cg(surrogate, w_stack, x, max_steps):
     Fletcher-Reeves with exact steps is plain linear CG.  Along directions of
     (numerically) zero curvature the maximum sits at infinity; since the
     later polar projection is scale invariant, a single long jump captures
-    it.  Moves the packed block entries off the manifold; the caller projects.
+    it.  Moves the block stack off the manifold; the caller projects.
     """
     g = surrogate.gradient(x, w_stack)
     gg = _inner(g, g)
@@ -611,12 +567,13 @@ def _surrogate_cg(surrogate, w_stack, x, max_steps):
     return x
 
 
-def _surrogate_inner_update(surrogate, w_stack, theta, feas):
+def _surrogate_inner_update(surrogate, w_stack, theta, n):
     """One feasible surrogate-ascent move: CG jump, projected, with damping.
 
     The projected full jump is tried first; if it regresses, the move toward
     the CG point is retried at geometrically shrinking step lengths (a trust
-    region on the manifold scale).  With no improving length left the point
+    region on the manifold scale sqrt(n), n the surface's N).  With no
+    improving length left the point
     is a fixed point of this outer stage and ``theta`` returns unchanged.
     """
     target = _surrogate_cg(surrogate, w_stack, theta, FP_INNER_THETA_STEPS)
@@ -627,11 +584,11 @@ def _surrogate_inner_update(surrogate, w_stack, theta, feas):
     if delta_norm <= 1e-300:
         return theta
     g_start = surrogate.value(theta, w_stack)
-    scale = np.sqrt(feas.n)
+    scale = np.sqrt(n)
     lengths = [delta_norm] + [c * scale for c in (2.0, 0.5, 0.1, 0.02) if c * scale < delta_norm]
     for length in lengths:
         try:
-            candidate = feas.project(theta + (length / delta_norm) * delta)
+            candidate = polar_factor(theta + (length / delta_norm) * delta)
         except RankDeficient:
             continue
         if surrogate.value(candidate, w_stack) > g_start:
@@ -661,13 +618,13 @@ def fp_sum_rate(
     start = time.perf_counter()
     stack = ChannelStack(realizations)
     rho = 10.0 ** (stack.tx_snr_db / 10.0)
-    feas = _Feasible(arch, stack.num_elements)
-    unpack = feas.structure.unpack
-    problem = CascadedChannels(stack, feas.structure)
+    blocks = arch.unitary_blocks(stack.num_elements)
+    unpack = blocks.unpack
+    problem = CascadedChannels(stack, blocks)
     # warm start from the one-shot cross-term alignment: the alternation
     # is monotone from any start but random starts fall into noticeably
     # weaker fixed points at case-study SNR scales
-    theta = _align_cross_term(problem, feas, np.random.default_rng(cfg.seed))[0]
+    theta = _align_cross_term(problem, np.random.default_rng(cfg.seed))[0]
     if iterate_callback:
         iterate_callback(unpack(theta))
     surrogate = _SumRateSurrogate(problem, rho)
@@ -684,7 +641,7 @@ def fp_sum_rate(
         if fresh_rate >= rate:
             precoders, rate = fresh, fresh_rate
         surrogate.refresh(theta, precoders)
-        candidate = _surrogate_inner_update(surrogate, precoders, theta, feas)
+        candidate = _surrogate_inner_update(surrogate, precoders, theta, stack.num_elements)
         cand_rate = _mean_rate(problem.channels(candidate), precoders, rho)
         if cand_rate >= rate:
             if not np.array_equal(candidate, theta):
@@ -699,7 +656,7 @@ def fp_sum_rate(
             converged, reason = True, "plateau"
             break
     return OptimizerResult(
-        unpack(theta), trace, time.perf_counter() - start, iterations, converged, reason, feas.structure.shape[1]
+        unpack(theta), trace, time.perf_counter() - start, iterations, converged, reason, blocks.shape[1]
     )
 
 

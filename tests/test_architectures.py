@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from bdris import optim
 from bdris.architectures import (
     ArchitectureKind,
     BdRisArchitecture,
@@ -16,7 +15,7 @@ from bdris.architectures import (
 )
 from bdris.channel import ChannelRealization, ChannelStack, effective_channel_matrix
 from bdris.errors import DimensionMismatch, InvalidInput, ZeroChannel
-from bdris.manifold import BlockStructure, random_unitary
+from bdris.manifold import BlockStructure, polar_factor, random_unitary
 from bdris.optim import channel_gain_objective
 
 
@@ -47,7 +46,8 @@ class TestValidate:
         rng = np.random.default_rng(1)
         structure = BlockStructure((2, 2))
         arch = BdRisArchitecture.group_connected(structure)
-        theta = structure.unpack(optim._Feasible(arch, 4).project(structure.pack(random_complex(rng, 4, 4))))
+        m = random_complex(rng, 4, 4)
+        theta = structure.unpack(polar_factor(np.stack([m[:2, :2], m[2:, 2:]])))
         assert validate(theta, arch).valid
 
     def test_haar_unitary_valid_fully_connected(self):
@@ -336,6 +336,12 @@ GUARDS = [
                  "non-finite", id="diagonal_nan"),
     pytest.param(lambda: optimal_fully_connected_single_tag(np.array([np.nan, 1]), np.ones(2)), InvalidInput,
                  "non-finite", id="fully_connected_nan"),
+    pytest.param(lambda: validate(np.ones((2, 2)), BdRisArchitecture.fully_connected(), float("nan")), InvalidInput,
+                 "tolerance must be finite and >= 0, got nan", id="validate_nan_tolerance"),
+    pytest.param(lambda: validate(np.eye(2), BdRisArchitecture.fully_connected(), -1e-10), InvalidInput,
+                 "tolerance must be finite and >= 0, got -1e-10", id="validate_negative_tolerance"),
+    pytest.param(lambda: validate(np.ones((2, 2)), BdRisArchitecture.diagonal(), float("inf")), InvalidInput,
+                 "tolerance must be finite and >= 0, got inf", id="validate_inf_tolerance"),
 ]
 
 

@@ -217,19 +217,20 @@ def random_complex(rng, *shape):
 
 
 class TestCascadedChannels:
-    """``CascadedChannels`` on packed blocks equals the whole-matrix objective and gradient."""
+    """``CascadedChannels`` on block stacks equals the whole-matrix objective and gradient."""
 
     @pytest.mark.parametrize("arch", [FULL] + BLOCK_ARCHS, ids=["full"] + BLOCK_IDS)
     def test_matches_whole_matrix_forms(self, arch):
         rng = np.random.default_rng(78)
         reals = scenario_realizations(ScenarioConfig(), 8, rng)
-        structure = optim._Feasible(arch, 8).structure
+        structure = arch.unitary_blocks(8)
         problem = CascadedChannels(ChannelStack(reals), structure)
-        for theta in (structure.unpack(optim._Feasible(arch, 8).random_point(rng)), structure.unpack(structure.pack(random_complex(rng, 8, 8)))):
-            f, g = problem.value_and_grad(structure.pack(theta))
+        for blocks in (optim._random_blocks(structure.shape, rng), _gather(structure, random_complex(rng, 8, 8))):
+            theta = structure.unpack(blocks)
+            f, g = problem.value_and_grad(blocks)
             expected_f = channel_gain_objective(theta, reals)
-            expected_g = structure.pack(euclidean_gradient(theta, reals))
-            assert problem.value(structure.pack(theta)) == f
+            expected_g = _gather(structure, euclidean_gradient(theta, reals))
+            assert problem.value(blocks) == f
             if arch is FULL:
                 assert f == expected_f and np.array_equal(g, expected_g)
             else:
@@ -238,12 +239,13 @@ class TestCascadedChannels:
         # the two linear maps against their dense forms: sum_p R_p^T X_p B_p† and R conj(D) conj(B)
         stack = ChannelStack(reals)
         rows = random_complex(rng, *stack.direct.shape)
-        d = structure.unpack(structure.pack(random_complex(rng, 8, 8)))
+        d_blocks = _gather(structure, random_complex(rng, 8, 8))
+        d = structure.unpack(d_blocks)
         device_t = stack.ris_device.transpose(0, 2, 1).copy()
         bs_dag = np.conj(stack.bs_ris).transpose(0, 2, 1).copy()
         pairs = [
-            (problem.adjoint(rows), structure.pack(np.sum(device_t @ rows @ bs_dag, axis=0))),
-            (problem.reflected(structure.pack(d)), stack.ris_device @ np.conj(d) @ np.conj(stack.bs_ris)),
+            (problem.adjoint(rows), _gather(structure, np.sum(device_t @ rows @ bs_dag, axis=0))),
+            (problem.reflected(d_blocks), stack.ris_device @ np.conj(d) @ np.conj(stack.bs_ris)),
         ]
         for got, want in pairs:
             if arch is FULL:
@@ -252,15 +254,20 @@ class TestCascadedChannels:
                 assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
-def _riemannian_norm(problem, packed):
-    """Gain and norm of its Riemannian gradient skew(Theta_g† G_g) at a packed point."""
-    f, grad = problem.value_and_grad(packed)
-    stack = problem.structure.stack
-    return f, float(np.linalg.norm(skew_part(stack(packed).conj().swapaxes(-1, -2) @ stack(grad))))
+def _gather(structure, m):
+    """The (G, k, k) stack of an N x N matrix's blocks, one slice per block."""
+    k = structure.shape[1]
+    return np.stack([m[i : i + k, i : i + k] for i in range(0, structure.dimension, k)])
+
+
+def _riemannian_norm(problem, theta):
+    """Gain and norm of its Riemannian gradient skew(Theta_g† G_g) at the block stack ``theta``."""
+    f, grad = problem.value_and_grad(theta)
+    return f, float(np.linalg.norm(skew_part(theta.conj().swapaxes(-1, -2) @ grad)))
 
 
 def _haar_blocks(rng, shape):
-    return polar_factor(random_complex(rng, *shape) / np.sqrt(2.0)).reshape(-1)
+    return polar_factor(random_complex(rng, *shape) / np.sqrt(2.0))
 
 
 def _links(rng, l, m, n, snapshots, ris_device=None, bs_ris=None):
@@ -302,8 +309,8 @@ class TestCompression:
             assert reduced.structure.shape == (structure.shape[0], p * max(l, m), p * max(l, m)), label
             x = _haar_blocks(rng, reduced.structure.shape)
             theta = dilate(x)
-            blocks = structure.stack(theta)
-            assert np.max(np.abs(blocks.conj().swapaxes(-1, -2) @ blocks - np.eye(structure.shape[1]))) <= 1e-12
+            assert theta.shape == structure.shape, label
+            assert np.max(np.abs(theta.conj().swapaxes(-1, -2) @ theta - np.eye(structure.shape[1]))) <= 1e-12
             (f, g), (f_t, g_t) = _riemannian_norm(problem, theta), _riemannian_norm(reduced, x)
             assert f == pytest.approx(f_t, rel=1e-12), label
             assert g == pytest.approx(g_t, rel=1e-12), label
@@ -342,7 +349,7 @@ class TestCompression:
             reduced = optim.ALGORITHMS[name](reals, arch, cfg, iterate_callback=starts.append)
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(CascadedChannels, "compressed", lambda self: None)
-                patch.setattr(optim._Feasible, "random_point", lambda self, rng: self.structure.pack(starts[0]))
+                patch.setattr(optim, "_random_blocks", lambda shape, rng: _gather(arch.unitary_blocks(128), starts[0]))
                 full = optim.ALGORITHMS[name](reals, arch, cfg)
             assert (reduced.block_size, full.block_size) == (40, k)
             assert reduced.iterations == full.iterations
@@ -647,6 +654,31 @@ GUARDS = [
                  id="fractional_master_seed"),
     pytest.param(lambda: derive_seed(True, "trial"), InvalidInput, "master_seed must be an integer, got True",
                  id="boolean_master_seed"),
+    pytest.param(lambda: Device([110.0, 0.0], [120.0, 5.0], math.nan), InvalidInput,
+                 "speed_mps must be finite and >= 0, got nan", id="device_nan_speed"),
+    pytest.param(lambda: Device([110.0, 0.0], [120.0, 5.0], -3.0), InvalidInput,
+                 "speed_mps must be finite and >= 0, got -3.0", id="device_negative_speed"),
+    pytest.param(lambda: Device([110.0, 0.0, 0.0], [120.0, 5.0], 1.0), DimensionMismatch,
+                 r"position must be a 2-vector, got shape \(3,\)", id="device_3d_position"),
+    pytest.param(lambda: Device([110.0, 0.0], [math.inf, 5.0], 1.0), InvalidInput,
+                 "positions must be finite, got waypoint", id="device_infinite_waypoint"),
+    pytest.param(lambda: random_waypoint_step(Device([120.0, 0.0], [120.0, 0.0], 1.0), 0.1,
+                                              NetworkGeometry().device_area, (math.nan, 2.0), np.random.default_rng(0)),
+                 InvalidInput, "speed range must be finite", id="waypoint_nan_speed_range"),
+    pytest.param(lambda: random_waypoint_step(_devices()[0], 0.1, NetworkGeometry().device_area, (-1.0, 2.0),
+                                              np.random.default_rng(0)),
+                 InvalidInput, "0 <= min <= max", id="waypoint_negative_speed_range"),
+    pytest.param(lambda: random_waypoint_step(_devices()[0], 0.1, NetworkGeometry().device_area, (2.0, 0.5),
+                                              np.random.default_rng(0)),
+                 InvalidInput, "0 <= min <= max", id="waypoint_reversed_speed_range"),
+    pytest.param(lambda: initial_devices(1, NetworkGeometry().device_area, (math.nan, 2.0), np.random.default_rng(0)),
+                 InvalidInput, "speed range must be finite", id="initial_devices_nan_speed_range"),
+    pytest.param(lambda: NetworkGeometry(bs_position=[0.0, 0.0]), DimensionMismatch,
+                 r"bs_position must be a 3-vector, got shape \(2,\)", id="geometry_2d_bs_position"),
+    pytest.param(lambda: NetworkGeometry(ris_position=np.zeros((1, 3))), DimensionMismatch,
+                 r"ris_position must be a 3-vector, got shape \(1, 3\)", id="geometry_matrix_ris_position"),
+    pytest.param(lambda: NetworkGeometry(ris_position=[100.0, -math.inf, 0.0]), InvalidInput,
+                 "positions must be finite, got ris_position", id="geometry_infinite_ris_position"),
 ]
 
 

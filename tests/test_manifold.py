@@ -1,7 +1,9 @@
 """Unitary-manifold machinery: projections, tangents, retraction, Haar sampling.
 
-The feasible set the optimizers run, ``optim._Feasible``, is checked here on
-the fully-connected surface and on every block structure below.
+The machinery the optimizers run on (G, k, k) block stacks -- the
+projection ``polar_factor``, ``optim._tangent``, ``optim._retract`` and
+``optim._random_blocks`` -- is checked here on the fully-connected surface
+and on every block structure below, through N x N matrices.
 """
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 
 from bdris import optim
 from bdris.architectures import BdRisArchitecture, _support_mask, optimal_diagonal_single_tag, validate
+from bdris.channel import CascadedChannels, ChannelRealization
 from bdris.errors import DimensionMismatch, InvalidInput, RankDeficient
 from bdris.manifold import (
     BlockStructure,
@@ -27,7 +30,7 @@ STRUCTURE_IDS = ["diag", "equal"]
 N = 8
 FULL = BdRisArchitecture.fully_connected()
 ARCHS = [FULL, BdRisArchitecture.diagonal()] + [BdRisArchitecture.group_connected(s) for s in STRUCTURES[1:]]
-FEASIBLE = [optim._Feasible(arch, N) for arch in ARCHS]
+SURFACES = [arch.unitary_blocks(N) for arch in ARCHS]
 
 
 def runs(structure):
@@ -43,15 +46,19 @@ def random_complex(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def random_point(feas, rng):
-    """``feas.random_point`` as an N x N matrix."""
-    return feas.structure.unpack(feas.random_point(rng))
+def gather(structure, m):
+    """Reference gather: the (G, k, k) stack of an N x N matrix's blocks, one np.ix_ per block."""
+    return np.stack([m[np.ix_(idx, idx)] for idx in runs(structure)])
+
+
+def random_point(structure, rng):
+    """``optim._random_blocks`` on the blocks of ``structure``, as an N x N matrix."""
+    return structure.unpack(optim._random_blocks(structure.shape, rng))
 
 
 def block_project(m, structure):
-    """The optimizers' projection onto a group-connected surface of this structure, on N x N matrices."""
-    feas = optim._Feasible(BdRisArchitecture.group_connected(structure), structure.dimension)
-    return structure.unpack(feas.project(structure.pack(m)))
+    """The optimizers' projection, the polar factor of each block of the stack, on N x N matrices."""
+    return structure.unpack(polar_factor(gather(structure, m)))
 
 
 def per_block_project(m, structure):
@@ -68,17 +75,15 @@ def per_block(blocks, fn, *matrices):
     return out
 
 
-def tangent(feas, x, frame):
-    """``feas.tangent`` on N x N matrices, through the packed block layout."""
-    pack = feas.structure.pack
-    return feas.structure.unpack(feas.tangent(pack(x), pack(frame)))
+def tangent(structure, x, frame):
+    """``optim._tangent`` on N x N matrices, through their block stacks."""
+    return structure.unpack(optim._tangent(gather(structure, frame), gather(structure, x)))
 
 
-def retract(feas, theta, omega):
-    """``feas.retract`` on N x N matrices: ``step`` and ``rotation`` return unpacked matrices."""
-    unpack = feas.structure.unpack
-    step, rotation = feas.retract(feas.structure.pack(theta), feas.structure.pack(omega))
-    return (lambda s: unpack(step(s))), (lambda s: unpack(rotation(s)))
+def retract(structure, theta, omega):
+    """``optim._retract`` on N x N matrices: ``step`` and ``rotation`` return N x N matrices."""
+    step, rotation = optim._retract(gather(structure, theta), gather(structure, omega))
+    return (lambda s: structure.unpack(step(s))), (lambda s: structure.unpack(rotation(s)))
 
 
 def haar_batch(n, count, rng):
@@ -174,35 +179,35 @@ class TestSkewPart:
 
 
 class TestTangentProject:
-    """``_Feasible.tangent``: body coordinates skew(theta† G), per block.
+    """``optim._tangent``: body coordinates skew(theta† G), per block.
 
     The ambient tangent vector is theta times the body vector.
     """
 
     def test_base_point_maps_to_zero(self):
         rng = np.random.default_rng(5)
-        for feas in FEASIBLE:
-            base = random_point(feas, rng)
-            assert np.max(np.abs(tangent(feas, base, base))) <= 1e-12
+        for blocks in SURFACES:
+            base = random_point(blocks, rng)
+            assert np.max(np.abs(tangent(blocks, base, base))) <= 1e-12
 
     def test_hand_evaluated_case(self):
         g = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-        t = tangent(optim._Feasible(FULL, 2), g, np.eye(2, dtype=complex))
+        t = tangent(FULL.unitary_blocks(2), g, np.eye(2, dtype=complex))
         assert np.allclose(t, [[0.0, 0.5], [-0.5, 0.0]], atol=1e-14)
         # on a diagonal surface only the imaginary part of the diagonal survives
         g = np.array([[1.0 + 2.0j, 5.0], [0.0, 3.0 - 1.0j]])
-        t = tangent(optim._Feasible(BdRisArchitecture.diagonal(), 2), g, np.eye(2, dtype=complex))
+        t = tangent(BdRisArchitecture.diagonal().unitary_blocks(2), g, np.eye(2, dtype=complex))
         assert np.allclose(t, np.diag([2.0j, -1.0j]), atol=1e-14)
 
     def test_output_is_tangent(self):
         """Exactly skew-Hermitian, zero off the blocks, and theta times it is the ambient projection."""
         rng = np.random.default_rng(13)
-        for arch, feas, blocks in zip(ARCHS, FEASIBLE, BLOCKS):
+        for arch, surface, blocks in zip(ARCHS, SURFACES, BLOCKS):
             outside = ~_support_mask(arch, N)
             for _ in range(20):
-                base = random_point(feas, rng)
+                base = random_point(surface, rng)
                 g = random_complex(rng, N, N)
-                body = tangent(feas, g, base)
+                body = tangent(surface, g, base)
                 assert np.array_equal(body, -body.conj().T)
                 assert not np.any(body[outside])
                 ambient = per_block(blocks, lambda t, x: t @ skew_part(t.conj().T @ x), base, g)
@@ -211,63 +216,63 @@ class TestTangentProject:
     def test_idempotent_linear_map(self):
         """Projecting the ambient vector theta * Omega of a body vector Omega returns Omega."""
         rng = np.random.default_rng(17)
-        for feas in FEASIBLE:
-            base = random_point(feas, rng)
+        for surface in SURFACES:
+            base = random_point(surface, rng)
             x, y = random_complex(rng, N, N), random_complex(rng, N, N)
-            once = tangent(feas, x, base)
-            twice = tangent(feas, base @ once, base)
+            once = tangent(surface, x, base)
+            twice = tangent(surface, base @ once, base)
             assert np.max(np.abs(twice - once)) <= 1e-12
             # at the identity frame a body vector is its own projection, bit for bit
-            assert np.array_equal(tangent(feas, once, np.eye(N, dtype=complex)), once)
-            combo = tangent(feas, 2.0 * x - 0.5 * y, base)
-            assert np.max(np.abs(combo - (2.0 * once - 0.5 * tangent(feas, y, base)))) <= 1e-12
+            assert np.array_equal(tangent(surface, once, np.eye(N, dtype=complex)), once)
+            combo = tangent(surface, 2.0 * x - 0.5 * y, base)
+            assert np.max(np.abs(combo - (2.0 * once - 0.5 * tangent(surface, y, base)))) <= 1e-12
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            optim._Feasible(BdRisArchitecture.group_connected(BlockStructure((1, 1))), 3)
+            BdRisArchitecture.group_connected(BlockStructure((1, 1))).unitary_blocks(3)
 
 
 class TestRetract:
-    """``_Feasible.retract``: the closed-form polar retraction the line search makes."""
+    """``optim._retract``: the closed-form polar retraction the line search makes."""
 
     @staticmethod
-    def setup(feas, rng, scale=1.0):
-        base = random_point(feas, rng)
-        omega = tangent(feas, random_complex(rng, N, N), base)
+    def setup(surface, rng, scale=1.0):
+        base = random_point(surface, rng)
+        omega = tangent(surface, random_complex(rng, N, N), base)
         return base, scale * omega / np.linalg.norm(omega)
 
     def test_zero_step_returns_base_point(self):
         rng = np.random.default_rng(19)
-        for feas in FEASIBLE:
-            base, omega = self.setup(feas, rng)
-            step, rotation = retract(feas, base, omega)
+        for surface in SURFACES:
+            base, omega = self.setup(surface, rng)
+            step, rotation = retract(surface, base, omega)
             assert np.max(np.abs(step(0.0) - base)) <= 1e-13
             assert np.max(np.abs(rotation(0.0) - np.eye(N))) <= 1e-13
 
     def test_matches_exponential_map_to_first_order(self):
         t = 0.1
         omega = np.array([[0.0, t], [-t, 0.0]], dtype=complex)
-        out = retract(optim._Feasible(FULL, 2), np.eye(2, dtype=complex), omega)[0](1.0)
+        out = retract(FULL.unitary_blocks(2), np.eye(2, dtype=complex), omega)[0](1.0)
         exact = np.array([[np.cos(t), np.sin(t)], [-np.sin(t), np.cos(t)]])
         assert np.linalg.norm(out - exact) <= 1e-3
         rng = np.random.default_rng(21)
-        for feas in FEASIBLE:
-            base, omega = self.setup(feas, rng, 0.1)
+        for surface in SURFACES:
+            base, omega = self.setup(surface, rng, 0.1)
             # exp map: base * expm(Omega), via H = -i Omega = V diag(lam) V†
             lam, v = np.linalg.eigh(-1j * omega)
             exact = base @ (v * np.exp(1j * lam)) @ v.conj().T
-            assert np.linalg.norm(retract(feas, base, omega)[0](1.0) - exact) <= 1e-3
+            assert np.linalg.norm(retract(surface, base, omega)[0](1.0) - exact) <= 1e-3
 
     @pytest.mark.parametrize("s", [1e-3, 1.0, 1e3])
     @pytest.mark.parametrize("index", range(len(ARCHS)), ids=["full"] + STRUCTURE_IDS)
     def test_equals_per_block_polar_factor(self, index, s):
         """step(s) is polar(theta + s theta Omega), block by block; W(s) is the step's block rotation."""
-        arch, feas, blocks = ARCHS[index], FEASIBLE[index], BLOCKS[index]
+        arch, surface, blocks = ARCHS[index], SURFACES[index], BLOCKS[index]
         rng = np.random.default_rng(22)
         outside = ~_support_mask(arch, N)
         for _ in range(5):
-            base, omega = self.setup(feas, rng, 3.0)
-            step, rotation = retract(feas, base, omega)
+            base, omega = self.setup(surface, rng, 3.0)
+            step, rotation = retract(surface, base, omega)
             expected = per_block(blocks, lambda t, o: polar_factor(t + s * t @ o), base, omega)
             assert np.max(np.abs(step(s) - expected)) <= 1e-12
             w = rotation(s)
@@ -279,23 +284,23 @@ class TestRetract:
     @pytest.mark.parametrize("index", range(len(ARCHS)), ids=["full"] + STRUCTURE_IDS)
     def test_body_transport_equals_ambient_projection(self, index):
         """tangent(Omega_i, W) mapped back by theta_new is the projection of theta_old Omega_i at theta_new."""
-        feas, blocks = FEASIBLE[index], BLOCKS[index]
+        surface, blocks = SURFACES[index], BLOCKS[index]
         rng = np.random.default_rng(24)
         for s in (0.01, 1.0, 50.0):
-            base, omega = self.setup(feas, rng)
-            memory = tangent(feas, random_complex(rng, N, N), base)
-            step, rotation = retract(feas, base, omega)
+            base, omega = self.setup(surface, rng)
+            memory = tangent(surface, random_complex(rng, N, N), base)
+            step, rotation = retract(surface, base, omega)
             new = step(s)
-            moved = new @ tangent(feas, memory, rotation(s))
+            moved = new @ tangent(surface, memory, rotation(s))
             ambient = per_block(blocks, lambda t, x: t @ skew_part(t.conj().T @ x), new, base @ memory)
             assert np.max(np.abs(moved - ambient)) <= 1e-12
 
     def test_output_unitary(self):
         rng = np.random.default_rng(23)
-        for arch, feas in zip(ARCHS, FEASIBLE):
+        for arch, surface in zip(ARCHS, SURFACES):
             for step in (0.01, 0.5, 3.0):
-                base, omega = self.setup(feas, rng, np.sqrt(N))
-                out = retract(feas, base, omega)[0](step)
+                base, omega = self.setup(surface, rng, np.sqrt(N))
+                out = retract(surface, base, omega)[0](step)
                 assert unitarity_defect(out) <= 1e-10
                 assert validate(out, arch).valid
 
@@ -380,12 +385,12 @@ class TestBlockProject:
 
     @pytest.mark.parametrize("structure", STRUCTURES, ids=STRUCTURE_IDS)
     def test_gather_visits_every_block_once(self, structure):
-        """``pack`` gathers each block entry exactly once, in block order, and nothing else."""
-        n = structure.dimension
-        labels = np.arange(n * n).reshape(n, n)
-        packed = structure.pack(labels)
-        expected = np.concatenate([labels[np.ix_(idx, idx)].reshape(-1) for idx in runs(structure)])
-        assert np.array_equal(packed, expected) and len(set(packed)) == packed.size
+        """``unpack`` writes each stack entry exactly once, in block order, and nothing else."""
+        labels = np.arange(1, np.prod(structure.shape) + 1).reshape(structure.shape)
+        out = structure.unpack(labels)
+        assert np.count_nonzero(out) == labels.size
+        written = np.concatenate([out[np.ix_(idx, idx)].reshape(-1) for idx in runs(structure)])
+        assert np.array_equal(written, labels.reshape(-1))
 
     def test_single_singular_block_rejected(self):
         rng = np.random.default_rng(59)
@@ -400,31 +405,31 @@ class TestBlockProject:
         with pytest.raises(InvalidInput):
             BlockStructure((2, 0, 2))
         with pytest.raises(DimensionMismatch):
-            optim._Feasible(BdRisArchitecture.group_connected(BlockStructure((2, 2))), 3)
+            BdRisArchitecture.group_connected(BlockStructure((2, 2))).unitary_blocks(3)
 
 
 class TestPackedLayout:
-    """``BlockStructure.pack``/``unpack``/``stack``: the optimizers' packed block coordinates."""
+    """``BlockStructure.unpack``: the (G, k, k) block stack a surface point is held as, placed in N x N."""
 
     @pytest.mark.parametrize("structure", STRUCTURES + [BlockStructure((N,))], ids=STRUCTURE_IDS + ["full"])
     def test_unpack_of_pack_keeps_the_blocks(self, structure):
         rng = np.random.default_rng(76)
         m = random_complex(rng, N, N)
         blocks = runs(structure)
-        packed = structure.pack(m)
-        assert packed.shape == (sum(len(idx) ** 2 for idx in blocks),)
-        assert np.array_equal(structure.unpack(packed), per_block(blocks, lambda b: b, m))
-        stack = structure.stack(packed)
-        assert stack.shape == structure.shape and np.shares_memory(stack, packed)  # a view, not a copy
+        stack = gather(structure, m)
+        assert stack.shape == structure.shape
+        out = structure.unpack(stack)
+        assert np.array_equal(out, per_block(blocks, lambda b: b, m))
         for block, idx in zip(stack, blocks):
-            assert np.array_equal(block, m[np.ix_(idx, idx)])
+            assert np.array_equal(out[np.ix_(idx, idx)], block)
 
     def test_blocks_are_consecutive_runs(self):
         structure = BlockStructure((3,) * 4)
         assert (structure.dimension, structure.shape) == (12, (4, 3, 3))
-        labels = np.arange(144).reshape(12, 12)
-        for g, block in enumerate(structure.stack(structure.pack(labels))):
-            assert np.array_equal(block, labels[3 * g : 3 * g + 3, 3 * g : 3 * g + 3])
+        labels = np.arange(36).reshape(4, 3, 3)
+        out = structure.unpack(labels)
+        for g, block in enumerate(labels):
+            assert np.array_equal(out[3 * g : 3 * g + 3, 3 * g : 3 * g + 3], block)
 
     def test_unequal_sizes_and_permutation_rejected(self):
         with pytest.raises(InvalidInput, match="must be equal"):
@@ -433,12 +438,14 @@ class TestPackedLayout:
             BlockStructure((2, 2), permutation=(1, 0, 3, 2))
 
     def test_whole_matrix_packs_to_its_own_entries(self):
+        """The fully-connected surface's stack is the matrix itself, as the whole-matrix maps hold it."""
         rng = np.random.default_rng(77)
         m = random_complex(rng, N, N)
         structure = BlockStructure((N,))
-        assert np.array_equal(structure.pack(m), m.reshape(-1))
-        assert structure.stack(structure.pack(m)).shape == (1, N, N)
-        assert np.array_equal(structure.unpack(m.reshape(-1)), m)
+        reals = [ChannelRealization(random_complex(rng, 2, 2), random_complex(rng, 2, N), random_complex(rng, N, 2))]
+        stack = CascadedChannels(reals).whole_block(m)
+        assert stack.shape == structure.shape and np.array_equal(stack[0], m)
+        assert np.array_equal(structure.unpack(stack), m)
 
 
 class TestAlignedUnitary:
@@ -460,8 +467,8 @@ class TestAlignedUnitary:
             expected[np.ix_(idx, idx)] = u @ vh
             if np.max(s) <= 1e-300:
                 degenerate.append(i)
-        theta, ids = aligned_unitary(structure.stack(structure.pack(m)))
-        assert np.array_equal(structure.unpack(theta.reshape(-1)), expected)
+        theta, ids = aligned_unitary(gather(structure, m))
+        assert np.array_equal(structure.unpack(theta), expected)
         assert degenerate == zero and list(ids) == zero
 
     def test_whole_matrix_maximizes_real_trace(self):
@@ -495,12 +502,12 @@ class TestTypeInvariants:
     def test_normal_direction_projects_to_zero(self):
         """A direction base * H, H Hermitian on the blocks, is not tangent: it projects to 0."""
         rng = np.random.default_rng(61)
-        for arch, feas in zip(ARCHS, FEASIBLE):
-            base = random_point(feas, rng)
+        for arch, surface in zip(ARCHS, SURFACES):
+            base = random_point(surface, rng)
             a = random_complex(rng, N, N) * _support_mask(arch, N)
             normal = base @ (a + a.conj().T)
             assert np.max(np.abs(normal)) > 1.0
-            assert np.max(np.abs(tangent(feas, normal, base))) <= 1e-12
+            assert np.max(np.abs(tangent(surface, normal, base))) <= 1e-12
 
 
 GUARDS = [
@@ -509,16 +516,21 @@ GUARDS = [
     pytest.param(lambda: project_to_unitary(np.full((2, 2), np.nan)), InvalidInput, "non-finite", id="nan_matrix"),
     pytest.param(lambda: random_unitary(2.5, np.random.default_rng(0)), InvalidInput, "n must be an integer >= 1",
                  id="haar_fractional_dimension"),
-    pytest.param(lambda: BlockStructure((2.5, 2.5)), InvalidInput, "positive integers", id="fractional_sizes"),
-    pytest.param(lambda: BlockStructure((2.0, 2.0)), InvalidInput, "positive integers", id="float_sizes"),
-    pytest.param(lambda: BlockStructure((True, True)), InvalidInput, "positive integers", id="boolean_sizes"),
+    pytest.param(lambda: BlockStructure((2.5, 2.5)), InvalidInput, "group size 0 must be an integer >= 1, got 2.5",
+                 id="fractional_sizes"),
+    pytest.param(lambda: BlockStructure((2.0, 2.0)), InvalidInput, "group size 0 must be an integer >= 1, got 2.0",
+                 id="float_sizes"),
+    pytest.param(lambda: BlockStructure((True, True)), InvalidInput, "group size 0 must be an integer >= 1, got True",
+                 id="boolean_sizes"),
     pytest.param(lambda: BlockStructure(()), InvalidInput, "positive integers", id="no_groups"),
-    pytest.param(lambda: BlockStructure((2, 2)).pack(np.ones((5, 5))), DimensionMismatch, "cannot pack",
-                 id="pack_larger"),
-    pytest.param(lambda: BlockStructure((2, 2)).pack(np.ones((3, 3))), DimensionMismatch, "cannot pack",
-                 id="pack_smaller"),
-    pytest.param(lambda: BlockStructure((2, 2)).pack(np.ones(16)), DimensionMismatch, "cannot pack",
-                 id="pack_flat"),
+    pytest.param(lambda: BlockStructure((2, 2)).unpack(np.ones((2, 3, 3))), DimensionMismatch, "cannot unpack",
+                 id="unpack_larger"),
+    pytest.param(lambda: BlockStructure((2, 2)).unpack(np.ones((1, 2, 2))), DimensionMismatch, "cannot unpack",
+                 id="unpack_smaller"),
+    pytest.param(lambda: BlockStructure((2, 2)).unpack(np.ones(8)), DimensionMismatch, "cannot unpack",
+                 id="unpack_flat"),
+    pytest.param(lambda: BlockStructure((2, 2)).unpack(np.ones((4, 4))), DimensionMismatch, "cannot unpack",
+                 id="unpack_matrix"),
 ]
 
 

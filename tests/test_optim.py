@@ -48,10 +48,15 @@ def random_complex(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def tangent(feas, x, frame):
-    """``feas.tangent`` on N x N matrices, through the packed block layout."""
-    pack = feas.structure.pack
-    return feas.structure.unpack(feas.tangent(pack(x), pack(frame)))
+def gather(structure, m):
+    """The (G, k, k) stack of an N x N matrix's blocks, one slice per block."""
+    k = structure.shape[1]
+    return np.stack([m[i : i + k, i : i + k] for i in range(0, structure.dimension, k)])
+
+
+def tangent(structure, x, frame):
+    """``optim._tangent`` on N x N matrices, through their block stacks."""
+    return structure.unpack(optim._tangent(gather(structure, frame), gather(structure, x)))
 
 
 def unit_instance(rng, l=2, m=2, n=3, snapshots=2):
@@ -134,7 +139,7 @@ class TestEuclideanGradient:
         real, _ = single_tag_instance(rng, n=6)
         theta, _ = optimal_fully_connected_single_tag(real.ris_device[0], real.bs_ris[:, 0])
         g = euclidean_gradient(theta.entries, [real])
-        t = optim._Feasible(FULL, 6).tangent(g, theta.entries)
+        t = optim._tangent(theta.entries, g)
         assert np.max(np.abs(t)) <= 1e-8
 
     def test_dimension_mismatch(self):
@@ -144,33 +149,33 @@ class TestEuclideanGradient:
 
 
 class TestSumRateSurrogate:
-    """FP's quadratic-transform surrogate on packed blocks: its gradient and its exact line curvature."""
+    """FP's quadratic-transform surrogate on block stacks: its gradient and its exact line curvature."""
 
     ARCHS = [FULL, DIAG]
     IDS = ["full", "diag"]
 
     def instance(self, arch, seed):
-        """Surrogate refreshed at a feasible point, its precoders, the point and a packed direction."""
+        """Surrogate refreshed at a feasible point, its precoders, the point and a direction, as block stacks."""
         rng = np.random.default_rng(seed)
-        feas = optim._Feasible(arch, 8)
-        problem = CascadedChannels(ChannelStack(unit_instance(rng, l=3, m=2, n=8)), feas.structure)
+        blocks = arch.unitary_blocks(8)
+        problem = CascadedChannels(ChannelStack(unit_instance(rng, l=3, m=2, n=8)), blocks)
         rho = 10.0 ** 1.8
-        theta = feas.random_point(rng)
+        theta = optim._random_blocks(blocks.shape, rng)
         w = optim._rzf_rate(problem.channels(theta), rho)[0]
         surrogate = optim._SumRateSurrogate(problem, rho)
         surrogate.refresh(theta, w)
-        return surrogate, w, theta, feas.structure.pack(random_complex(rng, 8, 8))
+        return surrogate, w, theta, gather(blocks, random_complex(rng, 8, 8))
 
     @pytest.mark.parametrize("arch", ARCHS, ids=IDS)
     def test_gradient_matches_central_finite_differences(self, arch):
         surrogate, w, theta, _ = self.instance(arch, 90)
-        g = surrogate.gradient(theta, w)
+        g = surrogate.gradient(theta, w).reshape(-1)
         h = 1e-3  # the surrogate is quadratic: central differences are exact up to rounding
         fd = np.zeros((theta.size, 2))
         for i in range(theta.size):
             for part, unit in enumerate((1.0, 1j)):
                 e = np.zeros_like(theta)
-                e[i] = unit * h
+                e.reshape(-1)[i] = unit * h
                 fd[i, part] = (surrogate.value(theta + e, w) - surrogate.value(theta - e, w)) / (2 * h)
         analytic = np.stack([2 * np.real(g), 2 * np.imag(g)], axis=1)
         assert np.linalg.norm(analytic - fd) <= 1e-6 * np.linalg.norm(analytic)
@@ -246,10 +251,9 @@ class TestAoManifold:
         rng = np.random.default_rng(7)
         real, _ = single_tag_instance(rng, n=5)
         theta_star, _ = optimal_fully_connected_single_tag(real.ris_device[0], real.bs_ris[:, 0])
-        feas = optim._Feasible(FULL, 5)
-        point = feas.structure.pack(theta_star.entries)
-        f, grad = CascadedChannels(real, feas.structure).value_and_grad(point)
-        riem = feas.tangent(grad, point)
+        point = theta_star.entries[None]  # the (1, N, N) stack of the fully-connected surface
+        f, grad = CascadedChannels(real, FULL.unitary_blocks(5)).value_and_grad(point)
+        riem = optim._tangent(point, grad)
         assert np.linalg.norm(riem) <= 1e-12 * f
 
     def test_trace_monotone(self):
@@ -293,7 +297,7 @@ class TestAoManifold:
                 checked += 1
                 g = euclidean_gradient(result.theta, [real])
                 assert unitarity_defect(result.theta) <= 1e-8
-                t = optim._Feasible(FULL, 6).tangent(g, result.theta)
+                t = optim._tangent(result.theta, g)
                 f = result.objective_trace[-1]
                 assert np.sqrt(np.sum(np.abs(t) ** 2)) <= 1e-4 * (1 + abs(f))
         assert checked >= 6  # the property must not pass vacuously
@@ -666,30 +670,29 @@ class TestBatchedFeasibleSet:
     @pytest.mark.parametrize("arch", BLOCK_ARCHS, ids=BLOCK_IDS)
     def test_project_tangent_random_point(self, arch):
         rng = np.random.default_rng(60)
-        feas = optim._Feasible(arch, self.N)
+        blocks = arch.unitary_blocks(self.N)
         m = random_complex(rng, self.N, self.N)
         grad = random_complex(rng, self.N, self.N)
-        pack, unpack = feas.structure.pack, feas.structure.unpack
-        theta = unpack(feas.project(pack(m)))
+        theta = blocks.unpack(polar_factor(gather(blocks, m)))
         assert np.array_equal(theta, self.per_block(arch, polar_factor, m))
-        body = tangent(feas, grad, theta)
+        body = tangent(blocks, grad, theta)
         assert np.array_equal(body, self.per_block(arch, lambda t, g: skew_part(t.conj().T @ g), theta, grad))
         # mapped back by theta, the body vector is the ambient Riemannian gradient
         ambient = self.per_block(arch, lambda t, g: t @ skew_part(t.conj().T @ g), theta, grad)
         assert np.max(np.abs(theta @ body - ambient)) <= 1e-13
-        point = feas.random_point(np.random.default_rng(61))
-        z_rng, shape = np.random.default_rng(61), feas.structure.shape  # only the (G, k, k) block entries are drawn
-        z = unpack(((z_rng.standard_normal(shape) + 1j * z_rng.standard_normal(shape)) / np.sqrt(2.0)).reshape(-1))
-        assert np.array_equal(unpack(point), self.per_block(arch, polar_factor, z))
+        point = optim._random_blocks(blocks.shape, np.random.default_rng(61))
+        z_rng, shape = np.random.default_rng(61), blocks.shape  # only the (G, k, k) block entries are drawn
+        z = blocks.unpack((z_rng.standard_normal(shape) + 1j * z_rng.standard_normal(shape)) / np.sqrt(2.0))
+        assert np.array_equal(blocks.unpack(point), self.per_block(arch, polar_factor, z))
 
     def test_single_singular_block_rejected(self):
         rng = np.random.default_rng(62)
-        feas = optim._Feasible(BLOCK_ARCHS[1], self.N)
+        blocks = BLOCK_ARCHS[1].unitary_blocks(self.N)
         m = random_complex(rng, self.N, self.N)
         idx = block_indices(BLOCK_ARCHS[1], self.N)[0]
         m[np.ix_(idx, idx)] = 0.0
         with pytest.raises(RankDeficient):
-            feas.project(feas.structure.pack(m))
+            polar_factor(gather(blocks, m))
 
     @pytest.mark.parametrize("arch", BLOCK_ARCHS, ids=BLOCK_IDS)
     def test_degenerate_blocks_draw_haar_in_block_order(self, arch):
@@ -727,7 +730,7 @@ class TestBodyCoordinateRules:
 
     The reference evaluates the same quantities on the ambient vectors
     theta * Omega and the two iterates.  The instance is built and checked
-    as N x N matrices; the rules get their packed forms.
+    as N x N matrices; the rules get their block stacks.
     """
 
     N = 8
@@ -735,12 +738,11 @@ class TestBodyCoordinateRules:
     IDS = ["full"] + BLOCK_IDS
 
     def step_instance(self, arch, rng, s=0.7):
-        feas = optim._Feasible(arch, self.N)
-        pack, unpack = feas.structure.pack, feas.structure.unpack
-        theta = unpack(feas.project(pack(random_complex(rng, self.N, self.N))))
-        direction = tangent(feas, random_complex(rng, self.N, self.N), theta)
-        step, rotation = feas.retract(pack(theta), pack(direction))
-        return feas, theta, unpack(step(s)), direction, unpack(rotation(s)), s
+        blocks = arch.unitary_blocks(self.N)
+        theta = blocks.unpack(polar_factor(gather(blocks, random_complex(rng, self.N, self.N))))
+        direction = tangent(blocks, random_complex(rng, self.N, self.N), theta)
+        step, rotation = optim._retract(gather(blocks, theta), gather(blocks, direction))
+        return blocks, theta, blocks.unpack(step(s)), direction, blocks.unpack(rotation(s)), s
 
     def ambient_tangent(self, x, frame):
         return frame @ skew_part(frame.conj().T @ x)
@@ -748,12 +750,12 @@ class TestBodyCoordinateRules:
     @pytest.mark.parametrize("arch", ARCHS, ids=IDS)
     def test_barzilai_borwein_step(self, arch):
         rng = np.random.default_rng(66)
-        feas, theta, theta_new, direction, w, s = self.step_instance(arch, rng)
+        blocks, theta, theta_new, direction, w, s = self.step_instance(arch, rng)
         g_old = random_complex(rng, self.N, self.N)
         g_new = g_old - 3.0 * (theta_new - theta)  # concave along the step: positive curvature estimate
-        riem, riem_new = tangent(feas, g_old, theta), tangent(feas, g_new, theta_new)
-        rule = optim._BarzilaiBorwein(feas, OptimizerConfig())
-        rule.accepted(*map(feas.structure.pack, (w, riem, riem_new, direction)), s)
+        riem, riem_new = tangent(blocks, g_old, theta), tangent(blocks, g_new, theta_new)
+        rule = optim._BarzilaiBorwein(self.N, OptimizerConfig())
+        rule.accepted(*(gather(blocks, x) for x in (w, riem, riem_new, direction)), s)
         delta = theta_new - theta
         denom = -np.vdot(delta, theta_new @ riem_new - theta @ riem).real
         assert denom > 0
@@ -762,27 +764,26 @@ class TestBodyCoordinateRules:
     @pytest.mark.parametrize("arch", ARCHS, ids=IDS)
     def test_lbfgs_transport_and_new_pair(self, arch):
         rng = np.random.default_rng(67)
-        feas, theta, theta_new, direction, w, s = self.step_instance(arch, rng)
-        rule = optim._LimitedMemoryBfgs(feas, OptimizerConfig(lbfgs_memory=4))
+        blocks, theta, theta_new, direction, w, s = self.step_instance(arch, rng)
+        rule = optim._LimitedMemoryBfgs(self.N, OptimizerConfig(lbfgs_memory=4))
         pairs = []
         for _ in range(3):
-            s_i = tangent(feas, random_complex(rng, self.N, self.N), theta)
-            y_i = s_i + 0.1 * tangent(feas, random_complex(rng, self.N, self.N), theta)
+            s_i = tangent(blocks, random_complex(rng, self.N, self.N), theta)
+            y_i = s_i + 0.1 * tangent(blocks, random_complex(rng, self.N, self.N), theta)
             pairs.append((s_i, y_i))
-        pack, unpack = feas.structure.pack, feas.structure.unpack
-        rule.memory = [(pack(a), pack(b), 1.0 / optim._inner(a, b)) for a, b in pairs]
+        rule.memory = [(gather(blocks, a), gather(blocks, b), 1.0 / optim._inner(a, b)) for a, b in pairs]
         rule.used_fallback = False
-        riem = tangent(feas, random_complex(rng, self.N, self.N), theta)
-        riem_new = tangent(feas, random_complex(rng, self.N, self.N), theta_new)
-        rule.accepted(*map(pack, (w, riem, riem_new, direction)), s)
+        riem = tangent(blocks, random_complex(rng, self.N, self.N), theta)
+        riem_new = tangent(blocks, random_complex(rng, self.N, self.N), theta_new)
+        rule.accepted(*(gather(blocks, x) for x in (w, riem, riem_new, direction)), s)
         mask = _support_mask(arch, self.N)  # theta_new is block diagonal: project, then keep the blocks
         p = lambda x: np.where(mask, self.ambient_tangent(x, theta_new), 0.0)
         expected = [(p(theta @ a), p(theta @ b)) for a, b in pairs]
         expected.append((p(s * theta @ direction), p(theta @ riem) - theta_new @ riem_new))
         assert len(rule.memory) == len(expected)
         for (a, b, rho), (ea, eb) in zip(rule.memory, expected):
-            assert np.max(np.abs(theta_new @ unpack(a) - ea)) <= 1e-12
-            assert np.max(np.abs(theta_new @ unpack(b) - eb)) <= 1e-12
+            assert np.max(np.abs(theta_new @ blocks.unpack(a) - ea)) <= 1e-12
+            assert np.max(np.abs(theta_new @ blocks.unpack(b) - eb)) <= 1e-12
             assert rho == pytest.approx(1.0 / np.vdot(ea, eb).real, rel=1e-10)
 
 
@@ -801,18 +802,18 @@ class TestQnmMemoryTransport:
         """
         memory = 3
         calls, sizes = [0], []
-        tangent = optim._Feasible.tangent
+        tangent = optim._tangent
         accepted = optim._LimitedMemoryBfgs.accepted
 
-        def counting(self, grad, theta):
+        def counting(frame, x):
             calls[0] += 1
-            return tangent(self, grad, theta)
+            return tangent(frame, x)
 
         def recording(self, *args):
             sizes.append(len(self.memory))
             return accepted(self, *args)
 
-        monkeypatch.setattr(optim._Feasible, "tangent", counting)
+        monkeypatch.setattr(optim, "_tangent", counting)
         monkeypatch.setattr(optim._LimitedMemoryBfgs, "accepted", recording)
         marks = []
         reals = unit_instance(np.random.default_rng(65), l=2, m=2, n=8, snapshots=2)
@@ -835,7 +836,7 @@ def test_block_solve_holds_no_dense_temporaries(name, arch):
     """At N = 256 one N x N complex matrix is 1 MiB; a block-surface solve peaks below four of them.
 
     Only the returned theta is N x N: start points, warm starts and every
-    iterate stay in packed block coordinates.
+    iterate stay (G, k, k) block stacks.
     """
     reals = scenario_realizations(ScenarioConfig(), 256, np.random.default_rng(87))
     tracemalloc.start()
