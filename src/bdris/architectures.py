@@ -19,9 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidInput, ZeroChannel
-from .manifold import BlockStructure, UnitaryMatrix, aligned_unitary, unitarity_defect
-
-STRUCT_TOL = 1e-10
+from .manifold import UNITARY_TOL, BlockStructure, UnitaryMatrix, aligned_unitary, unitarity_defect
 
 
 class ArchitectureKind(enum.Enum):
@@ -93,7 +91,7 @@ def _finite(m: np.ndarray, violations: list[str]) -> bool:
     return not bad
 
 
-def validate(theta, arch: BdRisArchitecture, tolerance: float = STRUCT_TOL) -> ValidationReport:
+def validate(theta, arch: BdRisArchitecture, tolerance: float = UNITARY_TOL) -> ValidationReport:
     """Check a matrix against an architecture's zero pattern and unitarity.
 
     The zero pattern is checked exactly; the unitarity of the connected part

@@ -450,7 +450,7 @@ def run_beamforming_bench(cfg: ExperimentConfig, threads: int = 1, no_timing: bo
         summary.append(f"{algo}_rate_nondecreasing_in_N: {'pass' if ok else 'fail'}")
         per_device = mean_rate(algo, max(cfg.element_counts)) / cfg.scenario.num_devices
         summary.append(f"{algo}_mean_rate_per_device_at_max_N: {csv_line(per_device)}")
-    summary.append("solve block sizes (AO and QNM solve each block on its exact compression to the links' span):")
+    summary.append("solve block sizes (every solve runs on the exact compression of each block to the links' span):")
     for algo in cfg.algorithms:
         for n in cfg.element_counts:
             sizes = sorted({r["block_size"] for r in table if r["algorithm"] == algo and r["N"] == n})

@@ -145,6 +145,11 @@ def skew_part(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def complex_gaussian(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
+    """Standard complex Gaussian draw, unit variance per entry: the real parts are drawn first, then the imaginary."""
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+
+
 def random_unitary(n: int, rng: np.random.Generator) -> UnitaryMatrix:
     """Haar-distributed unitary: the polar factor of a standard complex Gaussian matrix.
 
@@ -152,5 +157,4 @@ def random_unitary(n: int, rng: np.random.Generator) -> UnitaryMatrix:
     and polar(VZ) = V polar(Z), so the factor's law is too.
     """
     check_counts(n=n)
-    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
-    return UnitaryMatrix(polar_factor(z))
+    return UnitaryMatrix(polar_factor(complex_gaussian((n, n), rng)))

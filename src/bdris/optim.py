@@ -15,26 +15,24 @@ Four optimizers over the unitary (or block-unitary) feasible set:
   guarded precoder refreshes and projected conjugate-gradient maximization
   of the concave surrogate in the surface matrix.
 
-Every optimizer holds its point as the (G, k, k) stack of the surface's
-blocks (``BlockStructure.shape``; the fully-connected surface is the
-(1, N, N) stack) from its first iterate to its return: AO and QNM start
-from Haar blocks drawn from ``cfg.seed`` (``_random_blocks``), FP from the
-RZF cross-term alignment, and only ``iterate_callback`` and the returned
-``theta`` see N x N matrices (``BlockStructure.unpack``).  Projection is
-the per-block ``polar_factor``.  Every optimizer takes its channels and
-gradients from ``channel.CascadedChannels`` on the blocks.  AO and QNM
-are two direction rules on one line-search loop (``_ascend``).  It holds
-every tangent vector in body coordinates (``_tangent``: Omega with
-Theta Omega the ambient vector, skew-Hermitian per block), retracts in
-closed form (``_retract``: one batched ``eigh`` per step, one block
-product per trial step) and transports by projection at one block
-product per vector.
-AO and QNM solve on the exact compression of each block
-(``CascadedChannels.compressed``): the links span at most
-t = P max(L, M) ports of a block, so a block of k > t ports is solved as
-a t x t unitary and dilated back to k x k for ``iterate_callback`` and
-the returned ``theta``.  At the case-study sizes (P = 10, L = M = 4) that is
-t = 40, so every fully-connected surface with N > 40 compresses.
+Every optimizer is a method run by one solve frame (``_solve``).  It
+builds the channels on the surface's blocks (``channel.CascadedChannels``)
+once and solves on their exact compression (``compressed``): the links
+span at most t = P max(L, M) ports of a block, so a block of k > t ports
+is solved as a t x t unitary and dilated back to k x k for
+``iterate_callback`` and the returned ``theta``, the only N x N matrices
+a solve forms (t = 40 at the case-study P = 10, L = M = 4).  The point is
+the (G, k, k) stack of the blocks solved on (``BlockStructure.shape``)
+from the first iterate to the return: AO and QNM start from Haar blocks
+drawn from ``cfg.seed`` (``_random_blocks``), RZF and FP at the cross-term
+alignment.  Projection is the per-block ``polar_factor``.  AO and QNM are
+two direction rules on one line-search loop (``_ascend``) that holds
+tangent vectors in body coordinates (``_tangent``: Omega with Theta Omega
+the ambient vector), retracts in closed form (``_retract``: one batched
+``eigh`` per step, one block product per trial) and transports by
+projection.  RZF's objective is linear in the reduced point, and FP's
+surrogate gradients and CG directions lie in the links' span, whose
+complement the polar factor keeps, so all four solve the same problem.
 ``OptimizerResult.block_size`` records the block size a solve ran at.
 RZF/AO/QNM maximize the channel-gain objective and are judged by the sum
 rate afterwards; FP maximizes the sum rate directly.  All optimizers keep
@@ -49,13 +47,14 @@ import math
 import time
 import warnings
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from .architectures import BdRisArchitecture
 from .channel import CascadedChannels, ChannelStack, ScenarioConfig, effective_channel_matrix, scenario_realizations
 from .errors import InvalidInput, RankDeficient, RankDeficientWarning, check_counts, check_integers
-from .manifold import aligned_unitary, polar_factor, random_unitary, skew_part
+from .manifold import aligned_unitary, complex_gaussian, polar_factor, skew_part
 from .seeding import derive_seed, derived_rng
 
 LOG2 = float(np.log(2.0))
@@ -93,7 +92,7 @@ class OptimizerResult:
     or, for RZF, ``closed_form``.
     ``converged`` is the separate stationarity verdict.
     ``block_size`` is the size k of the (G, k, k) blocks the solve ran on:
-    the surface's own, or t for an AO/QNM solve on the compressed blocks.
+    the surface's own, or t on the compressed blocks.
     """
 
     theta: np.ndarray
@@ -146,10 +145,9 @@ def _retract(theta: np.ndarray, omega: np.ndarray):
     return (lambda s: rotated(theta_v, s)), (lambda s: rotated(v, s))
 
 
-def _random_blocks(shape: tuple[int, int, int], rng: np.random.Generator) -> np.ndarray:
-    """Independent Haar blocks of a (G, k, k) stack: the polar factor of a complex Gaussian draw, per block."""
-    z = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-    return polar_factor(z)
+def _random_blocks(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
+    """Independent Haar blocks of a (G, k, k) stack (or one k x k block): the polar factor of a complex Gaussian draw."""
+    return polar_factor(complex_gaussian(shape, rng))
 
 
 def channel_gain_objective(theta, realizations) -> float:
@@ -180,8 +178,49 @@ def _align_cross_term(problem: CascadedChannels, rng: np.random.Generator) -> tu
     """
     theta, degenerate = aligned_unitary(problem.adjoint(np.conj(problem.direct)))
     for i in degenerate:
-        theta[i] = random_unitary(theta.shape[1], rng).entries
+        theta[i] = _random_blocks(theta.shape[1:], rng)
     return theta, bool(len(degenerate))
+
+
+def _solve(realizations, arch, cfg, iterate_callback, method) -> OptimizerResult:
+    """Run ``method`` on the surface's blocks, or on their compression when there is one.
+
+    ``method(problem, n, rho, cfg, report)`` gets the blocks to solve on,
+    the surface's N, the linear transmit SNR and ``report(x)``, which hands
+    ``iterate_callback`` the surface's N x N matrix at the stack x; it
+    returns (theta, trace, iterations, converged, stop_reason) with theta
+    on those blocks.
+    """
+    start = time.perf_counter()
+    stack = ChannelStack(realizations)
+    blocks = arch.unitary_blocks(stack.num_elements)
+    problem = CascadedChannels(stack, blocks)
+    unpack = blocks.unpack
+    compressed = problem.compressed()
+    if compressed is not None:
+        problem, dilate = compressed
+
+        def unpack(x):
+            return blocks.unpack(dilate(x))
+
+    def report(x):
+        if iterate_callback:
+            iterate_callback(unpack(x))
+
+    rho = 10.0 ** (stack.tx_snr_db / 10.0)
+    theta, trace, iterations, converged, reason = method(problem, stack.num_elements, rho, cfg, report)
+    return OptimizerResult(
+        unpack(theta), trace, time.perf_counter() - start, iterations, converged, reason, problem.structure.shape[1]
+    )
+
+
+def _align(problem, n, rho, cfg, report):
+    """RZF on ``problem``'s blocks; a fallback's warning points at the caller of ``rzf_one_shot``."""
+    theta, fell_back = _align_cross_term(problem, np.random.default_rng(cfg.seed))
+    if fell_back:
+        warnings.warn("cross matrix is rank deficient; fell back to a random feasible point", RankDeficientWarning,
+                      stacklevel=4)
+    return theta, [problem.value(theta)], 1, True, "closed_form"
 
 
 def rzf_one_shot(
@@ -196,21 +235,7 @@ def rzf_one_shot(
     SVD factor.  Falls back to a random feasible point with a warning when
     the cross matrix is degenerate (no direct paths at all).
     """
-    start = time.perf_counter()
-    stack = ChannelStack(realizations)
-    blocks = arch.unitary_blocks(stack.num_elements)
-    problem = CascadedChannels(stack, blocks)
-    theta, fell_back = _align_cross_term(problem, np.random.default_rng(cfg.seed))
-    if fell_back:
-        warnings.warn(
-            "cross matrix is rank deficient; fell back to a random feasible point",
-            RankDeficientWarning,
-            stacklevel=2,
-        )
-    value = problem.value(theta)
-    return OptimizerResult(
-        blocks.unpack(theta), [value], time.perf_counter() - start, 1, True, "closed_form", blocks.shape[1]
-    )
+    return _solve(realizations, arch, cfg, None, _align)
 
 
 def _armijo_search(step_fn, value_fn, slope, f_current, step0):
@@ -326,46 +351,27 @@ class _LimitedMemoryBfgs:
         self.memory = memory
 
 
-def _ascend(realizations, arch, cfg, iterate_callback, rule) -> OptimizerResult:
-    """Riemannian line-search ascent on the channel-gain objective.
+def _ascend(rule, problem, n, rho, cfg, report):
+    """Riemannian line-search ascent on the channel-gain objective, a ``_solve`` method once ``rule`` is bound.
 
-    The loop holds the point as its (G, k, k) block stack and unpacks it
-    only for ``iterate_callback`` and the returned ``theta``.  It starts
-    from Haar blocks drawn from ``cfg.seed`` on the blocks it solves at:
-    the reduced ones when the surface's blocks compress
-    (``CascadedChannels.compressed``), and then every reported point is
-    dilated back.  The step caps keep the surface's N, so a compressed
-    solve is the full-size solve from the dilated start.
-    Gradients and directions are body-coordinate tangent vectors: Omega
-    with Theta Omega the ambient vector, skew-Hermitian per block.
-    ``rule(N, cfg)`` builds the direction rule:
+    Starts from Haar blocks drawn from ``cfg.seed``; the step caps take the
+    surface's N, so a compressed solve is the full-size one from the
+    dilated start.  Gradients and directions are body-coordinate tangent
+    vectors.  ``rule(N, cfg)`` builds the direction rule:
     ``propose(riem, gnorm)`` returns (direction, slope, trial step) and
     ``accepted(rotation, riem, riem_new, direction, s)`` updates the rule
     after each step, where ``rotation`` is the step's block rotation
     W = Theta† Theta_new.  Every step is an Armijo backtracking search along
-    the closed-form polar retraction (``_retract``): one ``eigh``
-    per step, one block product per trial, and no SVD inside the loop.
+    the closed-form polar retraction (``_retract``): one ``eigh`` per step,
+    one block product per trial, and no SVD inside the loop.
     The trace is monotone.  Stops at a numerically stationary point, on a
     line-search stall, on a two-iteration objective plateau, or at the
     iteration cap (``stop_reason``); ``converged`` reports whether the
     final gradient passed the stationarity test.
     """
-    start = time.perf_counter()
-    stack = ChannelStack(realizations)
-    blocks = arch.unitary_blocks(stack.num_elements)
-    problem = CascadedChannels(stack, blocks)
-    unpack = blocks.unpack
-    compressed = problem.compressed()
-    if compressed is not None:
-        problem, dilate = compressed
-
-        def unpack(x):
-            return blocks.unpack(dilate(x))
-
     theta = _random_blocks(problem.structure.shape, np.random.default_rng(cfg.seed))
-    if iterate_callback:
-        iterate_callback(unpack(theta))
-    rule = rule(stack.num_elements, cfg)
+    report(theta)
+    rule = rule(n, cfg)
     f, grad = problem.value_and_grad(theta)
     riem = _tangent(theta, grad)
     trace = [f]
@@ -383,8 +389,7 @@ def _ascend(realizations, arch, cfg, iterate_callback, rule) -> OptimizerResult:
         if theta_new is None:  # stall: the step is effectively zero
             converged, reason = gnorm <= STATIONARITY_TOLERANCE * max(abs(f), 1e-300), "stalled"
             break
-        if iterate_callback:
-            iterate_callback(unpack(theta_new))
+        report(theta_new)
         rel_change = abs(f_new - f) / max(abs(f), 1e-300)
         f, grad = problem.value_and_grad(theta_new)
         trace.append(f)
@@ -396,9 +401,7 @@ def _ascend(realizations, arch, cfg, iterate_callback, rule) -> OptimizerResult:
             converged = float(np.sqrt(_inner(riem, riem))) <= STATIONARITY_TOLERANCE * max(abs(f), 1e-300)
             reason = "plateau"
             break
-    return OptimizerResult(
-        unpack(theta), trace, time.perf_counter() - start, iterations, converged, reason, problem.structure.shape[1]
-    )
+    return theta, trace, iterations, converged, reason
 
 
 def ao_manifold(
@@ -414,7 +417,7 @@ def ao_manifold(
     Barzilai-Borwein curvature estimate from the last accepted move.  The
     Armijo safeguard and the stopping rules are ``_ascend``'s.
     """
-    return _ascend(realizations, arch, cfg, iterate_callback, _BarzilaiBorwein)
+    return _solve(realizations, arch, cfg, iterate_callback, partial(_ascend, _BarzilaiBorwein))
 
 
 def qnm_manifold(
@@ -431,7 +434,7 @@ def qnm_manifold(
     vector; the closed-form polar retraction, the Armijo safeguard and the
     stopping rules are ``_ascend``'s, as for AO.
     """
-    return _ascend(realizations, arch, cfg, iterate_callback, _LimitedMemoryBfgs)
+    return _solve(realizations, arch, cfg, iterate_callback, partial(_ascend, _LimitedMemoryBfgs))
 
 
 def _sinr(h_stack: np.ndarray, w_stack: np.ndarray, rho: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -572,9 +575,8 @@ def _surrogate_inner_update(surrogate, w_stack, theta, n):
 
     The projected full jump is tried first; if it regresses, the move toward
     the CG point is retried at geometrically shrinking step lengths (a trust
-    region on the manifold scale sqrt(n), n the surface's N).  With no
-    improving length left the point
-    is a fixed point of this outer stage and ``theta`` returns unchanged.
+    region on the manifold scale sqrt(n), n the surface's N, also on a
+    compressed solve).  With no improving length left ``theta`` returns.
     """
     target = _surrogate_cg(surrogate, w_stack, theta, FP_INNER_THETA_STEPS)
     if not np.all(np.isfinite(target.view(float))):
@@ -596,6 +598,43 @@ def _surrogate_inner_update(surrogate, w_stack, theta, n):
     return theta
 
 
+def _fractional_programming(problem, n, rho, cfg, report):
+    """FP's outer loop on ``problem``'s blocks (``fp_sum_rate``), trust lengths on the surface's N."""
+    # warm start from the one-shot cross-term alignment: the alternation
+    # is monotone from any start but random starts fall into noticeably
+    # weaker fixed points at case-study SNR scales
+    theta = _align_cross_term(problem, np.random.default_rng(cfg.seed))[0]
+    report(theta)
+    surrogate = _SumRateSurrogate(problem, rho)
+    precoders, rate = _rzf_rate(problem.channels(theta), rho)
+    # the RZF precoders and rate of the current theta, kept until theta moves
+    fresh, fresh_rate = precoders, rate
+    trace = [rate]
+    converged, reason = False, "max_iterations"
+    iterations = 0
+    for iterations in range(1, cfg.max_iterations + 1):
+        rate_at_start = rate
+        if fresh is None:
+            fresh, fresh_rate = _rzf_rate(problem.channels(theta), rho)
+        if fresh_rate >= rate:
+            precoders, rate = fresh, fresh_rate
+        surrogate.refresh(theta, precoders)
+        candidate = _surrogate_inner_update(surrogate, precoders, theta, n)
+        cand_rate = _mean_rate(problem.channels(candidate), precoders, rho)
+        if cand_rate >= rate:
+            if not np.array_equal(candidate, theta):
+                fresh = None
+            theta, rate = candidate, cand_rate
+            report(theta)
+        trace.append(rate)
+        # progress of the whole precoder/auxiliary/matrix cycle
+        rel_change = (rate - rate_at_start) / max(abs(rate_at_start), 1e-300)
+        if rel_change < cfg.objective_tolerance:
+            converged, reason = True, "plateau"
+            break
+    return theta, trace, iterations, converged, reason
+
+
 def fp_sum_rate(
     realizations,
     arch: BdRisArchitecture = BdRisArchitecture.fully_connected(),
@@ -615,49 +654,7 @@ def fp_sum_rate(
     lengths when the projection regresses.  Moves are only adopted when they
     do not lower the rate, so the recorded outer trace is non-decreasing.
     """
-    start = time.perf_counter()
-    stack = ChannelStack(realizations)
-    rho = 10.0 ** (stack.tx_snr_db / 10.0)
-    blocks = arch.unitary_blocks(stack.num_elements)
-    unpack = blocks.unpack
-    problem = CascadedChannels(stack, blocks)
-    # warm start from the one-shot cross-term alignment: the alternation
-    # is monotone from any start but random starts fall into noticeably
-    # weaker fixed points at case-study SNR scales
-    theta = _align_cross_term(problem, np.random.default_rng(cfg.seed))[0]
-    if iterate_callback:
-        iterate_callback(unpack(theta))
-    surrogate = _SumRateSurrogate(problem, rho)
-    precoders, rate = _rzf_rate(problem.channels(theta), rho)
-    # the RZF precoders and rate of the current theta, kept until theta moves
-    fresh, fresh_rate = precoders, rate
-    trace = [rate]
-    converged, reason = False, "max_iterations"
-    iterations = 0
-    for iterations in range(1, cfg.max_iterations + 1):
-        rate_at_start = rate
-        if fresh is None:
-            fresh, fresh_rate = _rzf_rate(problem.channels(theta), rho)
-        if fresh_rate >= rate:
-            precoders, rate = fresh, fresh_rate
-        surrogate.refresh(theta, precoders)
-        candidate = _surrogate_inner_update(surrogate, precoders, theta, stack.num_elements)
-        cand_rate = _mean_rate(problem.channels(candidate), precoders, rho)
-        if cand_rate >= rate:
-            if not np.array_equal(candidate, theta):
-                fresh = None
-            theta, rate = candidate, cand_rate
-            if iterate_callback:
-                iterate_callback(unpack(theta))
-        trace.append(rate)
-        # progress of the whole precoder/auxiliary/matrix cycle
-        rel_change = (rate - rate_at_start) / max(abs(rate_at_start), 1e-300)
-        if rel_change < cfg.objective_tolerance:
-            converged, reason = True, "plateau"
-            break
-    return OptimizerResult(
-        unpack(theta), trace, time.perf_counter() - start, iterations, converged, reason, blocks.shape[1]
-    )
+    return _solve(realizations, arch, cfg, iterate_callback, _fractional_programming)
 
 
 ALGORITHMS = {

@@ -201,6 +201,12 @@ class TestRzfOneShot:
         assert validate(result.theta, FULL).valid
         assert result.iterations == 1
 
+    def test_fallback_warning_points_at_the_caller(self):
+        real, _ = single_tag_instance(np.random.default_rng(2))
+        with pytest.warns(RankDeficientWarning) as record:
+            rzf_one_shot(real, FULL, OptimizerConfig(seed=3))
+        assert [w.filename for w in record] == [__file__]
+
     def test_procrustes_oracle(self):
         rng = np.random.default_rng(3)
         n = 4
