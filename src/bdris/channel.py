@@ -227,10 +227,13 @@ class CascadedChannels:
     Re sum(X * reflected(D)) = <adjoint(X), D>; ``value`` is the channel
     gain |h|^2 and its conjugate gradient is adjoint(conj(h)).  The blocks
     are consecutive runs of k ports, so the per-block links are reshapes of
-    the links and no N x N matrix is formed.  With no ``structure`` the maps
+    the links and no N x N matrix is formed.  R_g is held with the rows of
+    all P snapshots stacked, (G, P L, k), so ``reflected`` makes one
+    product per block.  With no ``structure`` the maps
     are on one N x N block, the (1, N, N) stack ``whole_block`` makes of a
     matrix, and every product is the whole-matrix one.
-    ``channels`` is a ``ChannelStack`` or what ``ChannelStack`` takes.
+    ``channels`` is a ``ChannelStack`` or what ``ChannelStack`` takes; a
+    ``structure`` that does not cover its N ports raises DimensionMismatch.
     ``compressed`` gives the same channels on blocks no larger than the
     links' span.
     """
@@ -238,21 +241,26 @@ class CascadedChannels:
     def __init__(self, channels, structure: BlockStructure | None = None):
         stack = channels if isinstance(channels, ChannelStack) else ChannelStack(channels)
         structure = structure or BlockStructure((stack.num_elements,))
+        if structure.dimension != stack.num_elements:
+            raise DimensionMismatch(
+                f"block structure covers {structure.dimension} ports, the channels {stack.num_elements}"
+            )
         p, l, _ = stack.ris_device.shape
         g, k, _ = structure.shape
-        device = stack.ris_device.reshape(p, l, g, k).transpose(0, 2, 1, 3)
+        device = stack.ris_device.reshape(p, l, g, k).transpose(2, 0, 1, 3).reshape(g, p * l, k)
         bs_dag = np.conj(stack.bs_ris.reshape(p, g, k, -1)).swapaxes(-1, -2)
         self._hold(stack.direct, device, bs_dag, structure)
 
     def _hold(self, direct, device, bs_dag, structure: BlockStructure) -> None:
-        """Keep the per-block links R_g (P, G, L, k) and B_g† (P, G, M, k), and conj(B) and R^T whole."""
+        """Keep the per-block links R_g, P L rows each (G, P L, k), and B_g† (P, G, M, k); conj(B) and R^T whole."""
         self.structure = structure
         self.direct = direct
         self.device = np.ascontiguousarray(device)
         self.bs_dag = np.ascontiguousarray(bs_dag)
         p, g, m, k = self.bs_dag.shape
         self.bs = np.ascontiguousarray(self.bs_dag.swapaxes(-1, -2).reshape(p, g * k, m))  # conj(B), (P, N, M)
-        self.device_t = np.ascontiguousarray(self.device.swapaxes(-1, -2).reshape(p, g * k, -1))  # (P, N, L)
+        per_snapshot = self.device.reshape(g, p, -1, k).transpose(1, 0, 3, 2)  # R_g^T, (P, G, k, L)
+        self.device_t = np.ascontiguousarray(per_snapshot.reshape(p, g * k, -1))  # (P, N, L)
 
     def compressed(self):
         """The same channels on (G, t, t) blocks and the map back, or None when no block is larger than t.
@@ -272,12 +280,12 @@ class CascadedChannels:
         dilate(X) equals the reduced one at X.
         Returns None when k <= t: the caller solves at full size.
         """
-        p, g, l, k = self.device.shape
-        t = p * max(l, self.bs_dag.shape[2])
+        p, g, m, k = self.bs_dag.shape
+        t = p * max(self.direct.shape[1], m)
         if t >= k:
             return None
         # the stacked R_g^T and B_g of each block, (G, k, P L) and (G, k, P M)
-        left = np.linalg.qr(self.device.transpose(1, 3, 0, 2).reshape(g, k, -1), mode="complete")[0]
+        left = np.linalg.qr(self.device.swapaxes(-1, -2), mode="complete")[0]
         right = np.linalg.qr(np.conj(self.bs_dag).transpose(1, 3, 0, 2).reshape(g, k, -1), mode="complete")[0]
         rest = left[..., t:] @ right[..., t:].conj().swapaxes(-1, -2)
         left, right = left[..., :t], right[..., :t]
@@ -306,8 +314,9 @@ class CascadedChannels:
     def reflected(self, theta: np.ndarray) -> np.ndarray:
         """The surface's share of the channels as rows, (P, L, M), at the (G, k, k) stack ``theta``."""
         p, l = self.direct.shape[:2]
-        scaled = self.device @ np.conj(theta)  # (P, G, L, k)
-        return scaled.transpose(0, 2, 1, 3).reshape(p, l, -1) @ self.bs
+        g, _, k = self.device.shape
+        scaled = self.device @ np.conj(theta)  # one product per block, (G, P L, k)
+        return scaled.reshape(g, p, l, k).transpose(1, 2, 0, 3).reshape(p, l, -1) @ self.bs
 
     def adjoint(self, rows: np.ndarray) -> np.ndarray:
         """The (G, k, k) stack of blocks sum_p R_g^T rows_p B_g† of (P, L, M) rows."""

@@ -20,8 +20,11 @@ builds the channels on the surface's blocks (``channel.CascadedChannels``)
 once and solves on their exact compression (``compressed``): the links
 span at most t = P max(L, M) ports of a block, so a block of k > t ports
 is solved as a t x t unitary and dilated back to k x k for
-``iterate_callback`` and the returned ``theta``, the only N x N matrices
-a solve forms (t = 40 at the case-study P = 10, L = M = 4).  The point is
+``iterate_callback`` and the result (t = 40 at the case-study P = 10,
+L = M = 4).  The only N x N matrices a solve forms are the callback's
+argument and ``OptimizerResult.theta``, which is built from the result's
+``blocks`` on each read; ``benchmark`` scores each row on the blocks,
+so a solve it runs on a block surface forms none.  The point is
 the (G, k, k) stack of the blocks solved on (``BlockStructure.shape``)
 from the first iterate to the return: AO and QNM start from Haar blocks
 drawn from ``cfg.seed`` (``_random_blocks``), RZF and FP at the cross-term
@@ -54,7 +57,7 @@ import numpy as np
 from .architectures import BdRisArchitecture
 from .channel import CascadedChannels, ChannelStack, ScenarioConfig, effective_channel_matrix, scenario_realizations
 from .errors import InvalidInput, RankDeficient, RankDeficientWarning, check_counts, check_integers
-from .manifold import aligned_unitary, complex_gaussian, polar_factor, skew_part
+from .manifold import BlockStructure, aligned_unitary, complex_gaussian, polar_factor, skew_part
 from .seeding import derive_seed, derived_rng
 
 LOG2 = float(np.log(2.0))
@@ -91,17 +94,25 @@ class OptimizerResult:
     relative changes in a row for AO/QNM, one for FP), ``max_iterations``
     or, for RZF, ``closed_form``.
     ``converged`` is the separate stationarity verdict.
+    ``blocks`` is the last iterate as the (G, k, k) stack of the surface's
+    own blocks ``structure`` (dilated when the solve ran compressed), and
+    ``theta`` the N x N matrix they make, built anew on each access.
     ``block_size`` is the size k of the (G, k, k) blocks the solve ran on:
     the surface's own, or t on the compressed blocks.
     """
 
-    theta: np.ndarray
+    blocks: np.ndarray
+    structure: BlockStructure
     objective_trace: list[float]
     wall_time_s: float
     iterations: int
     converged: bool
     stop_reason: str
     block_size: int
+
+    @property
+    def theta(self) -> np.ndarray:
+        return self.structure.unpack(self.blocks)
 
 
 def _inner(x: np.ndarray, y: np.ndarray) -> float:
@@ -143,6 +154,11 @@ def _retract(theta: np.ndarray, omega: np.ndarray):
         return _times_adjoint(left * np.exp(1j * np.arctan(s * lam))[:, None, :], v)
 
     return (lambda s: rotated(theta_v, s)), (lambda s: rotated(v, s))
+
+
+def _linear_snr(stack: ChannelStack) -> float:
+    """The snapshots' transmit SNR rho, linear."""
+    return 10.0 ** (stack.tx_snr_db / 10.0)
 
 
 def _random_blocks(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
@@ -189,29 +205,21 @@ def _solve(realizations, arch, cfg, iterate_callback, method) -> OptimizerResult
     the surface's N, the linear transmit SNR and ``report(x)``, which hands
     ``iterate_callback`` the surface's N x N matrix at the stack x; it
     returns (theta, trace, iterations, converged, stop_reason) with theta
-    on those blocks.
+    on those blocks.  The result holds theta on the surface's own blocks.
     """
     start = time.perf_counter()
     stack = ChannelStack(realizations)
-    blocks = arch.unitary_blocks(stack.num_elements)
-    problem = CascadedChannels(stack, blocks)
-    unpack = blocks.unpack
-    compressed = problem.compressed()
-    if compressed is not None:
-        problem, dilate = compressed
-
-        def unpack(x):
-            return blocks.unpack(dilate(x))
+    structure = arch.unitary_blocks(stack.num_elements)
+    problem = CascadedChannels(stack, structure)
+    problem, dilate = problem.compressed() or (problem, lambda x: x)
 
     def report(x):
         if iterate_callback:
-            iterate_callback(unpack(x))
+            iterate_callback(structure.unpack(dilate(x)))
 
-    rho = 10.0 ** (stack.tx_snr_db / 10.0)
-    theta, trace, iterations, converged, reason = method(problem, stack.num_elements, rho, cfg, report)
-    return OptimizerResult(
-        unpack(theta), trace, time.perf_counter() - start, iterations, converged, reason, problem.structure.shape[1]
-    )
+    theta, trace, iterations, converged, reason = method(problem, stack.num_elements, _linear_snr(stack), cfg, report)
+    return OptimizerResult(dilate(theta), structure, trace, time.perf_counter() - start, iterations, converged,
+                           reason, problem.structure.shape[1])
 
 
 def _align(problem, n, rho, cfg, report):
@@ -480,8 +488,7 @@ def mean_sum_rate(theta, realizations) -> float:
     total power.  A singular regularized Gram matrix raises RankDeficient.
     """
     stack = ChannelStack(realizations)
-    rho = 10.0 ** (stack.tx_snr_db / 10.0)
-    return _rzf_rate(effective_channel_matrix(stack, theta), rho)[1]
+    return _rzf_rate(effective_channel_matrix(stack, theta), _linear_snr(stack))[1]
 
 
 class _SumRateSurrogate:
@@ -681,7 +688,9 @@ def benchmark(
     seed per algorithm, so rows are independent of scheduling and identical
     for any thread count (wall times excepted).  Wall time covers the
     optimizer call only; run single-threaded when timings must be
-    comparable.
+    comparable.  Each row's sum rate is ``mean_sum_rate``'s, computed on
+    the result's blocks with the surface's ``CascadedChannels``, built once
+    per (N, trial) after its solves.
     """
     check_counts(trials=trials, threads=threads)
     for n in element_counts:
@@ -696,23 +705,26 @@ def benchmark(
         reals = scenario_realizations(
             scenario, n, derived_rng(cfg.seed, "bench-channel", n, trial)
         )
-        cell = []
-        for name in algorithms:
-            run_cfg = replace(cfg, seed=derive_seed(cfg.seed, "bench-init", n, trial, name))
-            result = ALGORITHMS[name](reals, arch, run_cfg)
-            cell.append(
-                {
-                    "algorithm": name,
-                    "N": n,
-                    "trial": trial,
-                    "sum_rate_bps_hz": mean_sum_rate(result.theta, reals),
-                    "wall_time_s": result.wall_time_s,
-                    "iterations": result.iterations,
-                    "converged": result.converged,
-                    "block_size": result.block_size,
-                }
-            )
-        return cell
+        results = [
+            ALGORITHMS[name](reals, arch, replace(cfg, seed=derive_seed(cfg.seed, "bench-init", n, trial, name)))
+            for name in algorithms
+        ]
+        stack = ChannelStack(reals)
+        judge = CascadedChannels(stack, arch.unitary_blocks(n))
+        rho = _linear_snr(stack)
+        return [
+            {
+                "algorithm": name,
+                "N": n,
+                "trial": trial,
+                "sum_rate_bps_hz": _rzf_rate(judge.channels(result.blocks), rho)[1],
+                "wall_time_s": result.wall_time_s,
+                "iterations": result.iterations,
+                "converged": result.converged,
+                "block_size": result.block_size,
+            }
+            for name, result in zip(algorithms, results)
+        ]
 
     tasks = [(n, trial) for n in element_counts for trial in range(trials)]
     if threads > 1:

@@ -719,6 +719,10 @@ GUARDS = [
                  r"ris_position must be a 3-vector, got shape \(1, 3\)", id="geometry_matrix_ris_position"),
     pytest.param(lambda: NetworkGeometry(ris_position=[100.0, -math.inf, 0.0]), InvalidInput,
                  "positions must be finite, got ris_position", id="geometry_infinite_ris_position"),
+    pytest.param(lambda: CascadedChannels(random_realization(np.random.default_rng(0)), BlockStructure((2, 2, 2))),
+                 DimensionMismatch, "block structure covers 6 ports, the channels 4", id="cascade_structure_too_large"),
+    pytest.param(lambda: CascadedChannels(random_realization(np.random.default_rng(0)), BlockStructure((1,) * 3)),
+                 DimensionMismatch, "block structure covers 3 ports, the channels 4", id="cascade_structure_too_small"),
 ]
 
 

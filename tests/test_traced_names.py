@@ -76,12 +76,14 @@ def test_feasible_set_calls_through_optim_namespace(name, arch, monkeypatch):
 
 
 def test_effective_channel_span_counts_scoring_only(monkeypatch):
-    """The tracer's ``architectures.effective_channel_matrix`` span sees sum-rate scoring only.
+    """The tracer's ``architectures.effective_channel_matrix`` span sees ``mean_sum_rate`` only.
 
     The function lives in ``bdris.channel`` (the span keeps its old name).
     The tracer rebinds the name in ``bdris.optim``, where ``mean_sum_rate``
     looks it up; every optimizer, FP included, computes its channels on
-    packed blocks with ``channel.CascadedChannels`` and never calls it.
+    block stacks with ``channel.CascadedChannels`` and never calls it.
+    ``optim.benchmark`` scores its rows on the results' blocks, not with
+    ``mean_sum_rate``, so on the bench workloads this span reads zero calls.
     """
     calls = []
     original = optim.effective_channel_matrix
@@ -95,6 +97,9 @@ def test_effective_channel_span_counts_scoring_only(monkeypatch):
     for name, solver in optim.ALGORITHMS.items():
         theta = solver(reals, BdRisArchitecture.diagonal(), optim.OptimizerConfig(seed=4, max_iterations=5)).theta
         assert not calls, name
+    optim.benchmark(sorted(optim.ALGORITHMS), [8], 1, optim.OptimizerConfig(seed=4, max_iterations=5),
+                    arch=BdRisArchitecture.diagonal())
+    assert not calls
     optim.mean_sum_rate(theta, reals)
     assert len(calls) == 1
 
